@@ -55,6 +55,24 @@ def sweep_runner() -> SweepRunner:
     return SweepRunner(workers=workers, cache=cache)
 
 
+def best_of_interleaved(timers, attempts: int) -> list:
+    """Best (smallest) result of each timer over ``attempts`` rounds.
+
+    Each timer is a zero-argument callable returning the seconds its own
+    timed section took (setup stays outside the clock).  Every round runs
+    all timers back to back, so the attempts of each side are spread over
+    the whole measurement window: a load burst on a shared machine lands
+    on both sides of a ratio instead of on every attempt of one of them.
+    """
+    best = [None] * len(timers)
+    for _ in range(attempts):
+        for index, timer in enumerate(timers):
+            elapsed = timer()
+            if best[index] is None or elapsed < best[index]:
+                best[index] = elapsed
+    return best
+
+
 def write_result(results_dir: Path, name: str, text: str) -> None:
     """Write a *stable* results file (tracked in git).
 

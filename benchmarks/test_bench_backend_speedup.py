@@ -50,9 +50,7 @@ def _run(backend: str, quick: bool):
                           runner=SweepRunner(), backend=backend)
 
 
-def _write_stable(results_dir, name, title, floor,
-                  ratio="cycle seconds / trace seconds",
-                  artifact="BENCH_backend_speedup.json"):
+def _write_stable(results_dir, name, title, floor):
     """The tracked results file: floors and configuration only.
 
     Byte-identical from run to run by construction, so benchmark reruns
@@ -63,13 +61,13 @@ def _write_stable(results_dir, name, title, floor,
         title,
         "=" * len(title),
         f"regression floor : speedup >= {floor:.2f} "
-        f"({ratio})",
+        "(cycle seconds / trace seconds)",
         "configuration    : serial, uncached, one worker; quick budgets "
         "by default,",
         "                   REPRO_BENCH_FULL=1 for paper-scale budgets",
         f"measured numbers : benchmarks/results/measured/{name}.txt "
         "(gitignored)",
-        f"                   and the {artifact} CI "
+        "                   and the BENCH_backend_speedup.json CI "
         "artifact (extra_info)",
     ]))
 
@@ -213,83 +211,3 @@ def test_bench_fig12_backend_speedup(benchmark, results_dir, full_mode):
                   for p in cycle_pair.hmwipc_by_policy]
         assert max(ratios) / min(ratios) - 1.0 < 0.20
     assert speedup >= MIN_TIMING_SPEEDUP
-
-
-#: Floor for the vectorized trace replay over the scalar one on the
-#: fig8/fig9 reliability sweep (both backends produce bit-identical
-#: statistics, so this is a pure speed comparison).  Observed on the
-#: 1-CPU dev container: ~1.35-1.4x CPU time (the numpy staging kills
-#: the per-branch predict work but the episode replay and observer
-#: delivery stay scalar, which bounds the win).  The guard asserts the
-#: *CPU-time* ratio — the runs are sub-second at quick budgets, so a
-#: single scheduling hiccup swings wall-clock by more than the whole
-#: advantage; process time is immune to that and is the honest compute
-#: cost of a serial single-process replay.  Wall-clock rides alongside
-#: in the measured table and the BENCH_vec_speedup.json CI artifact.
-MIN_VEC_SPEEDUP = 1.25
-
-#: The fig8/fig9 benchmark subset the vec bench sweeps.
-VEC_BENCHMARKS = ("gzip", "twolf", "gcc")
-
-
-def test_bench_vec_backend_speedup(benchmark, results_dir, full_mode):
-    """trace-vec vs. trace on the fig8/fig9 reliability sweep.
-
-    Interleaved best-of-3 on both backends, asserting the CPU-time
-    ratio: the comparison is between two fast pure replays, so a single
-    scheduling hiccup would dominate a single-round wall-clock
-    measurement, and interleaving keeps frequency drift from favouring
-    whichever backend ran later.
-    """
-    pytest.importorskip("numpy", reason="the trace-vec backend needs numpy")
-    from repro.experiments import fig8_9_reliability
-
-    quick = not full_mode
-
-    def run(backend):
-        return fig8_9_reliability.run(benchmarks=list(VEC_BENCHMARKS),
-                                      quick=quick, runner=SweepRunner(),
-                                      backend=backend)
-
-    def cpu_timed(backend):
-        start = time.process_time()
-        result = run(backend)
-        return result, time.process_time() - start
-
-    trace_result, trace_cpu = cpu_timed("trace")
-    vec_result, vec_cpu = cpu_timed("trace-vec")
-    wall_start = time.perf_counter()
-    for _ in range(2):
-        trace_cpu = min(trace_cpu, cpu_timed("trace")[1])
-        vec_cpu = min(vec_cpu, cpu_timed("trace-vec")[1])
-    wall_seconds = time.perf_counter() - wall_start
-    benchmark.pedantic(run, args=("trace-vec",), rounds=1, iterations=1)
-
-    speedup = trace_cpu / vec_cpu
-    benchmark.extra_info["trace_cpu_seconds"] = round(trace_cpu, 3)
-    benchmark.extra_info["vec_cpu_seconds"] = round(vec_cpu, 3)
-    benchmark.extra_info["interleaved_wall_seconds"] = round(wall_seconds, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-
-    text = format_table(
-        ["backend", "cpu seconds", "speedup"],
-        [["trace", round(trace_cpu, 2), "1.00"],
-         ["trace-vec", round(vec_cpu, 2), f"{speedup:.2f}"]],
-        title="Vectorized backend speedup — fig8/fig9 reliability over "
-              f"{', '.join(VEC_BENCHMARKS)} "
-              f"({'quick' if quick else 'full'} budgets, "
-              "interleaved best of 3, CPU time)",
-    )
-    write_measured(results_dir, "vec_speedup", text)
-    _write_stable(results_dir, "vec_speedup",
-                  "Vectorized backend speedup — fig8/fig9 reliability over "
-                  f"{', '.join(VEC_BENCHMARKS)}",
-                  MIN_VEC_SPEEDUP,
-                  ratio="trace seconds / trace-vec seconds",
-                  artifact="BENCH_vec_speedup.json")
-
-    # Not a tolerance: trace-vec is bit-identical to trace by contract
-    # (pinned stream-level in tests/test_backends.py), so the per-bench
-    # RMS errors must match exactly.
-    assert vec_result.rms_errors == trace_result.rms_errors
-    assert speedup >= MIN_VEC_SPEEDUP

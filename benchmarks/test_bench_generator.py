@@ -19,7 +19,7 @@ from repro.eval.reports import format_table
 from repro.workloads.generator import BranchBlock, WorkloadGenerator
 from repro.workloads.suite import get_benchmark
 
-from conftest import write_measured, write_result
+from conftest import best_of_interleaved, write_measured, write_result
 
 #: The block path must beat per-branch generation by a clear margin on
 #: every benchmark shape (observed: ~2.5-3x on the 1-CPU dev container);
@@ -28,59 +28,53 @@ MIN_GENERATOR_SPEEDUP = 1.5
 
 BLOCK_CAPACITY = 256
 
-#: Each rate takes the best of this many attempts, which filters out
-#: scheduler and GC noise on shared 1-CPU runners (both paths get the
-#: same treatment, so the ratio stays honest).
-TIMING_ATTEMPTS = 3
+#: Each rate takes the best of this many attempts, scalar and block
+#: interleaved, which filters out scheduler and GC noise on shared
+#: runners (both paths get the same treatment, so the ratio stays honest).
+TIMING_ATTEMPTS = 5
 
 
-def _scalar_rate(spec, n):
-    best = None
-    for _ in range(TIMING_ATTEMPTS):
-        generator = WorkloadGenerator(spec, seed=1)
-        start = time.perf_counter()
-        next_branch = generator.next_branch
-        for seq in range(n):
-            next_branch(seq)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return n / best
+def _scalar_seconds(spec, n):
+    generator = WorkloadGenerator(spec, seed=1)
+    start = time.perf_counter()
+    next_branch = generator.next_branch
+    for seq in range(n):
+        next_branch(seq)
+    return time.perf_counter() - start
 
 
-def _block_rate(spec, n):
-    best = None
-    for _ in range(TIMING_ATTEMPTS):
-        generator = WorkloadGenerator(spec, seed=1)
-        block = BranchBlock(BLOCK_CAPACITY)
-        start = time.perf_counter()
-        seq = 0
-        next_block = generator.next_branch_block
-        while seq < n:
-            chunk = min(BLOCK_CAPACITY, n - seq)
-            next_block(seq, chunk, block)
-            seq += chunk
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return n / best
+def _block_seconds(spec, n):
+    generator = WorkloadGenerator(spec, seed=1)
+    block = BranchBlock(BLOCK_CAPACITY)
+    start = time.perf_counter()
+    seq = 0
+    next_block = generator.next_branch_block
+    while seq < n:
+        chunk = min(BLOCK_CAPACITY, n - seq)
+        next_block(seq, chunk, block)
+        seq += chunk
+    return time.perf_counter() - start
 
 
 def test_bench_generator_throughput(benchmark, results_dir, full_mode):
     n = 400_000 if full_mode else 60_000
     specs = [get_benchmark("gzip"), get_benchmark("gcc")]
 
-    scalar_rates = {spec.name: _scalar_rate(spec, n) for spec in specs}
+    def run_both_paths():
+        """``{benchmark: (scalar branches/s, block branches/s)}``."""
+        rates = {}
+        for spec in specs:
+            scalar, blocked = best_of_interleaved(
+                [lambda: _scalar_seconds(spec, n),
+                 lambda: _block_seconds(spec, n)], TIMING_ATTEMPTS)
+            rates[spec.name] = (n / scalar, n / blocked)
+        return rates
 
-    def run_block_paths():
-        return {spec.name: _block_rate(spec, n) for spec in specs}
-
-    block_rates = benchmark.pedantic(run_block_paths, rounds=1, iterations=1)
+    rates = benchmark.pedantic(run_both_paths, rounds=1, iterations=1)
 
     rows = []
     for spec in specs:
-        scalar = scalar_rates[spec.name]
-        blocked = block_rates[spec.name]
+        scalar, blocked = rates[spec.name]
         speedup = blocked / scalar
         benchmark.extra_info[f"{spec.name}_scalar_branches_per_sec"] = \
             round(scalar)
@@ -114,5 +108,5 @@ def test_bench_generator_throughput(benchmark, results_dir, full_mode):
     ]))
 
     for spec in specs:
-        assert (block_rates[spec.name] / scalar_rates[spec.name]
-                >= MIN_GENERATOR_SPEEDUP), spec.name
+        scalar, blocked = rates[spec.name]
+        assert blocked / scalar >= MIN_GENERATOR_SPEEDUP, spec.name

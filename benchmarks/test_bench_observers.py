@@ -32,7 +32,7 @@ from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.core import InstanceObserver
 from repro.workloads.suite import get_benchmark
 
-from conftest import write_measured, write_result
+from conftest import best_of_interleaved, write_measured, write_result
 
 BENCHMARKS = ("gzip", "gcc")
 
@@ -47,10 +47,10 @@ MIN_OBSERVER_SPEEDUP = 1.3
 #: quick budget.
 REPLAY_ROUNDS = 3
 
-#: Each timing takes the best of this many attempts, which filters out
-#: scheduler and GC noise on shared 1-CPU runners (both sides get the
-#: same treatment, so the ratio stays honest).
-TIMING_ATTEMPTS = 3
+#: Each timing takes the best of this many attempts, per-event and
+#: batched interleaved, which filters out scheduler and GC noise on shared
+#: runners (both sides get the same treatment, so the ratio stays honest).
+TIMING_ATTEMPTS = 5
 
 
 class _StreamCapture(InstanceObserver):
@@ -108,70 +108,62 @@ def _fresh_observers(predictors):
 
 
 def _deliver(batches, observers):
-    """Replay the stream ``TIMING_ATTEMPTS`` times; return the best time.
+    """Replay the stream ``REPLAY_ROUNDS`` times; return the seconds taken.
 
-    Every attempt mutates the observers identically (the statistics are
+    Every call mutates the observers identically (the statistics are
     pure accumulators), so repeating for timing stability does not
     perturb the equality assertions — both variants replay the stream
     the same total number of times.
     """
-    best = None
-    for _ in range(TIMING_ATTEMPTS):
-        start = time.perf_counter()
-        for _ in range(REPLAY_ROUNDS):
-            for events in batches:
-                for observer in observers:
-                    observer.record_runs(events)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+    start = time.perf_counter()
+    for _ in range(REPLAY_ROUNDS):
+        for events in batches:
+            for observer in observers:
+                observer.record_runs(events)
+    return time.perf_counter() - start
 
 
 def test_bench_observer_throughput(benchmark, results_dir, full_mode):
     instructions = 300_000 if full_mode else 60_000
     specs = [get_benchmark(name) for name in BENCHMARKS]
+    streams = {spec.name: _capture_stream(spec, instructions)
+               for spec in specs}
 
-    streams = {}
-    per_event = {}
-    references = {}
-    for spec in specs:
-        batches, predictors = _capture_stream(spec, instructions)
-        streams[spec.name] = (batches, predictors)
-        multi, counter = _fresh_observers(predictors)
-        per_event[spec.name] = _deliver(
-            batches, [_PerEventShim(multi), _PerEventShim(counter)])
-        references[spec.name] = (multi, counter)
-
-    def run_batched():
+    def run_both_deliveries():
+        """``{benchmark: (per-event s, batched s, reference observers,
+        batched observers)}``."""
         results = {}
         for spec in specs:
             batches, predictors = streams[spec.name]
-            multi, counter = _fresh_observers(predictors)
-            results[spec.name] = (_deliver(batches, [multi, counter]),
-                                  multi, counter)
+            reference = _fresh_observers(predictors)
+            shims = [_PerEventShim(observer) for observer in reference]
+            observers = _fresh_observers(predictors)
+            per_event, batched = best_of_interleaved(
+                [lambda: _deliver(batches, shims),
+                 lambda: _deliver(batches, observers)], TIMING_ATTEMPTS)
+            results[spec.name] = (per_event, batched, reference, observers)
         return results
 
-    batched = benchmark.pedantic(run_batched, rounds=1, iterations=1)
+    timed = benchmark.pedantic(run_both_deliveries, rounds=1, iterations=1)
 
     rows = []
     speedups = []
     for spec in specs:
-        batched_seconds, multi, counter = batched[spec.name]
-        ref_multi, ref_counter = references[spec.name]
+        (per_event_seconds, batched_seconds, (ref_multi, ref_counter),
+         (multi, counter)) = timed[spec.name]
         # Same stream, same observers underneath: batching may change
         # delivery grouping, never results.
         assert multi.rms_errors() == ref_multi.rms_errors()
         assert counter.instances == ref_counter.instances
         assert counter.goodpath_instances == ref_counter.goodpath_instances
-        speedup = per_event[spec.name] / batched_seconds
+        speedup = per_event_seconds / batched_seconds
         speedups.append(speedup)
         benchmark.extra_info[f"{spec.name}_per_event_seconds"] = \
-            round(per_event[spec.name], 3)
+            round(per_event_seconds, 3)
         benchmark.extra_info[f"{spec.name}_batched_seconds"] = \
             round(batched_seconds, 3)
         benchmark.extra_info[f"{spec.name}_speedup"] = round(speedup, 2)
-        rows.append([spec.name, round(per_event[spec.name], 3),
+        rows.append([spec.name, round(per_event_seconds, 3),
                      round(batched_seconds, 3), f"{speedup:.2f}"])
 
     text = format_table(

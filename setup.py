@@ -17,12 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # The core package is dependency-free on purpose.  numpy unlocks the
-    # vectorized ``trace-vec`` backend; without it the backend registry
-    # reports trace-vec as unavailable and cycle/trace work unchanged.
-    extras_require={
-        "vec": ["numpy"],
-    },
+    # The core package is dependency-free on purpose.
     entry_points={
         "console_scripts": [
             "repro-sweep = repro.__main__:main",

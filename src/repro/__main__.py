@@ -127,12 +127,10 @@ def _max_jobs(value: str) -> int:
 
 
 def _backend_arg(value: str) -> str:
-    """argparse type for ``--backend``: a runnable backend name.
+    """argparse type for ``--backend``: a registered backend name.
 
     Validated through the registry rather than ``choices`` so the
-    rejection message can distinguish an unknown name from a registered
-    backend whose optional dependency is missing (and say how to fix
-    each).
+    rejection message lists the registered backends.
     """
     try:
         return validate_backend_name(value)

@@ -10,25 +10,21 @@ Every experiment harness runs its workloads through a
     (IPC), gating and SMT.
 ``trace``
     :class:`~repro.backends.trace.TraceBackend` — the fast trace-replay
-    engine for predictor- and confidence-level statistics.
-``trace-vec``
-    :class:`~repro.backends.vec.VecTraceBackend` — the trace replay with
-    numpy-staged predictor columns and fused predict/resolve loops.
-    Bit-identical to ``trace``; needs numpy (the ``repro-paco[vec]``
-    extra).  Without numpy the name stays in the registry as
-    *unavailable* — selecting it raises
-    :class:`~repro.backends.base.BackendUnavailableError` with the
-    install hint, and ``cycle``/``trace`` are untouched.
+    engine for predictor- and confidence-level statistics.  Ungated
+    stacks that :func:`~repro.backends.fused._fused_plan` models run on
+    :class:`~repro.backends.fused.FusedTraceSession` (generated predictor
+    loops); every other stack runs on the scalar
+    :class:`~repro.backends.trace.TraceSession`, the bit-identical
+    reference.
 
 Select one by name through :func:`~repro.backends.base.get_backend`, the
 ``backend=`` parameter of the harness entry points, the ``backend`` field
 of :class:`~repro.runner.jobs.Job`, or ``python -m repro run <experiment>
---backend {cycle,trace,trace-vec}``.
+--backend {cycle,trace}``.
 """
 
 from repro.backends.base import (
     DEFAULT_BACKEND,
-    BackendUnavailableError,
     Instrumentation,
     SimulationBackend,
     SimulationSession,
@@ -38,8 +34,6 @@ from repro.backends.base import (
     describe_backends,
     get_backend,
     register_backend,
-    register_unavailable,
-    unavailable_backends,
     validate_backend_name,
 )
 from repro.backends.cycle import CycleBackend, CycleSession, build_fetch_engine
@@ -48,32 +42,8 @@ from repro.backends.trace import TraceBackend, TraceSession
 register_backend(CycleBackend.name, CycleBackend)
 register_backend(TraceBackend.name, TraceBackend)
 
-try:
-    import numpy as _numpy  # noqa: F401 - availability probe only
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    _numpy = None
-
-if _numpy is not None:
-    from repro.backends.vec import (  # noqa: E402
-        VecTraceBackend,
-        VecTraceSession,
-        VectorEngine,
-    )
-
-    register_backend(VecTraceBackend.name, VecTraceBackend)
-else:  # pragma: no cover - exercised via subprocess test
-    VecTraceBackend = None
-    VecTraceSession = None
-    VectorEngine = None
-    register_unavailable(
-        "trace-vec",
-        "requires numpy; install the optional extra with"
-        " 'pip install repro-paco[vec]'",
-    )
-
 __all__ = [
     "DEFAULT_BACKEND",
-    "BackendUnavailableError",
     "CycleBackend",
     "CycleSession",
     "Instrumentation",
@@ -82,16 +52,11 @@ __all__ = [
     "TraceBackend",
     "TraceSession",
     "UnknownBackendError",
-    "VecTraceBackend",
-    "VecTraceSession",
-    "VectorEngine",
     "Workload",
     "backend_names",
     "build_fetch_engine",
     "describe_backends",
     "get_backend",
     "register_backend",
-    "register_unavailable",
-    "unavailable_backends",
     "validate_backend_name",
 ]

@@ -29,7 +29,10 @@ Two backends ship with the package (both registered here by name):
     predictor- and confidence-level statistics at a fraction of the cost;
     issue/retire timing is replaced by an idealized replay clock, so IPC,
     gating and SMT quantities are calibrated *estimates* (parity-gated
-    against the cycle model), not cycle-accurate measurements.
+    against the cycle model), not cycle-accurate measurements.  Stacks
+    the generated loops model run on the fused session
+    (:mod:`repro.backends.fused`), everything else on the scalar one;
+    both produce bit-identical results.
 
 The registry maps backend names to zero-argument factories so callers can
 select a backend by the string that also rides in
@@ -145,11 +148,6 @@ class SimulationBackend(abc.ABC):
 #: Backend name -> zero-argument factory.
 _BACKENDS: Dict[str, Callable[[], SimulationBackend]] = {}
 
-#: Backend name -> why it cannot run in this environment (e.g. a missing
-#: optional dependency).  Disjoint from ``_BACKENDS``: a name is either
-#: runnable or carries an unavailability reason, never both.
-_UNAVAILABLE: Dict[str, str] = {}
-
 
 class UnknownBackendError(KeyError):
     """Raised when a backend name nobody registered is requested."""
@@ -159,69 +157,32 @@ class UnknownBackendError(KeyError):
         return self.args[0] if self.args else ""
 
 
-class BackendUnavailableError(UnknownBackendError):
-    """Raised for a *known* backend that cannot run in this environment.
-
-    Distinct from :class:`UnknownBackendError` (which it subclasses, so
-    existing handlers keep working) because the fix is different: an
-    unknown name is a typo, an unavailable backend needs its optional
-    dependency installed — the message says which and how.
-    """
-
-
 def register_backend(name: str,
                      factory: Callable[[], SimulationBackend]) -> None:
     """Register the factory for backend ``name``.
 
     Duplicate registrations are rejected: two factories silently racing
     for one name (and one cache-key namespace) is always a bug.
-    Registering a name previously marked unavailable is fine — that is
-    exactly what happens when the missing dependency appears.
     """
     if name in _BACKENDS:
         raise ValueError(
             f"simulation backend {name!r} is already registered")
-    _UNAVAILABLE.pop(name, None)
     _BACKENDS[name] = factory
 
 
-def register_unavailable(name: str, reason: str) -> None:
-    """Declare that backend ``name`` exists but cannot run here.
-
-    ``reason`` should name the missing dependency and how to install it;
-    it is surfaced verbatim by selection errors and
-    :func:`describe_backends`.
-    """
-    if name in _BACKENDS:
-        raise ValueError(
-            f"simulation backend {name!r} is already registered"
-            " (and available)")
-    _UNAVAILABLE[name] = reason
-
-
 def describe_backends() -> str:
-    """One-line name + availability summary for error messages and help."""
+    """One-line summary of the registered names for error messages."""
     parts = [f"{name} (available)" for name in sorted(_BACKENDS)]
-    parts.extend(f"{name} (unavailable: {reason})"
-                 for name, reason in sorted(_UNAVAILABLE.items()))
     return ", ".join(parts) if parts else "none registered"
 
 
 def validate_backend_name(name: str) -> str:
-    """Check that ``name`` is a runnable backend; return it unchanged.
+    """Check that ``name`` is a registered backend; return it unchanged.
 
-    Raises :class:`BackendUnavailableError` for a known-but-unavailable
-    backend (naming the missing dependency) and
-    :class:`UnknownBackendError` otherwise — both listing every
-    registered name with its availability, so the caller's error message
-    is actionable without a second lookup.
+    Raises :class:`UnknownBackendError` listing every registered name, so
+    the caller's error message is actionable without a second lookup.
     """
     if name not in _BACKENDS:
-        if name in _UNAVAILABLE:
-            raise BackendUnavailableError(
-                f"simulation backend {name!r} is not available:"
-                f" {_UNAVAILABLE[name]}"
-                f" (backends: {describe_backends()})")
         raise UnknownBackendError(
             f"unknown simulation backend {name!r}"
             f" (backends: {describe_backends()})")
@@ -237,10 +198,5 @@ def get_backend(backend: "str | SimulationBackend") -> SimulationBackend:
 
 
 def backend_names() -> Tuple[str, ...]:
-    """Names of every registered *runnable* backend."""
+    """Names of every registered backend."""
     return tuple(sorted(_BACKENDS))
-
-
-def unavailable_backends() -> Dict[str, str]:
-    """Known-but-unavailable backend names mapped to their reasons."""
-    return dict(_UNAVAILABLE)

@@ -1,70 +1,50 @@
-"""The vectorized trace backend: numpy index precomputation + fused loops.
+"""The fused trace session: codegen-fused predictor loops on the trace replay.
 
-:class:`VecTraceBackend` (``--backend trace-vec``) is the third backend.
-It reuses every mechanism of the batched :class:`TraceBackend` — block
+:class:`FusedTraceSession` is what :class:`~repro.backends.trace.TraceBackend`
+builds for every ungated predictor stack :func:`_fused_plan` models.  It
+reuses every mechanism of the batched :class:`TraceSession` — block
 staging, closed-form gap drawing, the in-flight slot window, run-event
-batching — and replaces the per-branch python predictor work on the
-good-path hot loop with two cooperating engines over the *same* columnar
-predictor state (:class:`~repro.branch_predictor.columns.PredictorColumns`):
+batching — and replaces the per-branch python predictor work with
+step/episode loops generated per predictor-stack shape:
 
-* :class:`VectorEngine` precomputes, per staged :class:`BranchBlock`, the
-  speculative global history at every branch position and the gshare /
-  bimodal / chooser / JRS (and per-branch-MRT) table indices as numpy
-  array operations.  The key observation making whole-block precompute
-  possible: on the good path a *correctly predicted* conditional branch
-  pushes its predicted == actual direction into the history register, so
-  as long as no misprediction intervenes the history at position ``i`` is
-  a pure function of ``h0`` and the block's outcome column — computed for
-  all positions with one cumulative-sum + one convolution.
-* Codegen-fused step/episode loops (compiled per predictor-stack shape,
-  exactly like the trace backend's ``_compile_method`` templates) consume
-  the precomputed columns and inline the scalar table reads/updates, the
-  path confidence predictor fan-out and the observer run batching —
-  removing the per-branch ``predict_from_block`` / ``resolve_record`` /
-  composite call chain entirely.
+* per staged :class:`~repro.workloads.generator.BranchBlock`,
+  :meth:`FusedTraceSession._stage` computes the speculative global
+  history at every branch position and the gshare / bimodal / chooser /
+  JRS (and per-branch-MRT) table indices in one pure-python pass.  On the
+  good path a *correctly predicted* conditional branch pushes its
+  predicted == actual direction into the history register, so as long as
+  no misprediction intervenes the history at position ``i`` is a pure
+  function of the history at the block start and the block's outcome
+  column;
+* the generated loops read those columns and inline the table
+  reads/updates, the path confidence predictor fan-out and the observer
+  run batching — removing the per-branch ``predict_from_block`` /
+  ``resolve_record`` / composite call chain entirely.
 
-Everything that is *not* the straight-line good path falls back to the
-scalar machinery on the shared state: phase-boundary branches step
-through :meth:`TraceSession._step_boundary_branch`, non-conditional
-branches predict through ``FetchEngine.predict_from_block`` (RAS /
-indirect-target state stays live), gated sessions use the scalar
-:class:`GatedTraceSession` unchanged, and a misprediction re-stages the
-remaining block columns from the recovered history (the precomputed
-history column is invalidated by the episode's history repair).  Predictor
-stacks the fused templates do not model — custom path confidence
-predictors, oracle tokens, JRS-less configurations — build a plain
-:class:`TraceSession`; ``trace-vec`` then *is* ``trace``.
+Everything that is *not* the straight-line good path runs the scalar
+machinery on the shared state: phase-boundary branches step through
+:meth:`TraceSession._step_boundary_branch`, non-conditional branches
+predict through ``FetchEngine.predict_from_block`` (RAS / indirect-target
+state stays live), and a misprediction episode that leaves the history
+register diverged re-stages the affected span.  Stacks the generated
+loops do not model — gated sessions, custom path confidence predictors,
+oracle tokens, JRS-less configurations — get the scalar
+:class:`TraceSession` or :class:`GatedTraceSession` instead.
 
-The contract is bit-identity: the run-event stream, every statistic and
-every trained table must equal the pure-python trace backend's exactly
-(``tests/test_backends.py::TestVecTraceStreamParity`` pins block sizes
-1/17/256/4096 for paco/counter, gated and wrong-path-heavy configs, and
+The contract is bit-identity with the scalar :class:`TraceSession`, which
+stays as the reference: the run-event stream, every statistic and every
+trained table must match exactly (``tests/test_backends.py`` pins block
+sizes 1/17/256/4096 for paco/counter and wrong-path-heavy configs, and
 the reliability diagrams' float accumulators at the harness level).
-numpy is an optional dependency (the ``repro-paco[vec]`` extra); without
-it the registry reports the backend as unavailable with an install hint
-and cycle/trace keep working untouched.
 """
 
 from __future__ import annotations
 
-import linecache
 from typing import Optional
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    _np = None
-
-from repro.backends.base import (
-    BackendUnavailableError,
-    Instrumentation,
-    SimulationBackend,
-    Workload,
-)
-from repro.backends.cycle import build_fetch_engine
 from repro.backends.trace import (
-    GatedTraceSession,
     TraceSession,
+    _compile_method,
     _has_cycle_work,
     _indent,
 )
@@ -81,125 +61,6 @@ from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import RunEventBatch
 from repro.pipeline.fetch import FetchEngine
-from repro.pipeline.gating import NoGating
-
-
-class VectorEngine:
-    """Whole-block history/index precompute over the shared columns.
-
-    Operates on the same :class:`PredictorColumns` the scalar
-    :class:`PredictorStateEngine` trains in place — staging reads the
-    tables' geometry (masks, history width), never their contents, so a
-    staged block stays valid across in-place training and is invalidated
-    only by a history divergence (misprediction episode), after which the
-    caller re-stages the remaining positions from the repaired history.
-
-    All array math runs in uint64: with ``history_bits <= 32`` (enforced
-    by :func:`_fused_plan`) the shifted seed plus the outcome convolution
-    cannot overflow, and the contribution bits are provably disjoint from
-    the shifted-seed bits, so ``+`` is the ``|`` the hardware computes.
-    """
-
-    def __init__(self, columns, pbm: Optional[PerBranchMRTPredictor] = None
-                 ) -> None:
-        self.columns = columns
-        width = columns.history_bits
-        self._width = width
-        self._hist_mask = _np.uint64(columns.history_mask)
-        self._g_hmask = _np.uint64(columns.gshare_history_mask)
-        self._g_mask = _np.uint64(columns.gshare_mask)
-        self._b_mask = _np.uint64(columns.bimodal_mask)
-        self._c_hmask = _np.uint64(columns.chooser_history_mask)
-        self._c_mask = _np.uint64(columns.chooser_mask)
-        self._j_hmask = _np.uint64(columns.jrs_history_mask)
-        self._j_mask = _np.uint64(columns.jrs_mask)
-        if pbm is not None:
-            self._p_hmask = _np.uint64(pbm._history_mask)
-            self._p_mask = _np.uint64(pbm._mask)
-        else:
-            self._p_hmask = None
-            self._p_mask = None
-        #: kernel[d] == 1 << d: convolving the 0/1 outcome column with it
-        #: packs, at every position, the last ``width`` outcomes into the
-        #: integer the history shift register would hold.
-        self._kernel = _np.array([1 << d for d in range(width)],
-                                 dtype=_np.uint64)
-        self._cond_kind = BranchKind.CONDITIONAL
-
-    def stage(self, block, start: int, stop: int, h0: int):
-        """Precompute history + table-index columns for ``[start, stop)``.
-
-        ``h0`` is the live history value at position ``start``.  Returns
-        ``(col_f, col_g, col_b, col_c, col_j, col_pbm)`` as plain python
-        lists aligned to *absolute* block positions (entries below
-        ``start`` are zero padding); ``col_f`` has one extra trailing
-        entry — the history value *after* the last staged branch — so the
-        consumer can sync the live register at any stop position.
-        ``col_pbm`` is None when no per-branch MRT is attached.
-
-        ``col_f[i]`` is exact as long as every conditional branch in
-        ``[start, i)`` was *correctly* predicted (its speculative push
-        equals its outcome bit); the fused loop re-stages from the live
-        register after any misprediction episode, which restores the
-        invariant for the remaining positions.  The JRS enhanced-index
-        XOR depends on the *predicted* direction, so it is applied
-        scalar by the consuming loop.
-        """
-        m = stop - start
-        pad = [0] * start
-        has_pbm = self._p_mask is not None
-        if m <= 0:
-            return (pad + [h0], list(pad), list(pad), list(pad), list(pad),
-                    list(pad) if has_pbm else None)
-        kinds = block.kind
-        cond_kind = self._cond_kind
-        cond = _np.fromiter((kinds[j] is cond_kind
-                             for j in range(start, stop)),
-                            dtype=bool, count=m)
-        taken = _np.fromiter(block.taken[start:stop], dtype=_np.uint64,
-                             count=m)
-        # counts[i] = number of conditional branches in [start, start+i):
-        # only those push a history bit.
-        counts = _np.empty(m + 1, dtype=_np.int64)
-        counts[0] = 0
-        _np.cumsum(cond, dtype=_np.int64, out=counts[1:])
-        total_cond = int(counts[m])
-        # contrib[c] = the low min(c, width) history bits contributed by
-        # the first c conditional outcomes (newest outcome in bit 0).
-        contrib = _np.zeros(total_cond + 1, dtype=_np.uint64)
-        if total_cond:
-            outcomes = taken[cond]
-            contrib[1:] = _np.convolve(outcomes, self._kernel)[:total_cond]
-        shifts = _np.minimum(counts, self._width).astype(_np.uint64)
-        f = ((_np.uint64(h0) << shifts) + contrib[counts]) & self._hist_mask
-        pcs = _np.fromiter(block.pc[start:stop], dtype=_np.uint64, count=m)
-        pc_bits = pcs >> _np.uint64(2)
-        fm = f[:m]
-        gidx = (pc_bits ^ (fm & self._g_hmask)) & self._g_mask
-        bidx = pc_bits & self._b_mask
-        cidx = (pc_bits ^ (fm & self._c_hmask)) & self._c_mask
-        jidx = (pc_bits ^ (fm & self._j_hmask)) & self._j_mask
-        col_f = pad + f.tolist()
-        col_g = pad + gidx.tolist()
-        col_b = pad + bidx.tolist()
-        col_c = pad + cidx.tolist()
-        col_j = pad + jidx.tolist()
-        if has_pbm:
-            pidx = (pc_bits ^ (fm & self._p_hmask)) & self._p_mask
-            col_pbm = pad + pidx.tolist()
-        else:
-            col_pbm = None
-        return col_f, col_g, col_b, col_c, col_j, col_pbm
-
-
-def _compile_method(name: str, source: str, tag: str):
-    """Compile one generated method; register the source for tracebacks."""
-    filename = f"<repro.backends.vec:{name}:{tag}>"
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return namespace[name]
 
 
 # --------------------------------------------------------------------- #
@@ -1063,7 +924,7 @@ def _record_init(history_expr: str, sid_expr: str, has_paco: bool,
 
 def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
                        has_tc: bool, has_prof: bool, cycle_work: bool) -> str:
-    """Assemble the fused ``_vstep_block`` source for one stack shape."""
+    """Assemble the fused ``_fused_step_block`` source for one stack shape."""
     setup = ""
     fetch_members = ""
     resolve_members = ""
@@ -1117,7 +978,7 @@ stats.conditional_branches_retired += cond_retired
     # mutates the hoisted column lists in place, so no reloads.
     restage = '''\
 if history.value != col_f[i]:
-    self._vstage_span(i)
+    self._stage(i, repair=True)
 '''
     if has_paco and cycle_work:
         restage += "mrt_last = mrt._last_relog_cycle\n"
@@ -1133,7 +994,7 @@ self._run_goodpath = run_goodpath
 good_fetched = good_executed = bad_executed = retired = 0
 branches_retired = cond_retired = 0
 ''' + sync + '''\
-self._vreplay_wrongpath(record)
+self._fused_replay(self, record)
 next_seq = self._next_seq
 cycle = self._cycle
 inflight = self._inflight
@@ -1190,7 +1051,7 @@ cond_retired = 0
 '''
 
     source = ('''\
-def _vstep_block(self, max_instructions, max_cycles):
+def _fused_step_block(self, max_instructions, max_cycles):
     """Fused-predictor twin of ``TraceSession._step_block``.
 
     Same control skeleton (gap accounting, the double-drain loop, the
@@ -1277,7 +1138,7 @@ def _vstep_block(self, max_instructions, max_cycles):
 def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
                          has_tc: bool, has_prof: bool,
                          cycle_work: bool) -> str:
-    """Assemble the fused ``_vreplay_wrongpath`` source for one shape."""
+    """Assemble the fused ``_fused_replay_wrongpath`` source for one shape."""
     setup = _REPLAY_MASKS
     fetch_members = ""
     resolve_members = ""
@@ -1324,7 +1185,7 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
     }
 
     source = ('''\
-def _vreplay_wrongpath(self, trigger):
+def _fused_replay_wrongpath(self, trigger):
     """Fused-predictor twin of ``TraceSession._replay_wrongpath``.
 
     Same episode skeleton, with the wrong-path predicts inlined and the
@@ -1427,9 +1288,10 @@ def _fused_methods(flags):
     if methods is None:
         tag = "".join("1" if flag else "0" for flag in flags)
         methods = (
-            _compile_method("_vstep_block", _build_step_source(*flags), tag),
-            _compile_method("_vreplay_wrongpath",
-                            _build_replay_source(*flags), tag),
+            _compile_method("_fused_step_block", _build_step_source(*flags),
+                            globals(), tag),
+            _compile_method("_fused_replay_wrongpath",
+                            _build_replay_source(*flags), globals(), tag),
         )
         _FUSED_CACHE[flags] = methods
     return methods
@@ -1457,18 +1319,11 @@ def _fused_plan(fetch_engine: FetchEngine):
     anything the generated fragments were not written against — custom
     path confidence predictors, subclassed members, oracle tokens,
     JRS-less engines, member-triggered index-range errors the scalar
-    path would raise, histories wider than the uint64 staging math
-    supports — takes the scalar session, keeping bit-identity trivially.
+    path would raise — takes the scalar session, keeping bit-identity
+    trivially.
     """
-    if _np is None:
-        return None
     confidence = fetch_engine.confidence
     if confidence is None:
-        return None
-    columns = fetch_engine.state_engine.columns
-    if columns.jrs_table is None:
-        return None
-    if columns.history_bits > 32:
         return None
     path_confidence = fetch_engine.path_confidence
     members = {}
@@ -1506,8 +1361,8 @@ def _fused_plan(fetch_engine: FetchEngine):
     return members
 
 
-class VecTraceSession(TraceSession):
-    """A trace replay with vectorized staging and fused predictor loops.
+class FusedTraceSession(TraceSession):
+    """A trace replay with staged index columns and fused predictor loops.
 
     Construction requires a *member map* from :func:`_fused_plan`; the
     session compiles (or reuses) the fused step/episode methods for that
@@ -1541,48 +1396,51 @@ class VecTraceSession(TraceSession):
         flags = (self._paco is not None, self._static is not None,
                  self._pbm is not None, self._tc is not None,
                  self._profiler is not None, self._cycle_work_possible)
-        self._vstep, self._vreplay = _fused_methods(flags)
-        self.vector_engine = VectorEngine(fetch_engine.state_engine.columns,
-                                          self._pbm)
-        self._col_f: list = [0]
-        self._col_g: list = []
-        self._col_b: list = []
-        self._col_c: list = []
-        self._col_j: list = []
-        self._col_pbm = [] if self._pbm is not None else None
+        self._fused_step, self._fused_replay = _fused_methods(flags)
+        # One slot per block position (``col_f`` one more: the history
+        # after the last branch), rewritten in place by ``_stage``.
+        size = self.block_size
+        self._col_f = [0] * (size + 1)
+        self._col_g = [0] * size
+        self._col_b = [0] * size
+        self._col_c = [0] * size
+        self._col_j = [0] * size
+        self._col_pbm = [0] * size if self._pbm is not None else None
 
-    def _vstage(self, start: int) -> None:
-        """(Re-)stage the index columns for positions ``[start, len)``."""
-        (self._col_f, self._col_g, self._col_b, self._col_c, self._col_j,
-         self._col_pbm) = self.vector_engine.stage(
-            self._block, start, self._branch_len,
-            self.fetch_engine.state_engine.columns.history.value)
+    def _stage(self, start: int, repair: bool = False) -> None:
+        """Stage the history and table-index columns from ``start`` on.
 
-    def _vstage_span(self, start: int) -> None:
-        """Splice the history-divergent span after an episode, in place.
+        ``col_f[p]`` is the history register at block position ``p``,
+        computed from the live register at ``start`` by pushing every
+        conditional's *actual* outcome; at conditional positions
+        ``col_g``/``col_b``/``col_c``/``col_j`` (and ``col_pbm``) hold
+        the table indices that history selects.  A correctly predicted
+        conditional pushes exactly that bit, so the columns stay exact
+        until a misprediction episode repairs the register.  ``col_f``
+        carries one extra entry, the history after the last branch, so
+        the fused loop can sync the live register at any stop position.
+        The JRS enhanced-index XOR depends on the *predicted* direction,
+        so the fused loop applies it.
 
-        Called only when the live history differs from ``col_f[start]``
-        (a non-conditional trigger left wrong-path speculative bits in
-        the register).  The divergence is transient: once
-        ``history_bits`` conditional outcomes have pushed, the stale bits
-        have shifted out of the window and the staged tail — a pure
-        function of the last ``history_bits`` outcomes — is exact again.
-        So only the span up to reconvergence (or the block end) is
-        recomputed, scalar: the span is at most a few dozen positions,
-        where numpy's fixed per-call overhead would dominate the work.
-        The hoisted column lists are mutated in place, so the fused
-        loop's locals stay valid without reloading.
+        With ``repair`` the call splices the history-divergent span after
+        an episode instead (a non-conditional trigger leaves wrong-path
+        speculative bits in the register).  The divergence is transient:
+        once ``history_bits`` conditional outcomes have pushed, the stale
+        bits have shifted out and the staged tail is exact again, so
+        staging stops there.  The lists are mutated in place, so the
+        fused loop's hoisted locals stay valid without reloading.
         """
-        columns = self.fetch_engine.state_engine.columns
-        h = columns.history.value
-        hist_mask = columns.history_mask
-        g_hmask = columns.gshare_history_mask
-        g_mask = columns.gshare_mask
-        b_mask = columns.bimodal_mask
-        c_hmask = columns.chooser_history_mask
-        c_mask = columns.chooser_mask
-        j_hmask = columns.jrs_history_mask
-        j_mask = columns.jrs_mask
+        state = self.fetch_engine.state_engine
+        history = state._history
+        h = history.value
+        hist_mask = history.mask
+        g_hmask = state._gshare_hist_mask
+        g_mask = state._gshare_mask
+        b_mask = state._bimodal_mask
+        c_hmask = state._chooser_hist_mask
+        c_mask = state._chooser_mask
+        j_hmask = state._jrs_hist_mask
+        j_mask = state._jrs_mask
         col_f = self._col_f
         col_g = self._col_g
         col_b = self._col_b
@@ -1596,27 +1454,26 @@ class VecTraceSession(TraceSession):
         pcs = block.pc
         kinds = block.kind
         takens = block.taken
-        cond_kind = self.vector_engine._cond_kind
-        remaining = columns.history_bits
+        cond_kind = BranchKind.CONDITIONAL
+        # Full staging counts down from -1, so it never reconverges early.
+        remaining = history.bits if repair else -1
         stop = self._branch_len
-        p = start
-        while p < stop:
+        for p in range(start, stop):
             col_f[p] = h
-            pc_bits = pcs[p] >> 2
-            col_g[p] = (pc_bits ^ (h & g_hmask)) & g_mask
-            col_b[p] = pc_bits & b_mask
-            col_c[p] = (pc_bits ^ (h & c_hmask)) & c_mask
-            col_j[p] = (pc_bits ^ (h & j_hmask)) & j_mask
-            if col_pbm is not None:
-                col_pbm[p] = (pc_bits ^ (h & p_hmask)) & p_mask
             if kinds[p] is cond_kind:
+                pc_bits = pcs[p] >> 2
+                col_g[p] = (pc_bits ^ (h & g_hmask)) & g_mask
+                col_b[p] = pc_bits & b_mask
+                col_c[p] = (pc_bits ^ (h & c_hmask)) & c_mask
+                col_j[p] = (pc_bits ^ (h & j_hmask)) & j_mask
+                if col_pbm is not None:
+                    col_pbm[p] = (pc_bits ^ (h & p_hmask)) & p_mask
                 h = ((h << 1) | (1 if takens[p] else 0)) & hist_mask
                 remaining -= 1
                 if not remaining:
                     # Reconverged: col_f[p + 1] onward already equals the
                     # value staged from the pre-divergence history.
                     return
-            p += 1
         col_f[stop] = h
 
     def _step_block(self, max_instructions: int, max_cycles: int) -> None:
@@ -1640,58 +1497,5 @@ class VecTraceSession(TraceSession):
             if not self._refill_block():
                 self._step_boundary_branch()
                 return
-            self._vstage(0)
-        self._vstep(self, max_instructions, max_cycles)
-
-    def _vreplay_wrongpath(self, trigger: BranchRecord) -> None:
-        self._vreplay(self, trigger)
-
-
-class VecTraceBackend(SimulationBackend):
-    """The ``trace-vec`` backend: vectorized trace replay (needs numpy).
-
-    Identical contract, parameters and defaults to :class:`TraceBackend`
-    — only the execution strategy differs, and only for predictor stacks
-    the fused plan models (see :func:`_fused_plan`); everything else
-    builds the scalar sessions, so ``trace-vec`` is *always* available
-    as a drop-in for ``trace`` once numpy is installed.
-    """
-
-    name = "trace-vec"
-    supports_timing = True
-    supports_gating = True
-
-    def __init__(self, resolve_window: Optional[int] = None,
-                 mispredict_window: Optional[int] = None,
-                 block_size: Optional[int] = None) -> None:
-        self.resolve_window = resolve_window
-        self.mispredict_window = mispredict_window
-        self.block_size = block_size
-
-    def build(self, workload: Workload, config: MachineConfig,
-              instrument: Instrumentation) -> TraceSession:
-        if _np is None:
-            raise BackendUnavailableError(
-                "simulation backend 'trace-vec' requires numpy; install the"
-                " optional extra with: pip install repro-paco[vec]")
-        fetch_engine = build_fetch_engine(workload, config, instrument)
-        resolve_window = (self.resolve_window
-                         if self.resolve_window is not None
-                         else config.width * config.frontend_depth)
-        mispredict_window = (self.mispredict_window
-                             if self.mispredict_window is not None
-                             else 2 * config.min_mispredict_penalty)
-        gating = instrument.gating_policy
-        if gating is not None and not isinstance(gating, NoGating):
-            return GatedTraceSession(fetch_engine, config,
-                                     instrument.observers, resolve_window,
-                                     mispredict_window, gating,
-                                     block_size=self.block_size)
-        members = _fused_plan(fetch_engine)
-        if members is None:
-            return TraceSession(fetch_engine, config, instrument.observers,
-                                resolve_window, mispredict_window,
-                                block_size=self.block_size)
-        return VecTraceSession(fetch_engine, config, instrument.observers,
-                               resolve_window, mispredict_window, members,
-                               block_size=self.block_size)
+            self._stage(0)
+        self._fused_step(self, max_instructions, max_cycles)

@@ -92,6 +92,12 @@ fetched wrong-path slots for (nearly free) stall cycles — exactly the
 energy/performance trade-off of fig10.  SMT arbitration over two
 interleaved trace sessions lives in :mod:`repro.backends.smt_trace`.
 
+For the predictor stacks the campaigns run, :class:`TraceBackend` builds
+:class:`~repro.backends.fused.FusedTraceSession`, which replaces this
+module's per-branch predictor calls with generated loops over staged
+table-index columns; the scalar :class:`TraceSession` here is the
+fallback for every other stack and the reference it is pinned against.
+
 Parity with the cycle backend for fig2 MDC rates, fig3 counters, fig8/9
 reliability, table7 RMS and tableA1 MRT variants — and for the fig10
 gating-throttle and fig12 SMT-priority orderings — is enforced (with
@@ -260,11 +266,16 @@ def _indent(source: str, levels: int) -> str:
                    for line in source.splitlines(True))
 
 
-def _compile_method(name: str, source: str):
-    """Compile one template method; register the source for tracebacks."""
-    filename = f"<repro.backends.trace:{name}>"
+def _compile_method(name: str, source: str, scope: dict, tag: str = ""):
+    """Compile one generated method against the module globals ``scope``.
+
+    The source is registered with :mod:`linecache` under a filename naming
+    the module, the method and ``tag`` (the stack shape, for templates
+    compiled once per shape), so tracebacks show the generated lines.
+    """
+    filename = f"<{scope['__name__']}:{name}{':' + tag if tag else ''}>"
     namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
+    exec(compile(source, filename, "exec"), scope, namespace)
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     return namespace[name]
@@ -828,11 +839,11 @@ class TraceSession(SimulationSession):
 
     # The hot loops: compiled from the module-level templates so the
     # drain body exists exactly once (see the note above _DRAIN_BODY).
-    _step_block = _compile_method("_step_block", _STEP_BLOCK_SRC)
+    _step_block = _compile_method("_step_block", _STEP_BLOCK_SRC, globals())
     _replay_wrongpath = _compile_method("_replay_wrongpath",
-                                        _REPLAY_WRONGPATH_SRC)
+                                        _REPLAY_WRONGPATH_SRC, globals())
     _complete_oldest = _compile_method("_complete_oldest",
-                                       _COMPLETE_OLDEST_SRC)
+                                       _COMPLETE_OLDEST_SRC, globals())
 
     def _step_boundary_branch(self) -> None:
         """One gap+branch step with the gap applied slot-by-slot.
@@ -1051,9 +1062,8 @@ class GatedTraceSession(TraceSession):
     The ``while`` guard still fails open on an empty window in case a
     policy gates on something else.
 
-    The ungated :class:`TraceSession` fast path is untouched — a
-    ``NoGating`` policy builds the base class, keeping existing trace
-    results bit-identical.
+    The ungated sessions are untouched — a ``NoGating`` policy builds the
+    same session as no policy at all.
     """
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
@@ -1196,6 +1206,13 @@ class GatedTraceSession(TraceSession):
 class TraceBackend(SimulationBackend):
     """Fast branch-driven replay for predictor-level experiments.
 
+    :meth:`build` picks the session from the stack it is given: a gating
+    policy gets :class:`GatedTraceSession`; an ungated stack that
+    :func:`~repro.backends.fused._fused_plan` models gets the
+    bit-identical :class:`~repro.backends.fused.FusedTraceSession`; any
+    other stack gets the scalar :class:`TraceSession`, which is also the
+    reference the fused session is tested against.
+
     Parameters
     ----------
     resolve_window:
@@ -1239,13 +1256,18 @@ class TraceBackend(SimulationBackend):
         gating = instrument.gating_policy
         if gating is not None and not isinstance(gating, NoGating):
             # The gated session steps scalar (gating decisions change
-            # branch to branch); the ungated batched fast path stays
-            # bit-identical to previous releases.
+            # branch to branch).
             return GatedTraceSession(fetch_engine, config,
                                      instrument.observers, resolve_window,
                                      mispredict_window, gating,
                                      block_size=self.block_size)
-        session = TraceSession(fetch_engine, config, instrument.observers,
-                               resolve_window, mispredict_window,
-                               block_size=self.block_size)
-        return session
+        # Imported here: the fused session subclasses TraceSession.
+        from repro.backends.fused import FusedTraceSession, _fused_plan
+        members = _fused_plan(fetch_engine)
+        if members is None:
+            return TraceSession(fetch_engine, config, instrument.observers,
+                                resolve_window, mispredict_window,
+                                block_size=self.block_size)
+        return FusedTraceSession(fetch_engine, config, instrument.observers,
+                                 resolve_window, mispredict_window, members,
+                                 block_size=self.block_size)

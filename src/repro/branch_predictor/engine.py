@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.branch_predictor.columns import PredictorColumns
 from repro.branch_predictor.frontend import FrontEndPredictor
 from repro.confidence.jrs import JRSConfidencePredictor
 from repro.isa.instruction import Instruction
@@ -173,7 +172,7 @@ class PredictorStateEngine:
     """
 
     __slots__ = (
-        "frontend", "confidence", "columns",
+        "frontend", "confidence",
         "_history",
         "_btb", "_ras", "_indirect",
         # tournament flat state
@@ -194,39 +193,43 @@ class PredictorStateEngine:
         self.rebind()
 
     def rebind(self) -> None:
-        """(Re)capture table references, masks and thresholds.
+        """(Re)capture table references, masks and thresholds."""
+        frontend = self.frontend
+        self._history = frontend.history
+        self._btb = frontend.btb
+        self._ras = frontend.ras
+        self._indirect = frontend.indirect
 
-        The capture itself lives in
-        :class:`~repro.branch_predictor.columns.PredictorColumns` — one
-        explicit columnar state object shared with the vectorized engine —
-        and is copied into this engine's flat ``__slots__`` attributes so
-        the per-branch hot path keeps its single-attribute loads.
-        """
-        columns = PredictorColumns.capture(self.frontend, self.confidence)
-        self.columns = columns
-        self._history = columns.history
-        self._btb = columns.btb
-        self._ras = columns.ras
-        self._indirect = columns.indirect
+        tournament = frontend.direction
+        gshare = tournament.gshare
+        self._gshare_table = gshare.table
+        self._gshare_mask = gshare._mask
+        self._gshare_hist_mask = gshare._history_mask
+        self._gshare_max = gshare._max
+        self._gshare_threshold = gshare._threshold
+        bimodal = tournament.bimodal
+        self._bimodal_table = bimodal.table
+        self._bimodal_mask = bimodal._mask
+        self._bimodal_max = bimodal._max
+        self._bimodal_threshold = bimodal._threshold
+        self._chooser = tournament.chooser
+        self._chooser_mask = tournament._chooser_mask
+        self._chooser_hist_mask = tournament._history_mask
 
-        self._gshare_table = columns.gshare_table
-        self._gshare_mask = columns.gshare_mask
-        self._gshare_hist_mask = columns.gshare_history_mask
-        self._gshare_max = columns.gshare_max
-        self._gshare_threshold = columns.gshare_threshold
-        self._bimodal_table = columns.bimodal_table
-        self._bimodal_mask = columns.bimodal_mask
-        self._bimodal_max = columns.bimodal_max
-        self._bimodal_threshold = columns.bimodal_threshold
-        self._chooser = columns.chooser
-        self._chooser_mask = columns.chooser_mask
-        self._chooser_hist_mask = columns.chooser_history_mask
-
-        self._jrs_table = columns.jrs_table
-        self._jrs_mask = columns.jrs_mask
-        self._jrs_hist_mask = columns.jrs_history_mask
-        self._jrs_enhanced_shift = columns.jrs_enhanced_shift
-        self._jrs_max = columns.jrs_max
+        confidence = self.confidence
+        if confidence is not None:
+            self._jrs_table = confidence.table
+            self._jrs_mask = confidence._mask
+            self._jrs_hist_mask = confidence._history_mask
+            self._jrs_enhanced_shift = (confidence.index_bits - 1
+                                        if confidence.enhanced else -1)
+            self._jrs_max = confidence.mdc_max
+        else:
+            self._jrs_table = None
+            self._jrs_mask = 0
+            self._jrs_hist_mask = 0
+            self._jrs_enhanced_shift = -1
+            self._jrs_max = 0
 
     # ------------------------------------------------------------------ #
     # fetch-time: predict + confidence lookup

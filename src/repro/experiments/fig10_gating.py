@@ -37,9 +37,8 @@ QUICK_CONFIG = GatingSweepConfig(
 #: estimates it from gated replay and is parity-gated against cycle.
 DEFAULT_BACKEND = "cycle"
 
-#: Backends the sweep can run on end to end (``trace-vec`` gating runs
-#: the scalar gated replay, so its results match ``trace`` exactly).
-KNOWN_BACKENDS = ("cycle", "trace", "trace-vec")
+#: Backends the sweep can run on end to end.
+KNOWN_BACKENDS = ("cycle", "trace")
 
 #: The whole curve family is enumerable up front, so campaigns can shard it.
 CAMPAIGN_PLANNABLE = True

