@@ -10,12 +10,14 @@ Every experiment harness runs its workloads through a
     (IPC), gating and SMT.
 ``trace``
     :class:`~repro.backends.trace.TraceBackend` — the fast trace-replay
-    engine for predictor- and confidence-level statistics.  Ungated
-    stacks that :func:`~repro.backends.fused._fused_plan` models run on
+    engine for predictor- and confidence-level statistics.  Stacks that
+    :func:`~repro.backends.fused._fused_plan` models run on
     :class:`~repro.backends.fused.FusedTraceSession` (generated predictor
-    loops); every other stack runs on the scalar
-    :class:`~repro.backends.trace.TraceSession`, the bit-identical
-    reference.
+    loops), or under a count or PaCo gate on
+    :class:`~repro.backends.fused.FusedGatedTraceSession`; every other
+    stack runs on the scalar :class:`~repro.backends.trace.TraceSession`
+    or :class:`~repro.backends.trace.GatedTraceSession`, the
+    bit-identical references.
 
 Select one by name through :func:`~repro.backends.base.get_backend`, the
 ``backend=`` parameter of the harness entry points, the ``backend`` field

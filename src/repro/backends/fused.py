@@ -1,10 +1,11 @@
 """The fused trace session: codegen-fused predictor loops on the trace replay.
 
 :class:`FusedTraceSession` is what :class:`~repro.backends.trace.TraceBackend`
-builds for every ungated predictor stack :func:`_fused_plan` models.  It
-reuses every mechanism of the batched :class:`TraceSession` — block
-staging, closed-form gap drawing, the in-flight slot window, run-event
-batching — and replaces the per-branch python predictor work with
+builds for every ungated predictor stack :func:`_fused_plan` models, and
+:class:`FusedGatedTraceSession` for such a stack under a count or PaCo
+fetch gate (:func:`_fused_gate`).  It reuses every mechanism of the
+batched :class:`TraceSession` — block staging, closed-form gap drawing,
+the in-flight slot window, run-event batching — and replaces the per-branch python predictor work with
 step/episode loops generated per predictor-stack shape:
 
 * per staged :class:`~repro.workloads.generator.BranchBlock`,
@@ -23,26 +24,40 @@ step/episode loops generated per predictor-stack shape:
 
 Everything that is *not* the straight-line good path runs the scalar
 machinery on the shared state: phase-boundary branches step through
-:meth:`TraceSession._step_boundary_branch`, non-conditional branches
-predict through ``FetchEngine.predict_from_block`` (RAS / indirect-target
-state stays live), and a misprediction episode that leaves the history
-register diverged re-stages the affected span.  Stacks the generated
-loops do not model — gated sessions, custom path confidence predictors,
-oracle tokens, JRS-less configurations — get the scalar
-:class:`TraceSession` or :class:`GatedTraceSession` instead.
+:meth:`TraceSession._step_boundary_branch` (behind the gate wait of
+:meth:`GatedTraceSession._step_boundary_branch` when gated),
+non-conditional branches predict through ``FetchEngine.predict_from_block``
+(RAS / indirect-target state stays live), and a misprediction episode
+that leaves the history register diverged re-stages the affected span.
+Stacks the generated loops do not model — custom path confidence
+predictors, oracle tokens, JRS-less configurations — and gating policies
+they do not model (``ProbabilityGating``, policies over a predictor that
+is not the stack's own member) get the scalar :class:`TraceSession` or
+:class:`GatedTraceSession` instead.
 
-The contract is bit-identity with the scalar :class:`TraceSession`, which
-stays as the reference: the run-event stream, every statistic and every
-trained table must match exactly (``tests/test_backends.py`` pins block
-sizes 1/17/256/4096 for paco/counter and wrong-path-heavy configs, and
-the reliability diagrams' float accumulators at the harness level).
+The gate is the seventh stack-shape flag: none, count or paco.  A gated
+step inlines ``GatedTraceSession._gated_wait`` before every gap+branch
+step, and a gated episode runs the scalar gated episode's per-slot
+skeleton (gate check, then one gap draw and one generated branch) with
+the fused predicts and drains.  Ungated shapes generate exactly the
+source they did before the flag existed.
+
+The contract is bit-identity with the scalar sessions, which stay as the
+references: the run-event stream, every statistic and every trained
+table must match exactly (``tests/test_backends.py`` pins block sizes
+1/17/256/4096 for paco/counter and wrong-path-heavy configs, the
+reliability diagrams' float accumulators at the harness level, and the
+fused gate against :class:`GatedTraceSession` on tiny, wrong-path-heavy
+and phased specs).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.backends.trace import (
+    GatedTraceSession,
     TraceSession,
     _compile_method,
     _has_cycle_work,
@@ -50,6 +65,7 @@ from repro.backends.trace import (
 )
 from repro.branch_predictor.btb import _BTBSet
 from repro.branch_predictor.engine import BranchRecord
+from repro.common.rng import _MASK64
 from repro.eval.observers import MultiPredictorObserver
 from repro.eval.profiling import MDCProfiler
 from repro.isa.types import BranchKind
@@ -61,6 +77,7 @@ from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import RunEventBatch
 from repro.pipeline.fetch import FetchEngine
+from repro.pipeline.gating import CountGating, GatingPolicy, PaCoGating
 
 
 # --------------------------------------------------------------------- #
@@ -68,9 +85,10 @@ from repro.pipeline.fetch import FetchEngine
 #
 # Like the trace backend's templates, the hot loops are assembled from
 # module-level source fragments and compiled once per predictor-stack
-# shape (which built-in path confidence predictors are attached, and
-# whether any cycle-periodic work exists).  Every fragment is written at
-# zero indentation and placed with the trace module's ``_indent``.
+# shape (which built-in path confidence predictors are attached, whether
+# any cycle-periodic work exists, and which fetch gate, if any, is in the
+# loop).  Every fragment is written at zero indentation and placed with
+# the trace module's ``_indent``.
 #
 # Fragment vocabulary: ``record``/``entry`` (the BranchRecord being
 # fetched / resolved), ``mdc`` (its JRS value), ``i`` (block position,
@@ -434,7 +452,7 @@ if value < jrs_max:
 '''
 
 
-def _good_drain(resolve_members: str, has_paco: bool = False) -> str:
+def _good_drain(resolve_members: str, fast_deliver: bool = False) -> str:
     """The good-path drain body (zero indent).
 
     Simplified relative to the trace backend's general drain by two
@@ -464,7 +482,8 @@ else:
     inflight -= 1
     excess -= 1
     if has_observers:
-''' + _indent(_runs_delivery("entry.path_token is not None", has_paco), 2) \
+''' + _indent(_runs_delivery("entry.path_token is not None",
+                          fast_deliver), 2) \
     + '''\
     run_fetch = 0
     run_execute = 0
@@ -483,7 +502,7 @@ else:
 
 
 def _episode_drain(resolve_members: str, squash_members: str,
-                   has_paco: bool = False) -> str:
+                   fast_deliver: bool = False) -> str:
     """The wrong-path-episode drain body (zero indent).
 
     The general form: gap runs can be positive (pre-trigger good-path
@@ -516,7 +535,8 @@ else:
     inflight -= 1
     excess -= 1
     if has_observers:
-''' + _indent(_runs_delivery("entry.path_token is not None", has_paco), 2) \
+''' + _indent(_runs_delivery("entry.path_token is not None",
+                          fast_deliver), 2) \
     + '''\
     run_fetch = 0
     run_execute = 0
@@ -572,6 +592,43 @@ if cycle - mrt_last >= mrt_period:
     run_execute = 0
     mrt_last = mrt._last_relog_cycle
 '''
+
+
+# ----- fetch gating ----------------------------------------------------- #
+
+#: The gate kinds the generated loops model: the bound hoist (read once
+#: per generated call) and the gate expression, which reads only state
+#: the fused fragments keep live — the count member's low-confidence
+#: count, PaCo's path confidence register.  :func:`_fused_gate` admits a
+#: policy only over the session's own member, so each expression is
+#: exactly its policy's ``should_gate``.
+_GATES = {
+    "count": ("gate_bound = self.gating_policy.gate_count\n",
+              "tc._low_confidence_outstanding >= gate_bound"),
+    "paco": ("gate_bound = self.gating_policy.encoded_threshold\n",
+             "paco.path_confidence_register > gate_bound"),
+}
+
+
+def _good_gate_wait(gate_expr: str, resolve_members: str,
+                    cycle_work: bool) -> str:
+    """``GatedTraceSession._gated_wait`` before a good-path step (zero indent).
+
+    Each gated cycle completes one slot through the good-path drain (the
+    window invariants hold while fetch is stalled) and ticks; the budget
+    and cycle limit are re-checked before the step fetches, as the
+    scalar step does.
+    """
+    return (f"if {gate_expr}:\n"
+            f"    while {gate_expr} and window:\n"
+            "        gated_cycles += 1\n"
+            "        cycle += 1\n"
+            "        excess = 1\n"
+            + _indent(_good_drain(resolve_members), 2)
+            + (_indent(_TICK, 2) if cycle_work else "")
+            + "    if (retired_base + retired >= max_instructions\n"
+            "            or cycle >= max_cycles):\n"
+            "        break\n")
 
 
 # ----- inline observer delivery ---------------------------------------- #
@@ -672,15 +729,15 @@ if run_goodpath:
 '''
 
 
-def _runs_delivery(cond: str, has_paco: bool) -> str:
+def _runs_delivery(cond: str, fast_deliver: bool) -> str:
     """One site's close-the-open-runs + deliver block (zero indent).
 
     ``cond`` is the site's delivery condition ("" = deliver whenever
     events are pending).  The generic shape buffers the open runs as
-    event tuples and delivers the batch; in paco builds, when delivery
-    is due and nothing is already buffered, the open runs fold straight
-    into the diagram without touching the events list at all (the
-    post-pass :func:`_inline_deliveries` still rewrites the generic
+    event tuples and delivers the batch; with ``fast_deliver``, when
+    delivery is due and nothing is already buffered, the open runs fold
+    straight into the diagram without touching the events list at all
+    (the post-pass :func:`_inline_deliveries` still rewrites the generic
     arm's delivery for the buffered case).
     """
     extend = '''\
@@ -695,7 +752,7 @@ if run_execute:
         observer.record_runs(events)
     del events[:]
 ''')
-    if not has_paco:
+    if not fast_deliver:
         return generic
     fast_head = ("if fp_diag is not None and not events"
                  + (f" and {cond}" if cond else "") + ":\n")
@@ -704,6 +761,17 @@ if run_execute:
             + _indent(_LOCAL_DELIVER, 2)
             + "else:\n"
             + _indent(generic, 1))
+
+
+def _fast_deliver(has_paco: bool, gate: Optional[str]) -> bool:
+    """Whether a shape inlines the single-(PaCo, diagram) delivery.
+
+    Only the fig8/9 accuracy sweep attaches that observer, and it never
+    gates; gated shapes deliver through the generic arm (correct for any
+    observers), which keeps their generated source — compiled per
+    gating job, on top of the ungated shapes — to the size it needs.
+    """
+    return has_paco and gate is None
 
 
 def _inline_deliveries(source: str) -> str:
@@ -923,8 +991,14 @@ def _record_init(history_expr: str, sid_expr: str, has_paco: bool,
 
 
 def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
-                       has_tc: bool, has_prof: bool, cycle_work: bool) -> str:
-    """Assemble the fused ``_fused_step_block`` source for one stack shape."""
+                       has_tc: bool, has_prof: bool, cycle_work: bool,
+                       gate: Optional[str] = None) -> str:
+    """Assemble the fused ``_fused_step_block`` source for one stack shape.
+
+    ``gate`` (a :data:`_GATES` key, or None for the ungated shapes) adds
+    the inlined ``GatedTraceSession._gated_wait`` before every step.
+    """
+    fast_deliver = _fast_deliver(has_paco, gate)
     setup = ""
     fetch_members = ""
     resolve_members = ""
@@ -965,6 +1039,17 @@ stats.retired_instructions += retired
 stats.branches_retired += branches_retired
 stats.conditional_branches_retired += cond_retired
 '''
+    stat_reset = '''\
+good_fetched = good_executed = bad_executed = retired = 0
+branches_retired = cond_retired = 0
+'''
+    gate_wait = ""
+    if gate is not None:
+        setup += _GATES[gate][0] + "gated_cycles = 0\n"
+        stat_sync += "stats.gated_cycles += gated_cycles\n"
+        stat_reset += "gated_cycles = 0\n"
+        gate_wait = _good_gate_wait(_GATES[gate][1], resolve_members,
+                                    cycle_work)
     # Take the (rare) misprediction episode through the fused episode
     # method: materialize every deferred delta, replay, then — only when
     # the repaired history diverged from the staged F column — splice the
@@ -990,10 +1075,7 @@ self._inflight = inflight
 self._run_fetch = run_fetch
 self._run_execute = run_execute
 self._run_goodpath = run_goodpath
-''' + stat_sync + '''\
-good_fetched = good_executed = bad_executed = retired = 0
-branches_retired = cond_retired = 0
-''' + sync + '''\
+''' + stat_sync + stat_reset + sync + '''\
 self._fused_replay(self, record)
 next_seq = self._next_seq
 cycle = self._cycle
@@ -1028,7 +1110,7 @@ col_j = self._col_j
 '''
     if has_pbm:
         hoists += "col_pbm = self._col_pbm\n"
-    if has_paco:
+    if fast_deliver:
         hoists += _FP_HOISTS
     hoists += '''\
 gaps = self._gap_buf
@@ -1067,6 +1149,7 @@ def _fused_step_block(self, max_instructions, max_cycles):
     while i < stop:
         if retired_base + retired >= max_instructions or cycle >= max_cycles:
             break
+''' + _indent(gate_wait, 2) + '''\
         gap = gaps[gap_pos]
         gap_pos += 1
         if gap:
@@ -1085,13 +1168,14 @@ def _fused_step_block(self, max_instructions, max_cycles):
                 excess = inflight - resolve_window
                 while excess > 0:
 '''
-              + _indent(_good_drain(resolve_members, has_paco), 5) + '''\
+              + _indent(_good_drain(resolve_members, fast_deliver), 5) + '''\
             if predicted:
                 break
             predicted = True
             kind = block_kinds[i]
             if has_observers:
-''' + _indent(_runs_delivery("kind is kind_conditional", has_paco), 4) + '''\
+''' + _indent(_runs_delivery("kind is kind_conditional", fast_deliver),
+              4) + '''\
             run_fetch = 0
             run_execute = 0
             seq = next_seq
@@ -1130,15 +1214,163 @@ def _fused_step_block(self, max_instructions, max_cycles):
     history.value = col_f[i]
 '''
               + _indent(stat_sync + sync, 1))
-    if has_paco:
+    if fast_deliver:
         source = _inline_deliveries(source)
     return source
 
 
+#: The episode's loop-local run state and stat deltas (indent 1).
+_EPISODE_LOCALS = '''\
+    h = history.value
+    next_seq = self._next_seq
+    cycle = self._cycle
+    inflight = self._inflight
+    run_fetch = self._run_fetch
+    run_execute = self._run_execute
+    run_goodpath = self._run_goodpath
+    bad_fetched = 0
+    good_executed = 0
+    bad_executed = 0
+    retired = 0
+    branches_retired = 0
+    cond_retired = 0
+'''
+
+#: The ungated episode body: every gap of the ``mispredict_window``
+#: budget from one ``geometric_episode`` call and every branch from one
+#: ``next_branch_block`` call, then one (gap, branch) step per gap.
+_EPISODE = '''\
+    wp_gaps = self._wp_gap_buf
+    n_gaps, n_branches = self._wp_gap_rng.geometric_episode(
+        self._log_one_minus_p, wp_gaps, self.mispredict_window)
+    wp_block = self._wp_episode_block
+    if n_branches:
+        engine.wrongpath_generator.next_branch_block(wp_block, n_branches)
+    wp_pc = wp_block.pc
+    wp_taken = wp_block.taken
+    wp_target = wp_block.target
+    wp_sid = wp_block.static_branch_id
+''' + _EPISODE_LOCALS + '''
+    for g in range(n_gaps):
+        gap = wp_gaps[g]
+        if gap:
+            bad_fetched += gap
+            cycle += gap
+            run_fetch += gap
+            if window and type(window[-1]) is int and window[-1] < 0:
+                window[-1] -= gap
+            else:
+                window.append(-gap)
+            inflight += gap
+        fetched_branch = False
+        while True:
+            if inflight > resolve_window:
+                excess = inflight - resolve_window
+                while excess > 0:
+%(drain)s\
+            if fetched_branch or g >= n_branches:
+                break
+            fetched_branch = True
+            if has_observers:
+%(deliver)s\
+            run_fetch = 0
+            run_execute = 0
+            seq = next_seq
+            next_seq += 1
+%(predict)s\
+        if g >= n_branches:
+            break
+%(tick)s'''
+
+#: The gated episode body: the per-slot loop of
+#: ``GatedTraceSession._replay_wrongpath``.  The budget counts cycles; a
+#: gated slot completes the oldest in-flight slot (if any) and ticks,
+#: otherwise exactly one gap is drawn — ``geometric_block(..., 1)`` with
+#: the xorshift inlined on a local copy of the stream state — clamped to
+#: the remaining budget, and exactly one branch is generated.  Neither
+#: stream may be pre-drawn: a gated slot or a clamped gap ends the
+#: draws wherever the scalar loop would have stopped.
+_GATED_EPISODE = '''\
+    log = math.log
+    log_one_minus_p = self._log_one_minus_p
+    mask64 = _MASK64
+    wp_rng = self._wp_gap_rng
+    wp_state = wp_rng._state
+    next_branch_into = engine.wrongpath_generator.next_branch_into
+    wp_block = self._wp_block
+    wp_pc = wp_block.pc
+    wp_taken = wp_block.taken
+    wp_target = wp_block.target
+    wp_sid = wp_block.static_branch_id
+    g = 0
+''' + _EPISODE_LOCALS + '''\
+    gated_cycles = 0
+    remaining = self.mispredict_window
+
+    while remaining:
+        if %(gate)s:
+            gated_cycles += 1
+            cycle += 1
+            if window:
+                excess = 1
+%(gated_drain)s\
+%(gated_tick)s\
+            remaining -= 1
+            continue
+        if log_one_minus_p is None:
+            gap = 0
+        else:
+            wp_state ^= (wp_state >> 12)
+            wp_state ^= (wp_state << 25) & mask64
+            wp_state ^= (wp_state >> 27)
+            u = (((wp_state * 0x2545F4914F6CDD1D) & mask64) >> 11) \\
+                / 9007199254740992.0
+            gap = int(log(u) / log_one_minus_p) if u > 0.0 else 0
+            if gap > remaining:
+                gap = remaining
+        if gap:
+            bad_fetched += gap
+            cycle += gap
+            run_fetch += gap
+            if window and type(window[-1]) is int and window[-1] < 0:
+                window[-1] -= gap
+            else:
+                window.append(-gap)
+            inflight += gap
+            remaining -= gap
+        fetched_branch = False
+        while True:
+            if inflight > resolve_window:
+                excess = inflight - resolve_window
+                while excess > 0:
+%(drain)s\
+            if fetched_branch or not remaining:
+                break
+            fetched_branch = True
+            if has_observers:
+%(deliver)s\
+            run_fetch = 0
+            run_execute = 0
+            seq = next_seq
+            next_seq += 1
+            next_branch_into(wp_block, 0)
+%(predict)s\
+            remaining -= 1
+        if not fetched_branch:
+            break
+%(tick)s'''
+
+
 def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
-                         has_tc: bool, has_prof: bool,
-                         cycle_work: bool) -> str:
-    """Assemble the fused ``_fused_replay_wrongpath`` source for one shape."""
+                         has_tc: bool, has_prof: bool, cycle_work: bool,
+                         gate: Optional[str] = None) -> str:
+    """Assemble the fused ``_fused_replay_wrongpath`` source for one shape.
+
+    Ungated shapes pre-draw the whole episode; a ``gate`` swaps in the
+    per-slot skeleton of ``GatedTraceSession._replay_wrongpath`` (see
+    :data:`_GATED_EPISODE`).
+    """
+    fast_deliver = _fast_deliver(has_paco, gate)
     setup = _REPLAY_MASKS
     fetch_members = ""
     resolve_members = ""
@@ -1175,7 +1407,7 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
         fetch_members += _PROF_FETCH
         resolve_members += _PROF_RESOLVE
         squash_members += _PROF_SQUASH
-    if has_paco:
+    if fast_deliver:
         setup += _FP_HOISTS
 
     predict_wp = _PREDICT_WP % {
@@ -1183,9 +1415,15 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
         "record_init": _record_init("h", "wp_sid[g]", has_paco, has_static,
                                     has_pbm, has_tc, has_prof),
     }
-
-    source = ('''\
-def _fused_replay_wrongpath(self, trigger):
+    drain = _episode_drain(resolve_members, squash_members, fast_deliver)
+    parts = {
+        "drain": _indent(drain, 5),
+        "deliver": _indent(_runs_delivery("", fast_deliver), 4),
+        "predict": _indent(predict_wp, 3),
+        "tick": _indent(_TICK, 2) if cycle_work else "",
+    }
+    if gate is None:
+        docstring = '''\
     """Fused-predictor twin of ``TraceSession._replay_wrongpath``.
 
     Same episode skeleton, with the wrong-path predicts inlined and the
@@ -1195,66 +1433,33 @@ def _fused_replay_wrongpath(self, trigger):
     restored before ``_finish_wrongpath`` takes the scalar path).
     """
 '''
-              + _indent(_PROLOGUE + setup, 1) + '''\
-    wp_gaps = self._wp_gap_buf
-    n_gaps, n_branches = self._wp_gap_rng.geometric_episode(
-        self._log_one_minus_p, wp_gaps, self.mispredict_window)
-    wp_block = self._wp_episode_block
-    if n_branches:
-        engine.wrongpath_generator.next_branch_block(wp_block, n_branches)
-    wp_pc = wp_block.pc
-    wp_taken = wp_block.taken
-    wp_target = wp_block.target
-    wp_sid = wp_block.static_branch_id
-    h = history.value
-    next_seq = self._next_seq
-    cycle = self._cycle
-    inflight = self._inflight
-    run_fetch = self._run_fetch
-    run_execute = self._run_execute
-    run_goodpath = self._run_goodpath
-    bad_fetched = 0
-    good_executed = 0
-    bad_executed = 0
-    retired = 0
-    branches_retired = 0
-    cond_retired = 0
+        body = _EPISODE % parts
+        gate_sync = ""
+        issued = "self.mispredict_window"
+    else:
+        bound, gate_expr = _GATES[gate]
+        setup += bound
+        docstring = '''\
+    """Fused-predictor twin of ``GatedTraceSession._replay_wrongpath``.
 
-    for g in range(n_gaps):
-        gap = wp_gaps[g]
-        if gap:
-            bad_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] < 0:
-                window[-1] -= gap
-            else:
-                window.append(-gap)
-            inflight += gap
-        fetched_branch = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
+    The ungated fused episode's predicts, drains and deferred history
+    local ``h``, on the gated session's per-slot skeleton: the gate is
+    checked before every slot, a gated slot spends episode budget on
+    one drained slot, and each fetched branch draws its own gap.
+    """
 '''
-              + _indent(_episode_drain(resolve_members, squash_members,
-                                       has_paco), 5)
-              + '''\
-            if fetched_branch or g >= n_branches:
-                break
-            fetched_branch = True
-            if has_observers:
-''' + _indent(_runs_delivery("", has_paco), 4) + '''\
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
+        body = _GATED_EPISODE % dict(
+            parts, gate=gate_expr,
+            gated_drain=_indent(drain, 4),
+            gated_tick=_indent(_TICK, 3) if cycle_work else "")
+        gate_sync = '''\
+    wp_rng._state = wp_state
+    stats.gated_cycles += gated_cycles
 '''
-              + _indent(predict_wp, 3) + '''\
-        if g >= n_branches:
-            break
-'''
-              + (_indent(_TICK, 2) if cycle_work else "") + '''
+        issued = "bad_fetched"
+
+    source = ("def _fused_replay_wrongpath(self, trigger):\n" + docstring
+              + _indent(_PROLOGUE + setup, 1) + body + '''
     self._next_seq = next_seq
     self._cycle = cycle
     self._inflight = inflight
@@ -1262,6 +1467,7 @@ def _fused_replay_wrongpath(self, trigger):
     self._run_execute = run_execute
     self._run_goodpath = run_goodpath
     history.value = h
+''' + gate_sync + '''\
     stats.badpath_fetched += bad_fetched
     engine.badpath_fetched += bad_fetched
     stats.goodpath_executed += good_executed
@@ -1270,11 +1476,11 @@ def _fused_replay_wrongpath(self, trigger):
     stats.branches_retired += branches_retired
     stats.conditional_branches_retired += cond_retired
 '''
-              + _indent(sync, 1) + '''\
+              + _indent(sync, 1) + f'''\
     self._finish_wrongpath(
-        trigger, self.mispredict_window - self.config.frontend_depth)
+        trigger, {issued} - self.config.frontend_depth)
 ''')
-    if has_paco:
+    if fast_deliver:
         source = _inline_deliveries(source)
     return source
 
@@ -1283,10 +1489,17 @@ _FUSED_CACHE: dict = {}
 
 
 def _fused_methods(flags):
-    """Compile (or fetch cached) fused step/replay methods for one shape."""
+    """Compile (or fetch cached) fused step/replay methods for one shape.
+
+    ``flags`` is the six member/cycle-work booleans plus the gate kind
+    (None when ungated); gated shapes carry the kind in their tag.
+    """
     methods = _FUSED_CACHE.get(flags)
     if methods is None:
-        tag = "".join("1" if flag else "0" for flag in flags)
+        *bits, gate = flags
+        tag = "".join("1" if flag else "0" for flag in bits)
+        if gate is not None:
+            tag += "-" + gate
         methods = (
             _compile_method("_fused_step_block", _build_step_source(*flags),
                             globals(), tag),
@@ -1315,12 +1528,13 @@ def _fused_plan(fetch_engine: FetchEngine):
 
     Returns the ``{key: predictor}`` member map when they do, or None to
     fall back to the scalar :class:`TraceSession` (which is always
-    correct).  The checks are exact-type and exhaustive on purpose:
-    anything the generated fragments were not written against — custom
-    path confidence predictors, subclassed members, oracle tokens,
-    JRS-less engines, member-triggered index-range errors the scalar
-    path would raise — takes the scalar session, keeping bit-identity
-    trivially.
+    correct); a gated stack needs :func:`_fused_gate` to model its
+    policy as well, or it falls back to :class:`GatedTraceSession`.  The
+    checks are exact-type and exhaustive on purpose: anything the
+    generated fragments were not written against — custom path
+    confidence predictors, subclassed members, oracle tokens, JRS-less
+    engines, member-triggered index-range errors the scalar path would
+    raise — takes the scalar session, keeping bit-identity trivially.
     """
     confidence = fetch_engine.confidence
     if confidence is None:
@@ -1361,6 +1575,27 @@ def _fused_plan(fetch_engine: FetchEngine):
     return members
 
 
+def _fused_gate(policy: GatingPolicy, members: dict) -> Optional[str]:
+    """The :data:`_GATES` kind that models ``policy`` over ``members``.
+
+    Returns None — build the scalar :class:`GatedTraceSession` — for
+    anything else: ``ProbabilityGating``, subclassed policies, and
+    count/PaCo policies over a predictor that is not the session's own
+    member (the generated gate reads the member's live state).
+    """
+    if type(policy) is CountGating:
+        key = "count"
+        member = members.get("tc")
+    elif type(policy) is PaCoGating:
+        key = "paco"
+        member = members.get("paco")
+    else:
+        return None
+    if member is None or policy.predictor is not member:
+        return None
+    return key
+
+
 class FusedTraceSession(TraceSession):
     """A trace replay with staged index columns and fused predictor loops.
 
@@ -1372,11 +1607,26 @@ class FusedTraceSession(TraceSession):
     scalar machinery on the same shared state.
     """
 
+    #: No gate: the generated loops' gate flag is off.
+    #: :class:`FusedGatedTraceSession` gets a policy from
+    #: :class:`GatedTraceSession`.
+    gating_policy: Optional[GatingPolicy] = None
+
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
                  observers, resolve_window: int, mispredict_window: int,
-                 members: dict, block_size: Optional[int] = None) -> None:
+                 members: dict, block_size: Optional[int] = None,
+                 **kwargs) -> None:
+        # ``kwargs`` go on along the MRO: the gated subclass passes
+        # ``gating_policy`` through to GatedTraceSession.
         super().__init__(fetch_engine, config, observers, resolve_window,
-                         mispredict_window, block_size=block_size)
+                         mispredict_window, block_size=block_size, **kwargs)
+        gate = None
+        if self.gating_policy is not None:
+            gate = _fused_gate(self.gating_policy, members)
+            if gate is None:
+                raise ValueError(
+                    f"the fused loops do not model {self.gating_policy.name};"
+                    " build GatedTraceSession")
         #: The inlined-delivery target: the reliability diagram when the
         #: attached observers are exactly one MultiPredictorObserver over
         #: this session's PaCo (resolved per block by ``_step_block``),
@@ -1395,7 +1645,7 @@ class FusedTraceSession(TraceSession):
         self._pbm_memo: dict = {}
         flags = (self._paco is not None, self._static is not None,
                  self._pbm is not None, self._tc is not None,
-                 self._profiler is not None, self._cycle_work_possible)
+                 self._profiler is not None, self._cycle_work_possible, gate)
         self._fused_step, self._fused_replay = _fused_methods(flags)
         # One slot per block position (``col_f`` one more: the history
         # after the last branch), rewritten in place by ``_stage``.
@@ -1499,3 +1749,16 @@ class FusedTraceSession(TraceSession):
                 return
             self._stage(0)
         self._fused_step(self, max_instructions, max_cycles)
+
+
+class FusedGatedTraceSession(FusedTraceSession, GatedTraceSession):
+    """The fused session with a count or PaCo fetch gate in its loops.
+
+    Built for the gating policies :func:`_fused_gate` models; bit-identical
+    to :class:`GatedTraceSession`, which stays the reference and the
+    fallback.  The generated step and episode carry the gate; everything
+    else comes from the MRO: the block wrapper and staging from
+    :class:`FusedTraceSession`, and from :class:`GatedTraceSession` the
+    gated boundary step (its wait, then a scalar step whose episode is the
+    gated scalar ``_replay_wrongpath``) with its gated-cycle helpers.
+    """

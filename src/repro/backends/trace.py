@@ -85,7 +85,8 @@ replay clock (slots fetched, plus redirect stalls, plus gated stalls) is
 an estimated cycle count, so ``stats.ipc`` is meaningful — not
 cycle-accurate, but preserving the orderings the application studies
 consume (``supports_timing``).  Fetch gating is modelled on top of it by
-:class:`GatedTraceSession` (``supports_gating``): a gated cycle stalls
+:class:`GatedTraceSession` (``supports_gating``) and its fused twin
+:class:`~repro.backends.fused.FusedGatedTraceSession`: a gated cycle stalls
 fetch while the oldest in-flight slot completes, so good-path gated
 cycles show up as pure IPC loss while wrong-path gated cycles trade
 fetched wrong-path slots for (nearly free) stall cycles — exactly the
@@ -95,8 +96,12 @@ interleaved trace sessions lives in :mod:`repro.backends.smt_trace`.
 For the predictor stacks the campaigns run, :class:`TraceBackend` builds
 :class:`~repro.backends.fused.FusedTraceSession`, which replaces this
 module's per-branch predictor calls with generated loops over staged
-table-index columns; the scalar :class:`TraceSession` here is the
-fallback for every other stack and the reference it is pinned against.
+table-index columns — and, under a count or PaCo gate over the stack's
+own member (every fig10 gating job),
+:class:`~repro.backends.fused.FusedGatedTraceSession`, whose loops carry
+the gate.  The scalar :class:`TraceSession` and :class:`GatedTraceSession`
+here are the fallbacks for every other stack and policy and the
+references the fused sessions are pinned against.
 
 Parity with the cycle backend for fig2 MDC rates, fig3 counters, fig8/9
 reliability, table7 RMS and tableA1 MRT variants — and for the fig10
@@ -728,9 +733,9 @@ class TraceSession(SimulationSession):
         self._branch_pos = 0
         self._branch_len = 0
         self._wp_gap_scratch = [0]
-        # Fused wrong-path episode buffers (the gated session keeps the
-        # scalar per-slot episode — gating decisions interleave with the
-        # draws — so the one-slot buffers above stay for it).
+        # Fused wrong-path episode buffers (the gated sessions keep the
+        # per-slot episode — gating decisions interleave with the draws —
+        # so the one-slot buffers above stay for them).
         self._wp_gap_buf = [0] * mispredict_window
         self._wp_episode_block = BranchBlock(mispredict_window)
 
@@ -1063,7 +1068,10 @@ class GatedTraceSession(TraceSession):
     policy gates on something else.
 
     The ungated sessions are untouched — a ``NoGating`` policy builds the
-    same session as no policy at all.
+    same session as no policy at all.  For count and PaCo gating the
+    backend builds the fused twin
+    (:class:`~repro.backends.fused.FusedGatedTraceSession`); this session
+    is its reference and the fallback for every other policy.
     """
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
@@ -1085,8 +1093,6 @@ class GatedTraceSession(TraceSession):
         """
         if self._branch_pos >= self._branch_len:
             if not self._refill_block():
-                if self.gating_policy.should_gate():
-                    self._gated_wait()
                 self._step_boundary_branch()
                 return
         engine = self.fetch_engine
@@ -1124,6 +1130,17 @@ class GatedTraceSession(TraceSession):
             self._inflight += 1
             self._drain()
             self._cycle_tick()
+
+    def _step_boundary_branch(self) -> None:
+        """The boundary step behind the gate.
+
+        Phase-boundary branches step through the inherited scalar path in
+        every session built on this one (the fused gated session too), so
+        the gate wait lives here rather than in each caller; the step's
+        wrong-path episode resolves to the gated :meth:`_replay_wrongpath`.
+        """
+        self._gated_wait()
+        super()._step_boundary_branch()
 
     def _gated_step(self) -> None:
         """One gated cycle: fetch stalls, the oldest in-flight slot completes.
@@ -1206,12 +1223,15 @@ class GatedTraceSession(TraceSession):
 class TraceBackend(SimulationBackend):
     """Fast branch-driven replay for predictor-level experiments.
 
-    :meth:`build` picks the session from the stack it is given: a gating
-    policy gets :class:`GatedTraceSession`; an ungated stack that
-    :func:`~repro.backends.fused._fused_plan` models gets the
-    bit-identical :class:`~repro.backends.fused.FusedTraceSession`; any
-    other stack gets the scalar :class:`TraceSession`, which is also the
-    reference the fused session is tested against.
+    :meth:`build` picks the session from the stack it is given.  A stack
+    that :func:`~repro.backends.fused._fused_plan` models gets the
+    bit-identical :class:`~repro.backends.fused.FusedTraceSession` when
+    ungated, and :class:`~repro.backends.fused.FusedGatedTraceSession`
+    under a gate :func:`~repro.backends.fused._fused_gate` models (count
+    or PaCo gating over the stack's own member).  Any other gated stack
+    gets the scalar :class:`GatedTraceSession`, any other ungated stack
+    the scalar :class:`TraceSession`; those two are also the references
+    the fused sessions are tested against.
 
     Parameters
     ----------
@@ -1253,17 +1273,23 @@ class TraceBackend(SimulationBackend):
         mispredict_window = (self.mispredict_window
                              if self.mispredict_window is not None
                              else 2 * config.min_mispredict_penalty)
+        # Imported here: the fused sessions subclass this module's.
+        from repro.backends.fused import (FusedGatedTraceSession,
+                                          FusedTraceSession, _fused_gate,
+                                          _fused_plan)
+        members = _fused_plan(fetch_engine)
         gating = instrument.gating_policy
         if gating is not None and not isinstance(gating, NoGating):
-            # The gated session steps scalar (gating decisions change
-            # branch to branch).
-            return GatedTraceSession(fetch_engine, config,
-                                     instrument.observers, resolve_window,
-                                     mispredict_window, gating,
-                                     block_size=self.block_size)
-        # Imported here: the fused session subclasses TraceSession.
-        from repro.backends.fused import FusedTraceSession, _fused_plan
-        members = _fused_plan(fetch_engine)
+            if members is None or _fused_gate(gating, members) is None:
+                return GatedTraceSession(fetch_engine, config,
+                                         instrument.observers, resolve_window,
+                                         mispredict_window, gating,
+                                         block_size=self.block_size)
+            return FusedGatedTraceSession(fetch_engine, config,
+                                          instrument.observers,
+                                          resolve_window, mispredict_window,
+                                          members, gating_policy=gating,
+                                          block_size=self.block_size)
         if members is None:
             return TraceSession(fetch_engine, config, instrument.observers,
                                 resolve_window, mispredict_window,

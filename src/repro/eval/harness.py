@@ -369,10 +369,11 @@ def run_gating_experiment(
     the reported statistics.
 
     ``backend="cycle"`` measures gating on the out-of-order core (ground
-    truth); ``backend="trace"`` runs the gated trace replay
-    (:class:`~repro.backends.trace.GatedTraceSession`) — estimated IPC
-    and gated-cycle counts whose throttle orderings are parity-gated
-    against the cycle model by ``tests/test_backends.py``.
+    truth); ``backend="trace"`` runs the gated trace replay — the fused
+    :class:`~repro.backends.fused.FusedGatedTraceSession`, bit-identical
+    to the scalar :class:`~repro.backends.trace.GatedTraceSession` — for
+    estimated IPC and gated-cycle counts whose throttle orderings are
+    parity-gated against the cycle model by ``tests/test_backends.py``.
     """
     spec = _resolve_spec(benchmark)
     if mode == "none":

@@ -13,6 +13,8 @@ gate that must still pass.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import os
 import subprocess
 import sys
@@ -33,9 +35,15 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
-from repro.backends.fused import FusedTraceSession
+from repro.backends.fused import (
+    FusedGatedTraceSession,
+    FusedTraceSession,
+    _build_replay_source,
+    _build_step_source,
+    _fused_methods,
+)
 from repro.backends.trace import GatedTraceSession
-from repro.campaign import CampaignSpec, CampaignSpecError
+from repro.campaign import CampaignSpec, CampaignSpecError, build_plan, preset
 from repro.eval.harness import (
     accuracy_predictors_for,
     build_single_core,
@@ -48,13 +56,19 @@ from repro.pathconf.base import PathConfidencePredictor
 from repro.pathconf.paco import PaCoPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.core import InstanceObserver, SimulationTruncated
-from repro.pipeline.gating import CountGating, NoGating
+from repro.pipeline.gating import (
+    CountGating,
+    NoGating,
+    PaCoGating,
+    ProbabilityGating,
+)
 from repro.runner import (
     Job,
     ResultCache,
     SweepRunner,
     SweepSpec,
     accuracy_job,
+    execute_job,
     gating_job,
     single_ipc_job,
 )
@@ -99,23 +113,74 @@ class _StreamObserver(InstanceObserver):
 
 
 class _ScalarTraceBackend(TraceBackend):
-    """``trace`` with the scalar :class:`TraceSession` for ungated stacks.
+    """``trace`` with the scalar sessions for every stack.
 
-    The parity oracle: :class:`TraceBackend` builds the fused session for
-    every stack it models, so comparing its output against this backend
-    compares fused against scalar replay.  Gated stacks build the scalar
-    :class:`GatedTraceSession` on both.
+    The parity oracle: :class:`TraceBackend` builds the fused sessions for
+    every stack (and count/PaCo gate) they model, so comparing its output
+    against this backend compares fused against scalar replay — the
+    scalar :class:`TraceSession` for ungated stacks, the scalar
+    :class:`GatedTraceSession` for gated ones.
     """
 
     def build(self, workload, config, instrument):
+        fetch_engine = build_fetch_engine(workload, config, instrument)
+        windows = (config.width * config.frontend_depth,
+                   2 * config.min_mispredict_penalty)
         gating = instrument.gating_policy
         if gating is not None and not isinstance(gating, NoGating):
-            return super().build(workload, config, instrument)
-        return TraceSession(build_fetch_engine(workload, config, instrument),
-                            config, instrument.observers,
-                            config.width * config.frontend_depth,
-                            2 * config.min_mispredict_penalty,
-                            block_size=self.block_size)
+            return GatedTraceSession(fetch_engine, config,
+                                     instrument.observers, *windows, gating,
+                                     block_size=self.block_size)
+        return TraceSession(fetch_engine, config, instrument.observers,
+                            *windows, block_size=self.block_size)
+
+
+def _trained_state(session):
+    """Everything a replay trains or counts outside ``CoreStats``.
+
+    Predictor, JRS and BTB tables, the history register, the engine's
+    and tables' counters, and the path confidence predictor's registers,
+    counters and MRT — so parity is pinned on state, not only on output.
+    """
+    engine = session.fetch_engine
+    state = engine.state_engine
+    frontend = engine.frontend
+    btb = state._btb
+    path_confidence = engine.path_confidence
+    snapshot = {
+        "gshare": list(state._gshare_table),
+        "bimodal": list(state._bimodal_table),
+        "chooser": list(state._chooser),
+        "jrs": list(state._jrs_table),
+        "btb": [None if bset is None else [list(way) for way in bset.entries]
+                for bset in btb._sets],
+        "history": state._history.value,
+        "counters": (engine.branches_fetched,
+                     engine.conditional_branches_fetched,
+                     engine.goodpath_fetched, engine.badpath_fetched,
+                     frontend.total_predictions,
+                     frontend.conditional_predictions,
+                     frontend.total_mispredictions,
+                     frontend.conditional_mispredictions,
+                     engine.confidence.lookups, engine.confidence.updates,
+                     btb.lookups, btb.hits, btb.evictions),
+    }
+    if isinstance(path_confidence, PaCoPredictor):
+        mrt = path_confidence.mrt
+        snapshot["paco"] = (
+            path_confidence.path_confidence_register,
+            path_confidence._outstanding, path_confidence.fetched_branches,
+            path_confidence.resolved_branches,
+            path_confidence.squashed_branches,
+            [(c.correct, c.mispredicted) for c in mrt.counters],
+            list(mrt.encoded_probabilities), mrt.samples_recorded,
+            mrt.relog_passes, mrt._last_relog_cycle)
+    else:
+        snapshot["count"] = (
+            path_confidence._low_confidence_outstanding,
+            path_confidence._outstanding, path_confidence.fetched_branches,
+            path_confidence.low_confidence_branches)
+    return snapshot
 
 
 # ---------------------------------------------------------------------- #
@@ -634,11 +699,12 @@ class TestBatchedObserverStream:
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_gated_stream_matches_scalar(self, tiny_spec, small_machine,
                                          block_size):
-        """The gated session steps scalar but shares the buffered event
-        delivery and the single drain body; gated cycles must not perturb
-        the stream across block sizes either."""
+        """Gated cycles must not perturb the stream across block sizes
+        either: the fused gated session against the scalar gated one at
+        block size 1."""
         reference = self._run(tiny_spec, small_machine, 1,
-                              predictor="counter", gated=True)
+                              predictor="counter", gated=True,
+                              backend_cls=_ScalarTraceBackend)
         assert reference[1].gated_cycles > 0
         result = self._run(tiny_spec, small_machine, block_size,
                            predictor="counter", gated=True)
@@ -761,15 +827,105 @@ class TestFusedScalarParity:
                 == scalar.conditional_mispredict_rate)
 
 
-class TestVecTraceStreamParity:
-    """Gated stacks stay on the scalar gated session.
+#: The gating configurations the fused gate models: count gating at two
+#: gate counts and PaCo gating at two target probabilities.
+FUSED_GATES = {
+    "count-g1": ("count", 1),
+    "count-g2": ("count", 2),
+    "paco-p0.1": ("paco", 0.1),
+    "paco-p0.5": ("paco", 0.5),
+}
 
-    The class keeps the name of the suite that pinned the retired
-    vectorized backend's gated fallback; the contract now belongs to
-    ``trace`` itself: gating is outside the fused loops, so
-    :meth:`TraceBackend.build` must route gated instrumentation to
-    :class:`GatedTraceSession`, and the stream it delivers must equal the
-    per-branch (block size 1) replay.
+
+class TestFusedGatedParity:
+    """The fused gated session is bit-identical to :class:`GatedTraceSession`.
+
+    :class:`TraceBackend` output (asserted to be the fused gated session)
+    against the scalar gated session built by :class:`_ScalarTraceBackend`
+    at the same block size, over the harness's two-leg warm-up ``run()``
+    split, with and without an observer attached: the run-event stream,
+    every ``CoreStats`` field and the trained tables must match.  The
+    specs cover the good-path gate (tiny), gated wrong-path episodes
+    (wrong-path heavy) and gated phase-boundary steps (phased); every run
+    must gate, so the comparison is never vacuous.
+    """
+
+    BLOCK_SIZES = [1, 17, 256, 4096]
+
+    @staticmethod
+    def _run(backend_cls, spec, machine, block_size, gate, observe,
+             instructions):
+        kind, knob = FUSED_GATES[gate]
+        if kind == "count":
+            path_confidence = ThresholdAndCountPredictor(threshold=3)
+            policy = CountGating(path_confidence, gate_count=knob)
+        else:
+            path_confidence = PaCoPredictor(relog_period_cycles=2_000)
+            policy = PaCoGating(path_confidence,
+                                target_goodpath_probability=knob)
+        observer = _StreamObserver()
+        session = backend_cls(block_size=block_size).build(
+            Workload(spec=spec, seed=5), machine,
+            Instrumentation(path_confidence=path_confidence,
+                            gating_policy=policy,
+                            observers=(observer,) if observe else ()))
+        session.run(max_instructions=instructions // 4)
+        stats = session.run(max_instructions=instructions)
+        return session, observer.events, stats
+
+    def _check(self, spec, machine, block_size, gate, observe,
+               instructions=4_000):
+        fused = self._run(TraceBackend, spec, machine, block_size, gate,
+                          observe, instructions)
+        scalar = self._run(_ScalarTraceBackend, spec, machine, block_size,
+                           gate, observe, instructions)
+        assert type(fused[0]) is FusedGatedTraceSession
+        assert type(scalar[0]) is GatedTraceSession
+        assert scalar[2].gated_cycles > 0
+        assert fused[2] == scalar[2]
+        assert fused[1] == scalar[1]
+        assert _trained_state(fused[0]) == _trained_state(scalar[0])
+        return scalar[2]
+
+    @pytest.mark.parametrize("observe", [True, False],
+                             ids=["observed", "unobserved"])
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    @pytest.mark.parametrize("gate", list(FUSED_GATES))
+    def test_tiny_matches_scalar(self, tiny_spec, small_machine, gate,
+                                 block_size, observe):
+        self._check(tiny_spec, small_machine, block_size, gate, observe)
+
+    @pytest.mark.parametrize("observe", [True, False],
+                             ids=["observed", "unobserved"])
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    @pytest.mark.parametrize("gate", list(FUSED_GATES))
+    def test_wrongpath_heavy_matches_scalar(self, small_machine, gate,
+                                            block_size, observe):
+        stats = self._check(TestBatchedObserverStream._wrongpath_heavy_spec(),
+                            small_machine, block_size, gate, observe,
+                            instructions=3_000)
+        assert stats.flushes > 50
+
+    @pytest.mark.parametrize("observe", [True, False],
+                             ids=["observed", "unobserved"])
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    @pytest.mark.parametrize("gate", list(FUSED_GATES))
+    def test_phased_matches_scalar(self, phased_spec, small_machine, gate,
+                                   block_size, observe):
+        """Phase boundaries step through the inherited scalar boundary
+        step, whose gate wait and wrong-path episode must be the gated
+        ones in the fused gated session too."""
+        self._check(phased_spec, small_machine, block_size, gate, observe,
+                    instructions=12_000)
+
+
+class TestVecTraceStreamParity:
+    """Count-gated stacks build the fused gated session, and its stream
+    equals the scalar gated session's per-branch (block size 1) replay.
+
+    The class and test keep the names of the suite that pinned the
+    retired vectorized backend's gated fallback; the contract now belongs
+    to ``trace`` itself, whose fused loops carry the count gate.
     """
 
     @pytest.mark.parametrize("block_size", [17, 256])
@@ -777,7 +933,8 @@ class TestVecTraceStreamParity:
                                                       small_machine,
                                                       block_size):
         reference = TestBatchedObserverStream._run(
-            tiny_spec, small_machine, 1, predictor="counter", gated=True)
+            tiny_spec, small_machine, 1, predictor="counter", gated=True,
+            backend_cls=_ScalarTraceBackend)
         assert reference[1].gated_cycles > 0
         path_confidence = ThresholdAndCountPredictor(threshold=3)
         observer = _StreamObserver()
@@ -787,7 +944,7 @@ class TestVecTraceStreamParity:
                             gating_policy=CountGating(path_confidence,
                                                       gate_count=2),
                             observers=(observer,)))
-        assert type(session) is GatedTraceSession
+        assert type(session) is FusedGatedTraceSession
         stats = session.run(max_instructions=4_000)
         assert stats == reference[1]
         assert observer.events == reference[0]
@@ -854,10 +1011,82 @@ class TestFusedSessionRouting:
         ("paco", {"gating_probability": 0.2}),
     ], ids=["count", "paco"])
     def test_gated_stacks_build_gated_session(self, monkeypatch, mode, knob):
+        """The fig10 count and PaCo gating jobs run the fused gate."""
         built = self._built_sessions(monkeypatch, [gating_job(
             "gzip", mode=mode, instructions=500, warmup_instructions=0,
             backend="trace", **knob)])
-        assert built == [GatedTraceSession]
+        assert built == [FusedGatedTraceSession]
+
+    def test_paper_preset_gating_jobs_build_fused_sessions(self,
+                                                           monkeypatch):
+        """Every fig10 job of ``campaign plan --preset paper`` builds a
+        fused session: the gated one for count and PaCo gating, the
+        ungated one for the baseline.  Each build is stopped before the
+        job runs."""
+
+        class Built(Exception):
+            pass
+
+        build = TraceBackend.build
+
+        def spy(self, workload, config, instrument):
+            raise Built(type(build(self, workload, config, instrument)))
+
+        monkeypatch.setattr(TraceBackend, "build", spy)
+        built = {}
+        for planned in build_plan(preset("paper")).planned:
+            job = planned.job
+            if job.experiment != "gating":
+                continue
+            assert job.backend == "trace"
+            with pytest.raises(Built) as excinfo:
+                execute_job(job)
+            built.setdefault(job.params["mode"], set()).add(
+                excinfo.value.args[0])
+        assert built == {"count": {FusedGatedTraceSession},
+                         "paco": {FusedGatedTraceSession},
+                         "none": {FusedTraceSession}}
+
+    @pytest.mark.parametrize("case", [
+        "probability", "foreign-count", "foreign-paco", "custom"])
+    def test_unmodelled_gates_build_scalar_gated_session(
+            self, tiny_spec, small_machine, case):
+        """Gates the fused loops do not model fall back to the scalar
+        :class:`GatedTraceSession`: a policy type they were not written
+        for, a count or PaCo policy over a predictor that is not the
+        session's own member, and a gate over an unmodelled stack."""
+        if case == "probability":
+            path_confidence = PaCoPredictor()
+            policy = ProbabilityGating(path_confidence, 0.5)
+        elif case == "foreign-count":
+            path_confidence = ThresholdAndCountPredictor(threshold=3)
+            policy = CountGating(ThresholdAndCountPredictor(threshold=3), 1)
+        elif case == "foreign-paco":
+            path_confidence = PaCoPredictor()
+            policy = PaCoGating(PaCoPredictor(), 0.5)
+        else:
+            path_confidence = _CustomPathConfidence()
+            policy = CountGating(ThresholdAndCountPredictor(threshold=3), 1)
+        session = TraceBackend().build(
+            Workload(spec=tiny_spec, seed=2), small_machine,
+            Instrumentation(path_confidence=path_confidence,
+                            gating_policy=policy))
+        assert type(session) is GatedTraceSession
+        assert session.run(max_instructions=500).retired_instructions >= 500
+
+    def test_fused_session_rejects_unmodelled_gate(self, tiny_spec,
+                                                   small_machine):
+        """Built directly, the fused gated session refuses a gate it
+        would not model instead of running without it."""
+        path_confidence = PaCoPredictor()
+        instrument = Instrumentation(path_confidence=path_confidence)
+        fetch_engine = build_fetch_engine(Workload(spec=tiny_spec, seed=2),
+                                          small_machine, instrument)
+        with pytest.raises(ValueError, match="GatedTraceSession"):
+            FusedGatedTraceSession(
+                fetch_engine, small_machine, (), 16, 8,
+                {"paco": path_confidence},
+                gating_policy=ProbabilityGating(path_confidence, 0.5))
 
     def test_custom_predictor_builds_scalar_session(self, tiny_spec,
                                                     small_machine):
@@ -866,6 +1095,41 @@ class TestFusedSessionRouting:
             Instrumentation(path_confidence=_CustomPathConfidence()))
         assert type(session) is TraceSession
         assert session.run(max_instructions=500).retired_instructions >= 500
+
+
+class TestGateCodegen:
+    """The gate is a seventh shape flag that leaves the six ungated
+    flags' generated sources untouched."""
+
+    UNGATED_SHAPES = list(itertools.product([False, True], repeat=6))
+
+    @pytest.mark.parametrize("flags", UNGATED_SHAPES,
+                             ids=lambda f: "".join("1" if b else "0"
+                                                   for b in f))
+    def test_ungated_shapes_emit_no_gate_code(self, flags):
+        for source in (_build_step_source(*flags),
+                       _build_replay_source(*flags)):
+            for marker in ("gated_cycles", "gate_bound",
+                           "_low_confidence_outstanding >=",
+                           "path_confidence_register >", "gating_policy",
+                           "next_branch_into"):
+                assert marker not in source
+
+    @pytest.mark.parametrize("gate, member", [("count", 3), ("paco", 0)])
+    def test_gated_shapes_cached_apart(self, gate, member):
+        flags = [False] * 6
+        flags[member] = True
+        ungated = _fused_methods(tuple(flags) + (None,))
+        gated = _fused_methods(tuple(flags) + (gate,))
+        assert _fused_methods(tuple(flags) + (gate,)) is gated
+        assert gated is not ungated
+        for gated_fn, ungated_fn in zip(gated, ungated):
+            filename = gated_fn.__code__.co_filename
+            assert filename != ungated_fn.__code__.co_filename
+            assert filename.endswith("-" + gate + ">")
+            assert "gated_cycles" in "".join(linecache.getlines(filename))
+            assert "gated_cycles" not in "".join(
+                linecache.getlines(ungated_fn.__code__.co_filename))
 
 
 #: The retired vectorized backend's name, spelled indirectly so a search

@@ -16,7 +16,12 @@ import random
 
 import pytest
 
-from repro.backends import Instrumentation, TraceBackend, Workload
+from repro.backends import (
+    Instrumentation,
+    TraceBackend,
+    Workload,
+    build_fetch_engine,
+)
 from repro.backends.trace import GatedTraceSession
 from repro.isa.types import BranchKind
 from repro.pathconf.paco import PaCoPredictor
@@ -248,23 +253,28 @@ class TestInlinedDrainsMatchWrapper:
     """The compiled inline copies (block step, fused episode) against the
     scalar paths that go through ``_complete_oldest``.
 
-    A gated session whose policy never fires replays the same streams as
-    the base session but takes the scalar step/episode paths, so equal
-    stats and equal observer streams pin all drain consumers to one
-    behaviour.
+    A scalar gated session whose policy never fires replays the same
+    streams as the base session but takes the scalar step/episode paths,
+    so equal stats and equal observer streams pin all drain consumers to
+    one behaviour.  It is built directly: :class:`TraceBackend` would
+    build the fused gated session, whose drains are the batched ones.
     """
 
     def _run(self, spec, machine, gated, seed=6, instructions=5_000):
         predictor = ThresholdAndCountPredictor(threshold=3)
         observer = _StreamObserver()
-        gating = (CountGating(predictor, gate_count=10 ** 9)
-                  if gated else None)
-        session = TraceBackend().build(
-            Workload(spec=spec, seed=seed), machine,
-            Instrumentation(path_confidence=predictor, gating_policy=gating,
-                            observers=(observer,)))
+        instrument = Instrumentation(path_confidence=predictor,
+                                     observers=(observer,))
+        workload = Workload(spec=spec, seed=seed)
         if gated:
-            assert isinstance(session, GatedTraceSession)
+            session = GatedTraceSession(
+                build_fetch_engine(workload, machine, instrument), machine,
+                instrument.observers,
+                machine.width * machine.frontend_depth,
+                2 * machine.min_mispredict_penalty,
+                CountGating(predictor, gate_count=10 ** 9))
+        else:
+            session = TraceBackend().build(workload, machine, instrument)
         stats = session.run(max_instructions=instructions)
         return observer.events, stats
 
