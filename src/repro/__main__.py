@@ -196,10 +196,22 @@ def _report_truncation(name: str, error: SimulationTruncated) -> None:
     print(f"  instruction budget : {error.max_instructions}", file=sys.stderr)
     print(f"  cycle safety net   : {error.max_cycles} (tripped)",
           file=sys.stderr)
-    print(f"  partial statistics : {stats.retired_instructions} retired, "
-          f"{stats.cycles} cycles, ipc {stats.ipc:.3f}, "
-          f"{stats.gated_cycles} gated, {stats.fetch_stall_cycles} "
-          f"fetch-stalled, {stats.flushes} flushes", file=sys.stderr)
+    threads = getattr(stats, "threads", None)
+    if threads is not None:     # SMTStats: one line per hardware thread
+        print(f"  partial statistics : {error.retired} retired, "
+              f"{stats.cycles} cycles, ipc {stats.total_ipc:.3f}",
+              file=sys.stderr)
+        for index, thread in enumerate(threads):
+            print(f"    thread {index}         : "
+                  f"{thread.retired_instructions} retired, "
+                  f"{thread.fetch_cycles_granted} cycles granted, "
+                  f"{thread.badpath_fetched} wrong-path fetched",
+                  file=sys.stderr)
+    else:
+        print(f"  partial statistics : {stats.retired_instructions} retired, "
+              f"{stats.cycles} cycles, ipc {stats.ipc:.3f}, "
+              f"{stats.gated_cycles} gated, {stats.fetch_stall_cycles} "
+              f"fetch-stalled, {stats.flushes} flushes", file=sys.stderr)
     print("  a run that cannot retire its budget usually means a gating or "
           "machine configuration that starves fetch; adjust the "
           "configuration or raise the cycle limit", file=sys.stderr)

@@ -25,6 +25,34 @@ resolution, which happens at its recorded estimated cycle: resolve,
 squash younger wrong-path work, recover, retire the branch, and stall
 the thread's fetch for the redirect penalty.
 
+**Staging.**  :meth:`TraceSMTCore.run` is one loop on locals.  Branch
+content is generated ahead into per-thread buffers and consumed in
+order, which reorders no stream's draws:
+
+* an unphased thread's good-path branches come ``BRANCH_STAGE`` at a
+  time from ``WorkloadGenerator.next_branch_block``; a phased thread
+  (gcc, mcf) stages one branch per call, because its gap slots advance
+  the phase schedule between branches;
+* wrong-path branches come ``BRANCH_STAGE`` at a time from
+  ``WrongPathGenerator.next_branch_block``, for every thread: the
+  wrong-path site set is built once and never changes at phase rolls;
+* gaps stay on their own buffered streams (``GAP_BUFFER``), because
+  gaps and branches are not in lockstep (see the deviation below).
+
+For ICOUNT and the count and PaCo confidence policies (exact types, over
+exact predictor types, two threads) the loop arbitrates inline on the
+live counters with the policies' tie-breaks, and puts only the first
+contested grant of each ``run()`` to ``select()`` as a cross-check;
+every other policy is asked through ``select()`` every grant.  Threads must share no predictor state: a step
+drains the other threads before the granted thread predicts its branch.
+
+**Known model deviation.**  A grant clamped at a pending resolution
+banks the rest of its gap as ``pending_gap``.  When the clamp consumes
+the gap exactly (``pending_gap == 0``), the next grant draws a fresh gap
+before the same branch, so that branch is fetched one extra gap late.
+Fixing it would change every fig12 trace result, so it is kept (and
+pinned by ``tests/test_smt_trace_pin.py``).
+
 Per-thread IPCs out of this model are *estimates* (bounded by the IPC-1
 front end), but the fig12 metric — HMWIPC over per-thread SMT/single
 IPC ratios — consumes only relative throughput, and the fetch policies
@@ -38,11 +66,21 @@ import math
 from collections import deque
 from typing import Deque, List, Optional, Sequence
 
+from repro.backends.trace import _has_cycle_work
 from repro.branch_predictor.engine import BranchRecord
 from repro.common.rng import RngPool
+from repro.pathconf.paco import PaCoPredictor
+from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import SMTConfig
+from repro.pipeline.core import SimulationTruncated
 from repro.pipeline.fetch import FetchEngine
-from repro.pipeline.fetch_policy import FetchPolicy, ICountPolicy, ThreadView
+from repro.pipeline.fetch_policy import (
+    CountConfidencePolicy,
+    FetchPolicy,
+    ICountPolicy,
+    PaCoConfidencePolicy,
+    ThreadView,
+)
 from repro.pipeline.smt import SMTStats, ThreadStats
 from repro.workloads.generator import BranchBlock
 
@@ -52,16 +90,27 @@ from repro.workloads.generator import BranchBlock
 #: are consumed in exactly the order they are drawn).
 GAP_BUFFER = 64
 
+#: Branches generated per refill of an unphased thread's good-path
+#: buffer and of every thread's wrong-path buffer (read when a thread is
+#: built).  Results do not depend on it.
+BRANCH_STAGE = 64
+
+#: ``next_due`` when no mispredict is pending: later than any run ends.
+_NEVER = 1 << 62
+
+#: Inline arbitration modes of :meth:`TraceSMTCore._arbitration`.
+_SELECT, _ICOUNT, _COUNT, _PACO = range(4)
+
 
 class TraceSMTThread(ThreadView):
     """One hardware thread of the trace SMT model.
 
     Holds the thread's fetch engine, its in-flight slot window (the same
     ``BranchRecord``-or-signed-int-run encoding as
-    :class:`~repro.backends.trace.TraceSession`), its gap RNG streams and
-    its pending wrong-path episode, and exposes the
-    :class:`~repro.pipeline.fetch_policy.ThreadView` signals the fetch
-    policies arbitrate on.
+    :class:`~repro.backends.trace.TraceSession`), its gap RNG streams,
+    its staged branch buffers and its pending wrong-path episode, and
+    exposes the :class:`~repro.pipeline.fetch_policy.ThreadView` signals
+    the fetch policies arbitrate on.
     """
 
     def __init__(self, thread_id: int, fetch_engine: FetchEngine) -> None:
@@ -86,34 +135,22 @@ class TraceSMTThread(ThreadView):
         branch_fraction = min(max(spec.branch_fraction, 1e-9), 1.0)
         self.log_one_minus_p = (math.log(1.0 - branch_fraction)
                                 if branch_fraction < 1.0 else None)
-        self.block = BranchBlock(1)
-        self.wp_block = BranchBlock(1)
-        # Buffered gap draws, one buffer per stream (see GAP_BUFFER); a
-        # position at the end marks the buffer as spent.
+        # Buffered gap draws and staged branches, one buffer per stream;
+        # a position at the end marks the buffer as spent.
         self.gap_buf = [0] * GAP_BUFFER
         self.gap_pos = GAP_BUFFER
         self.wp_gap_buf = [0] * GAP_BUFFER
         self.wp_gap_pos = GAP_BUFFER
-
-    def next_good_gap(self) -> int:
-        """The next good-path inter-branch gap (refilling the buffer)."""
-        pos = self.gap_pos
-        if pos >= GAP_BUFFER:
-            self.gap_rng.geometric_block(self.log_one_minus_p,
-                                         self.gap_buf, GAP_BUFFER)
-            pos = 0
-        self.gap_pos = pos + 1
-        return self.gap_buf[pos]
-
-    def next_bad_gap(self) -> int:
-        """The next wrong-path inter-branch gap (refilling the buffer)."""
-        pos = self.wp_gap_pos
-        if pos >= GAP_BUFFER:
-            self.wp_gap_rng.geometric_block(self.log_one_minus_p,
-                                            self.wp_gap_buf, GAP_BUFFER)
-            pos = 0
-        self.wp_gap_pos = pos + 1
-        return self.wp_gap_buf[pos]
+        stage = 1 if spec.phases else BRANCH_STAGE
+        self.block = BranchBlock(stage)
+        self.block_pos = stage
+        self.wp_block = BranchBlock(BRANCH_STAGE)
+        self.wp_block_pos = BRANCH_STAGE
+        #: The path confidence predictor's ``on_cycle`` when it has cycle
+        #: work, else None (the tick is skipped).
+        confidence = fetch_engine.path_confidence
+        self.on_cycle = (confidence.on_cycle
+                         if _has_cycle_work(confidence) else None)
 
     @property
     def in_flight_instructions(self) -> int:
@@ -150,233 +187,346 @@ class TraceSMTCore:
         self._cycle = 0
         self.stats = SMTStats(threads=[t.stats for t in threads])
 
-    # ------------------------------------------------------------------ #
-
-    def run(self, max_total_instructions: int,
-            max_cycles: Optional[int] = None) -> SMTStats:
-        """Run until the threads together retire the instruction budget."""
-        if max_total_instructions <= 0:
-            raise ValueError("instruction budget must be positive")
-        if max_cycles is None:
-            max_cycles = max_total_instructions * 40
-        while (self.stats.total_retired < max_total_instructions
-               and self._cycle < max_cycles):
-            self._step()
-        self.stats.cycles = self._cycle
-        return self.stats
-
     @property
     def cycle(self) -> int:
         return self._cycle
 
-    # ------------------------------------------------------------------ #
+    def _arbitration(self) -> int:
+        """Which fetch choice :meth:`run` computes inline (``_SELECT``:
+        none, ask the policy)."""
+        if len(self.threads) != 2:
+            return _SELECT
+        policy_type = type(self.fetch_policy)
+        predictor_types = {type(t.fetch_engine.path_confidence)
+                           for t in self.threads}
+        if policy_type is ICountPolicy:
+            return _ICOUNT
+        if (policy_type is CountConfidencePolicy
+                and predictor_types == {ThresholdAndCountPredictor}):
+            return _COUNT
+        if (policy_type is PaCoConfidencePolicy
+                and predictor_types == {PaCoPredictor}):
+            return _PACO
+        return _SELECT
 
-    def _step(self) -> None:
-        """One arbitration event: resolve due mispredicts, grant fetch."""
+    def run(self, max_total_instructions: int,
+            max_cycles: Optional[int] = None) -> SMTStats:
+        """Run until the threads together retire the instruction budget.
+
+        ``max_cycles`` is a safety net (default: 40x the budget); if it
+        trips first the run raises
+        :class:`~repro.pipeline.core.SimulationTruncated` with the
+        partial statistics attached.
+
+        Each pass of the loop is one arbitration event: per-cycle
+        predictor work and due mispredict resolutions, the fetch choice,
+        the granted thread's gap (or the clamped prefix of it), the
+        drains of every window, then the granted thread's branch.
+        """
+        if max_total_instructions <= 0:
+            raise ValueError("instruction budget must be positive")
+        if max_cycles is None:
+            max_cycles = max_total_instructions * 40
+        threads = self.threads
+        policy = self.fetch_policy
+        resolve_window = self.resolve_window
+        mispredict_window = self.mispredict_window
+        redirect_penalty = self.machine.redirect_penalty
+        arbitration = self._arbitration()
+        if arbitration != _SELECT:
+            thread0, thread1 = threads
+            conf0 = thread0.fetch_engine.path_confidence
+            conf1 = thread1.fetch_engine.path_confidence
+        ticking = any(t.on_cycle is not None for t in threads)
+        cross_check = True
         cycle = self._cycle
-        for thread in self.threads:
-            thread.fetch_engine.path_confidence.on_cycle(cycle)
-            if thread.wp_record is not None and cycle >= thread.wp_resolve_at:
-                self._resolve_mispredict(thread, cycle)
+        retired = sum(t.stats.retired_instructions for t in threads)
+        next_due = min([t.wp_resolve_at for t in threads
+                        if t.wp_record is not None], default=_NEVER)
+        stall_min = min(t.fetch_stall_until for t in threads)
+        stall_max = max(t.fetch_stall_until for t in threads)
 
-        eligible = [i for i, t in enumerate(self.threads)
-                    if cycle >= t.fetch_stall_until]
-        if not eligible:
-            # Every thread is redirect-stalled: idle the front end until
-            # the earliest wake-up, draining the back end meanwhile.
-            target = min(t.fetch_stall_until for t in self.threads)
-            for thread in self.threads:
-                if thread.wp_record is not None:
-                    target = min(target, thread.wp_resolve_at)
-            target = max(target, cycle + 1)
-            for thread in self.threads:
-                self._drain_slots(thread, target - cycle)
-            self._cycle = target
-            return
-        if len(eligible) == len(self.threads):
-            index = self.fetch_policy.select(cycle, self.threads)
-        else:
-            index = eligible[0]
-        thread = self.threads[index]
-        slots = self._fetch_grant(thread, cycle)
-        thread.stats.fetch_cycles_granted += slots
-        for other in self.threads:
-            if other is not thread:
-                self._drain_slots(other, slots)
-        self._cycle = cycle + slots
-
-    def _grant_limit(self, cycle: int) -> Optional[int]:
-        """Cycles until the earliest pending mispredict resolution."""
-        limit: Optional[int] = None
-        for thread in self.threads:
-            if thread.wp_record is not None:
-                due = thread.wp_resolve_at - cycle
-                if limit is None or due < limit:
-                    limit = max(1, due)
-        return limit
-
-    def _fetch_grant(self, thread: TraceSMTThread, cycle: int) -> int:
-        """Fetch one gap+branch grant for ``thread``; return slots fetched."""
-        engine = thread.fetch_engine
-        limit = self._grant_limit(cycle)
-        if engine.on_wrong_path:
-            return self._fetch_wrongpath_grant(thread, cycle, limit)
-        if thread.pending_gap:
-            gap = thread.pending_gap
-        else:
-            gap = thread.next_good_gap()
-        if limit is not None and gap >= limit:
-            # Fetch only the prefix of the gap that fits before the next
-            # pending resolution; bank the rest for the next grant.
-            self._fetch_good_run(thread, limit)
-            thread.pending_gap = gap - limit
-            return limit
-        if gap:
-            self._fetch_good_run(thread, gap)
-        thread.pending_gap = 0
-        seq = thread.next_seq
-        thread.next_seq = seq + 1
-        generator = engine.generator
-        generator.next_branch_block(seq, 1, thread.block)
-        record = engine.predict_from_block(thread.block, 0, seq)
-        engine.goodpath_fetched += 1
-        thread.stats.goodpath_fetched += 1
-        if engine.on_wrong_path:
-            # The episode is time-based: the branch resolves a calibrated
-            # number of estimated cycles after its fetch, regardless of
-            # how much wrong-path work the policy lets this thread fetch.
-            thread.wp_record = record
-            thread.wp_resolve_at = cycle + gap + 1 + self.mispredict_window
-        else:
-            self._append_record(thread, record)
-        return gap + 1
-
-    def _fetch_wrongpath_grant(self, thread: TraceSMTThread, cycle: int,
-                               limit: Optional[int]) -> int:
-        """One wrong-path gap+branch grant (bounded by the episode end)."""
-        engine = thread.fetch_engine
-        budget = thread.wp_resolve_at - cycle
-        if limit is not None:
-            budget = min(budget, limit)
-        budget = max(1, budget)
-        gap = thread.next_bad_gap()
-        if gap >= budget:
-            self._fetch_bad_run(thread, budget)
-            return budget
-        if gap:
-            self._fetch_bad_run(thread, gap)
-        seq = thread.next_seq
-        thread.next_seq = seq + 1
-        engine.wrongpath_generator.next_branch_into(thread.wp_block, 0)
-        record = engine.predict_from_block(thread.wp_block, 0, seq,
-                                           on_goodpath=False)
-        engine.badpath_fetched += 1
-        thread.stats.badpath_fetched += 1
-        self._append_record(thread, record)
-        return gap + 1
-
-    # ------------------------------------------------------------------ #
-    # window bookkeeping
-    # ------------------------------------------------------------------ #
-
-    def _fetch_good_run(self, thread: TraceSMTThread, count: int) -> None:
-        generator = thread.fetch_engine.generator
-        remaining = count
-        while remaining:
-            remaining -= generator.advance_instructions(remaining)
-        thread.fetch_engine.goodpath_fetched += count
-        thread.stats.goodpath_fetched += count
-        window = thread.window
-        if window and type(window[-1]) is int and window[-1] > 0:
-            window[-1] += count
-        else:
-            window.append(count)
-        thread.inflight += count
-        if thread.inflight > self.resolve_window:
-            self._drain_slots(thread, thread.inflight - self.resolve_window)
-
-    def _fetch_bad_run(self, thread: TraceSMTThread, count: int) -> None:
-        thread.fetch_engine.badpath_fetched += count
-        thread.stats.badpath_fetched += count
-        window = thread.window
-        if window and type(window[-1]) is int and window[-1] < 0:
-            window[-1] -= count
-        else:
-            window.append(-count)
-        thread.inflight += count
-        if thread.inflight > self.resolve_window:
-            self._drain_slots(thread, thread.inflight - self.resolve_window)
-
-    def _append_record(self, thread: TraceSMTThread,
-                       record: BranchRecord) -> None:
-        thread.window.append(record)
-        thread.inflight += 1
-        if thread.inflight > self.resolve_window:
-            self._drain_slots(thread, thread.inflight - self.resolve_window)
-
-    def _drain_slots(self, thread: TraceSMTThread, count: int) -> None:
-        """Complete up to ``count`` oldest in-flight slots of ``thread``."""
-        window = thread.window
-        stats = thread.stats
-        engine = thread.fetch_engine
-        while count > 0 and window:
-            entry = window[0]
-            if type(entry) is int:
-                size = entry if entry > 0 else -entry
-                take = size if size <= count else count
-                if entry > 0:
-                    stats.retired_instructions += take
-                else:
-                    stats.badpath_executed += take
-                if take < size:
-                    window[0] = entry - take if entry > 0 else entry + take
-                else:
-                    window.popleft()
-                thread.inflight -= take
-                count -= take
-            else:
-                window.popleft()
-                thread.inflight -= 1
-                count -= 1
-                engine.resolve_record(entry)
-                if entry.on_goodpath:
+        while retired < max_total_instructions and cycle < max_cycles:
+            # Per-cycle predictor work, then due mispredict resolutions:
+            # resolve, squash younger wrong-path work, recover, retire
+            # the branch and stall the thread for the redirect penalty.
+            if ticking or cycle >= next_due:
+                resolved = False
+                for thread in threads:
+                    if thread.on_cycle is not None:
+                        thread.on_cycle(cycle)
+                    record = thread.wp_record
+                    if record is None or cycle < thread.wp_resolve_at:
+                        continue
+                    resolved = True
+                    thread.wp_record = None
+                    engine = thread.fetch_engine
+                    engine.resolve_record(record)
+                    window = thread.window
+                    while window:
+                        entry = window[-1]
+                        if type(entry) is int:
+                            if entry > 0:
+                                break
+                            window.pop()
+                            thread.inflight += entry  # entry is negative
+                        elif entry.on_goodpath:
+                            break
+                        else:
+                            window.pop()
+                            thread.inflight -= 1
+                            engine.squash_record(entry)
+                    engine.recover(record)
+                    stats = thread.stats
                     stats.retired_instructions += 1
                     stats.branches_retired += 1
-                    if entry.mispredicted:
+                    if record.mispredicted:
                         stats.branch_mispredicts_retired += 1
-                else:
-                    stats.badpath_executed += 1
+                    retired += 1
+                    thread.fetch_stall_until = max(
+                        thread.fetch_stall_until, cycle + redirect_penalty)
+                if resolved:
+                    next_due = min([t.wp_resolve_at for t in threads
+                                    if t.wp_record is not None],
+                                   default=_NEVER)
+                    stall_min = min(t.fetch_stall_until for t in threads)
+                    stall_max = max(t.fetch_stall_until for t in threads)
 
-    def _resolve_mispredict(self, thread: TraceSMTThread,
-                            cycle: int) -> None:
-        """The pending mispredict's episode ended: recover the thread."""
-        record = thread.wp_record
-        thread.wp_record = None
-        engine = thread.fetch_engine
-        engine.resolve_record(record)
-        window = thread.window
-        while window:
-            entry = window[-1]
-            if type(entry) is int:
-                if entry > 0:
-                    break
-                window.pop()
-                thread.inflight += entry  # entry is negative
-            elif entry.on_goodpath:
-                break
+            # The fetch choice: the policy's when every thread may fetch,
+            # else the first thread not redirect-stalled, else nobody.
+            if cycle >= stall_max:
+                if arbitration == _SELECT:
+                    thread = threads[policy.select(cycle, threads)]
+                else:
+                    # The policy's key, then ICOUNT, then cycle parity.
+                    if arbitration == _COUNT:
+                        key0 = conf0._low_confidence_outstanding
+                        key1 = conf1._low_confidence_outstanding
+                    elif arbitration == _PACO:
+                        key0 = conf0.path_confidence_register
+                        key1 = conf1.path_confidence_register
+                    else:
+                        key0 = key1 = 0
+                    if key0 == key1:
+                        key0 = (thread0.inflight
+                                + (thread0.wp_record is not None))
+                        key1 = (thread1.inflight
+                                + (thread1.wp_record is not None))
+                        if key0 == key1:
+                            key0 = cycle & 1
+                            key1 = 1 - key0
+                    thread = thread0 if key0 < key1 else thread1
+                    if cross_check:
+                        # The first contested grant of every run() is
+                        # also put to the policy, which must agree.
+                        cross_check = False
+                        chosen = threads[policy.select(cycle, threads)]
+                        if chosen is not thread:
+                            raise RuntimeError(
+                                "inline fetch arbitration disagrees with "
+                                f"{policy.name}.select() at cycle {cycle}")
+            elif cycle < stall_min:
+                thread = None
             else:
-                window.pop()
-                thread.inflight -= 1
-                engine.squash_record(entry)
-        engine.recover(record)
-        stats = thread.stats
-        stats.retired_instructions += 1
-        stats.branches_retired += 1
-        if record.mispredicted:
-            stats.branch_mispredicts_retired += 1
-        thread.fetch_stall_until = max(
-            thread.fetch_stall_until,
-            cycle + self.machine.redirect_penalty)
+                thread = next(t for t in threads
+                              if cycle >= t.fetch_stall_until)
+
+            # The granted thread's gap: a signed run (positive good path,
+            # negative wrong path) of ``slots`` or ``slots - 1`` slots,
+            # clamped at the next pending resolution.
+            fetch_branch = False
+            if thread is None:
+                # Every thread is redirect-stalled: idle the front end
+                # until the earliest wake-up, draining meanwhile.
+                slots = min(stall_min, next_due) - cycle
+            else:
+                engine = thread.fetch_engine
+                stats = thread.stats
+                limit = next_due - cycle
+                wrong_path = engine.on_wrong_path
+                if wrong_path:
+                    pos = thread.wp_gap_pos
+                    if pos >= GAP_BUFFER:
+                        thread.wp_gap_rng.geometric_block(
+                            thread.log_one_minus_p, thread.wp_gap_buf,
+                            GAP_BUFFER)
+                        pos = 0
+                    thread.wp_gap_pos = pos + 1
+                    gap = thread.wp_gap_buf[pos]
+                    if gap >= limit:
+                        # The wrong-path gap's remainder is dropped.
+                        gap = slots = limit
+                    else:
+                        slots = gap + 1
+                        fetch_branch = True
+                    if gap:
+                        engine.badpath_fetched += gap
+                        stats.badpath_fetched += gap
+                        gap = -gap
+                else:
+                    gap = thread.pending_gap
+                    if not gap:
+                        pos = thread.gap_pos
+                        if pos >= GAP_BUFFER:
+                            thread.gap_rng.geometric_block(
+                                thread.log_one_minus_p, thread.gap_buf,
+                                GAP_BUFFER)
+                            pos = 0
+                        thread.gap_pos = pos + 1
+                        gap = thread.gap_buf[pos]
+                    if gap >= limit:
+                        # Fetch the prefix that fits before the pending
+                        # resolution; bank the rest for the next grant.
+                        thread.pending_gap = gap - limit
+                        gap = slots = limit
+                    else:
+                        thread.pending_gap = 0
+                        slots = gap + 1
+                        fetch_branch = True
+                    if gap:
+                        generator = engine.generator
+                        remaining = gap
+                        while remaining:
+                            remaining -= generator.advance_instructions(
+                                remaining)
+                        engine.goodpath_fetched += gap
+                        stats.goodpath_fetched += gap
+                if gap:
+                    window = thread.window
+                    last = window[-1] if window else None
+                    if type(last) is int and (last > 0) == (gap > 0):
+                        window[-1] = last + gap
+                    else:
+                        window.append(gap)
+                    thread.inflight += gap if gap > 0 else -gap
+
+            # Drains: the other threads complete one slot per elapsed
+            # cycle; the granted thread completes its window overflow
+            # before it predicts its branch.
+            for other in threads:
+                if other is thread:
+                    count = other.inflight - resolve_window
+                    if count <= 0:
+                        continue
+                else:
+                    count = slots
+                window = other.window
+                if not window:
+                    continue
+                other_stats = other.stats
+                inflight = other.inflight
+                while count > 0 and window:
+                    entry = window[0]
+                    if type(entry) is int:
+                        size = entry if entry > 0 else -entry
+                        take = size if size <= count else count
+                        if entry > 0:
+                            other_stats.retired_instructions += take
+                            retired += take
+                        else:
+                            other_stats.badpath_executed += take
+                        if take < size:
+                            window[0] = (entry - take if entry > 0
+                                         else entry + take)
+                        else:
+                            window.popleft()
+                        inflight -= take
+                        count -= take
+                    else:
+                        window.popleft()
+                        inflight -= 1
+                        count -= 1
+                        other.fetch_engine.resolve_record(entry)
+                        if entry.on_goodpath:
+                            other_stats.retired_instructions += 1
+                            other_stats.branches_retired += 1
+                            retired += 1
+                            if entry.mispredicted:
+                                other_stats.branch_mispredicts_retired += 1
+                        else:
+                            other_stats.badpath_executed += 1
+                other.inflight = inflight
+
+            if thread is not None:
+                if fetch_branch:
+                    seq = thread.next_seq
+                    thread.next_seq = seq + 1
+                    if wrong_path:
+                        block = thread.wp_block
+                        pos = thread.wp_block_pos
+                        if pos >= block.capacity:
+                            engine.wrongpath_generator.next_branch_block(
+                                block, block.capacity)
+                            pos = 0
+                        thread.wp_block_pos = pos + 1
+                        record = engine.predict_from_block(block, pos, seq,
+                                                           False)
+                        engine.badpath_fetched += 1
+                        stats.badpath_fetched += 1
+                    else:
+                        block = thread.block
+                        pos = thread.block_pos
+                        if pos >= block.capacity:
+                            engine.generator.next_branch_block(
+                                seq, block.capacity, block)
+                            pos = 0
+                        thread.block_pos = pos + 1
+                        record = engine.predict_from_block(block, pos, seq)
+                        engine.goodpath_fetched += 1
+                        stats.goodpath_fetched += 1
+                        if engine.on_wrong_path:
+                            # The episode is time-based: the branch
+                            # resolves a calibrated number of estimated
+                            # cycles after its fetch, regardless of how
+                            # much wrong-path work the policy lets this
+                            # thread fetch.
+                            thread.wp_record = record
+                            due = cycle + slots + mispredict_window
+                            thread.wp_resolve_at = due
+                            if due < next_due:
+                                next_due = due
+                            record = None
+                    if record is not None:
+                        window = thread.window
+                        window.append(record)
+                        if thread.inflight < resolve_window:
+                            thread.inflight += 1
+                        else:
+                            # The window overflows by the new branch:
+                            # complete its oldest slot.
+                            entry = window[0]
+                            if type(entry) is not int:
+                                window.popleft()
+                                engine.resolve_record(entry)
+                                if entry.on_goodpath:
+                                    stats.retired_instructions += 1
+                                    stats.branches_retired += 1
+                                    retired += 1
+                                    if entry.mispredicted:
+                                        stats.branch_mispredicts_retired += 1
+                                else:
+                                    stats.badpath_executed += 1
+                            else:
+                                if entry > 0:
+                                    stats.retired_instructions += 1
+                                    retired += 1
+                                    entry -= 1
+                                else:
+                                    stats.badpath_executed += 1
+                                    entry += 1
+                                if entry:
+                                    window[0] = entry
+                                else:
+                                    window.popleft()
+                stats.fetch_cycles_granted += slots
+            cycle += slots
+
+        self._cycle = cycle
+        self.stats.cycles = cycle
+        if retired < max_total_instructions:
+            raise SimulationTruncated(self.stats, max_total_instructions,
+                                      max_cycles)
+        return self.stats
 
 
 def build_trace_smt_core(fetch_engines: Sequence[FetchEngine],

@@ -39,17 +39,23 @@ class SimulationTruncated(RuntimeError):
     Raised instead of returning truncated statistics that look like a
     normal run (a configuration error — e.g. a gating policy that never
     ungates — would otherwise silently produce garbage rates).  The
-    partial statistics are attached for post-mortem inspection.
+    partial statistics (``CoreStats``, or ``SMTStats`` from the SMT
+    cores) are attached for post-mortem inspection.
     """
 
     def __init__(self, stats: "CoreStats", max_instructions: int,
                  max_cycles: int) -> None:
+        # SMT runs attach SMTStats, whose budget counts every thread.
+        retired = getattr(stats, "total_retired", None)
+        if retired is None:
+            retired = stats.retired_instructions
         super().__init__(
-            f"simulation truncated: only {stats.retired_instructions} of "
+            f"simulation truncated: only {retired} of "
             f"{max_instructions} instructions retired when the max_cycles "
             f"safety net ({max_cycles}) tripped"
         )
         self.stats = stats
+        self.retired = retired
         self.max_instructions = max_instructions
         self.max_cycles = max_cycles
 

@@ -23,6 +23,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.types import InstructionClass
 from repro.pipeline.caches import CacheHierarchy
 from repro.pipeline.config import SMTConfig
+from repro.pipeline.core import SimulationTruncated
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.fetch_policy import FetchPolicy, ICountPolicy, ThreadView
 
@@ -111,7 +112,12 @@ class SMTCore:
 
     def run(self, max_total_instructions: int,
             max_cycles: Optional[int] = None) -> SMTStats:
-        """Run until the two threads together retire the instruction budget."""
+        """Run until the two threads together retire the instruction budget.
+
+        ``max_cycles`` is a safety net (default: 40x the budget); if it
+        trips first the run raises :class:`SimulationTruncated` with the
+        partial statistics attached.
+        """
         if max_total_instructions <= 0:
             raise ValueError("instruction budget must be positive")
         if max_cycles is None:
@@ -120,6 +126,9 @@ class SMTCore:
                and self._cycle < max_cycles):
             self.step()
         self.stats.cycles = self._cycle
+        if self.stats.total_retired < max_total_instructions:
+            raise SimulationTruncated(self.stats, max_total_instructions,
+                                      max_cycles)
         return self.stats
 
     def step(self) -> None:

@@ -3,7 +3,9 @@
 Covers the three operational bugs fixed alongside the predictor state
 engine: ``ResultCache.prune`` racing with concurrent deleters, the CLI
 dumping a raw traceback on :class:`SimulationTruncated`, and invalid
-worker counts reaching the multiprocessing pool unvalidated.
+worker counts reaching the multiprocessing pool unvalidated — plus the
+SMT cores, which used to return partial statistics silently when their
+cycle safety net tripped.
 """
 
 import os
@@ -140,6 +142,69 @@ class TestCliTruncationReport:
         captured = capsys.readouterr()
         assert code == 3
         assert "truncated" in captured.err
+
+
+class TestSMTTruncation:
+    """Both SMT cores raise instead of returning partial statistics."""
+
+    def _engines(self, spec):
+        from repro.backends.cycle import build_confidence, build_frontend
+        from repro.pathconf.threshold_count import ThresholdAndCountPredictor
+        from repro.pipeline.config import SMTConfig
+        from repro.pipeline.fetch import FetchEngine
+        from repro.workloads.generator import WorkloadGenerator
+        machine = SMTConfig().machine
+        return [FetchEngine(
+            generator=WorkloadGenerator(spec, seed=1 + tid, thread_id=tid),
+            frontend=build_frontend(machine),
+            confidence=build_confidence(machine),
+            path_confidence=ThresholdAndCountPredictor(threshold=3),
+            wrongpath_seed=11 + tid) for tid in range(2)]
+
+    def _assert_truncated(self, core):
+        with pytest.raises(SimulationTruncated) as excinfo:
+            core.run(max_total_instructions=10_000_000, max_cycles=500)
+        error = excinfo.value
+        assert error.stats is core.stats
+        assert error.stats.cycles >= 500
+        assert error.max_cycles == 500
+        assert error.retired == core.stats.total_retired
+        assert f"only {error.retired} of 10000000" in str(error)
+
+    def test_trace_smt_core_raises(self, tiny_spec):
+        from repro.backends.smt_trace import build_trace_smt_core
+        self._assert_truncated(build_trace_smt_core(self._engines(tiny_spec)))
+
+    def test_cycle_smt_core_raises(self, tiny_spec):
+        from repro.pipeline.config import SMTConfig
+        from repro.pipeline.smt import SMTCore, SMTThread
+        threads = [SMTThread(thread_id=tid, fetch_engine=engine)
+                   for tid, engine in enumerate(self._engines(tiny_spec))]
+        self._assert_truncated(SMTCore(config=SMTConfig(), threads=threads))
+
+    def test_cli_reports_smt_partial_stats(self, monkeypatch, capsys,
+                                           tmp_path):
+        from repro.pipeline.smt import SMTStats, ThreadStats
+
+        def truncating_driver(**_kwargs):
+            stats = SMTStats(cycles=800, threads=[
+                ThreadStats(retired_instructions=70, fetch_cycles_granted=300),
+                ThreadStats(retired_instructions=53, fetch_cycles_granted=420),
+            ])
+            raise SimulationTruncated(stats, max_instructions=10_000,
+                                      max_cycles=800)
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig12", truncating_driver)
+        code = cli.main(["run", "fig12", "--no-cache",
+                         "--cache-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "only 123 of 10000" in err       # both threads' retirements
+        assert "123 retired, 800 cycles" in err
+        assert "thread 0" in err and "70 retired" in err
+        assert "thread 1" in err and "53 retired" in err
+        assert "800 (tripped)" in err
 
 
 class TestWorkerValidation:

@@ -4,20 +4,22 @@ The fig12 golden snapshot runs on the cycle model and the trace-vs-cycle
 SMT gate in ``tests/test_backends.py`` is statistical, so neither notices
 a trace SMT change that moves results slightly.  This test does: it runs
 :class:`~repro.backends.smt_trace.TraceSMTCore` over three benchmark
-pairs (unphased, one phased thread, one phased thread in the second
-slot), every fetch policy family and two seeds, in two ``run()`` legs
+pairs (gzip+vortex unphased; mcf and gcc phased, gcc rolling a phase),
+every fetch policy family and two seeds, in two ``run()`` legs
 (warm-up, then measure), and compares each thread's statistics, fetch and
 front-end counters, path confidence counters and predictor-table hashes
-with the committed table ``tests/data/smt_trace_pin.json``.
+with the committed table ``tests/data/smt_trace_pin.json``.  The same
+table must come out whatever the core's branch staging size is.
 
-The table was generated before the core's staged rewrite and must match
-it exactly.  To regenerate it after a deliberate model change::
+Any change to an entry changes fig12's trace results.  To regenerate
+the table after a deliberate model change::
 
     PYTHONPATH=src python tests/test_smt_trace_pin.py --write
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -125,7 +127,10 @@ def thread_snapshot(thread) -> dict:
 
 def snapshot(pair, policy, threshold, seed) -> list:
     """Per leg: the cycle count and every thread's snapshot."""
-    core = build_core(pair, policy, threshold, seed)
+    return run_legs(build_core(pair, policy, threshold, seed))
+
+
+def run_legs(core) -> list:
     legs = []
     for budget in LEGS:
         stats = core.run(budget)
@@ -145,6 +150,45 @@ def test_trace_smt_core_matches_pinned_table(expected, pair, policy,
                                              threshold, seed):
     key = config_key(pair, policy, threshold, seed)
     assert snapshot(pair, policy, threshold, seed) == expected[key]
+
+
+#: Every pair and policy at one seed: the staging-size sweep's share.
+STAGING_CONFIGS = [c for c in CONFIGS if c[3] == SEEDS[0]]
+
+
+@pytest.mark.parametrize("stage", [1, 17, smt_trace.BRANCH_STAGE])
+@pytest.mark.parametrize("pair,policy,threshold,seed", STAGING_CONFIGS,
+                         ids=[config_key(*c) for c in STAGING_CONFIGS])
+def test_branch_staging_size_does_not_change_results(
+        expected, monkeypatch, stage, pair, policy, threshold, seed):
+    monkeypatch.setattr(smt_trace, "BRANCH_STAGE", stage)
+    key = config_key(pair, policy, threshold, seed)
+    assert snapshot(pair, policy, threshold, seed) == expected[key]
+
+
+@pytest.mark.parametrize("policy,threshold", [("icount", 3), ("count", 3),
+                                              ("paco", 3)])
+def test_inline_arbitration_matches_policy_select(expected, policy,
+                                                  threshold):
+    """A trivial policy subclass goes through ``select()``; the exact
+    types are arbitrated inline.  Both must pick the same threads."""
+    config = (PAIRS[0], policy, threshold, SEEDS[0])
+    core = build_core(*config)
+    assert core._arbitration() != smt_trace._SELECT
+    exact = core.fetch_policy
+    core.fetch_policy = copy.copy(exact)
+    core.fetch_policy.__class__ = type("Subclassed", (type(exact),), {})
+    assert core._arbitration() == smt_trace._SELECT
+    assert run_legs(core) == expected[config_key(*config)]
+
+
+def test_inline_arbitration_is_cross_checked_against_select():
+    core = build_core(PAIRS[0], "count", 3, SEEDS[0])
+    policy = core.fetch_policy
+    exact = type(policy).select
+    policy.select = lambda cycle, threads: 1 - exact(policy, cycle, threads)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        core.run(LEGS[0])
 
 
 def write_expected() -> None:
