@@ -20,7 +20,12 @@ step/episode loops generated per predictor-stack shape:
 * the generated loops read those columns and inline the table
   reads/updates, the path confidence predictor fan-out and the observer
   run batching — removing the per-branch ``predict_from_block`` /
-  ``resolve_record`` / composite call chain entirely.
+  ``resolve_record`` / composite call chain entirely;
+* observer delivery is inlined too when the attached observers are the
+  accuracy harness's kinds over the stack's own members: per block,
+  :meth:`FusedTraceSession._delivery_plan` resolves the diagram and
+  counter targets the generated delivery writes directly, and any other
+  observer set delivers through ``record_runs``.
 
 Everything that is *not* the straight-line good path runs the scalar
 machinery on the shared state: phase-boundary branches step through
@@ -46,7 +51,8 @@ The contract is bit-identity with the scalar sessions, which stay as the
 references: the run-event stream, every statistic and every trained
 table must match exactly (``tests/test_backends.py`` pins block sizes
 1/17/256/4096 for paco/counter and wrong-path-heavy configs, the
-reliability diagrams' float accumulators at the harness level, and the
+whole ``AccuracyResult`` of every accuracy profile at the harness
+level, the reliability diagrams' float accumulators included, and the
 fused gate against :class:`GatedTraceSession` on tiny, wrong-path-heavy
 and phased specs).
 """
@@ -66,7 +72,11 @@ from repro.backends.trace import (
 from repro.branch_predictor.btb import _BTBSet
 from repro.branch_predictor.engine import BranchRecord
 from repro.common.rng import _MASK64
-from repro.eval.observers import MultiPredictorObserver
+from repro.eval.observers import (
+    CounterGoodpathObserver,
+    MultiPredictorObserver,
+    PhaseAwareCounterObserver,
+)
 from repro.eval.profiling import MDCProfiler
 from repro.isa.types import BranchKind
 from repro.pathconf.composite import CompositePathConfidence
@@ -75,7 +85,6 @@ from repro.pathconf.per_branch_mrt import PerBranchMRTPredictor
 from repro.pathconf.static_mrt import StaticMRTPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.core import RunEventBatch
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.gating import CountGating, GatingPolicy, PaCoGating
 
@@ -452,7 +461,7 @@ if value < jrs_max:
 '''
 
 
-def _good_drain(resolve_members: str, fast_deliver: bool = False) -> str:
+def _good_drain(resolve_members: str, targets=None) -> str:
     """The good-path drain body (zero indent).
 
     Simplified relative to the trace backend's general drain by two
@@ -483,7 +492,7 @@ else:
     excess -= 1
     if has_observers:
 ''' + _indent(_runs_delivery("entry.path_token is not None",
-                          fast_deliver), 2) \
+                          targets), 2) \
     + '''\
     run_fetch = 0
     run_execute = 0
@@ -502,7 +511,7 @@ else:
 
 
 def _episode_drain(resolve_members: str, squash_members: str,
-                   fast_deliver: bool = False) -> str:
+                   targets=None) -> str:
     """The wrong-path-episode drain body (zero indent).
 
     The general form: gap runs can be positive (pre-trigger good-path
@@ -536,7 +545,7 @@ else:
     excess -= 1
     if has_observers:
 ''' + _indent(_runs_delivery("entry.path_token is not None",
-                          fast_deliver), 2) \
+                          targets), 2) \
     + '''\
     run_fetch = 0
     run_execute = 0
@@ -633,112 +642,145 @@ def _good_gate_wait(gate_expr: str, resolve_members: str,
 
 # ----- inline observer delivery ---------------------------------------- #
 
-#: Hoists for the inlined single-(PaCo, diagram) observer delivery.
-#: ``self._fp_diag`` is resolved per block by ``_step_block``: the
-#: reliability diagram when the attached observers are exactly one
-#: :class:`MultiPredictorObserver` over the session's own PaCo instance
-#: (the fig8/fig9 sweep shape), ``None`` otherwise.
-_FP_HOISTS = '''\
-fp_diag = self._fp_diag
-fp_probs = self._fp_probs
-if fp_diag is not None:
-    fp_bins = fp_diag.bins
-    fp_nb = fp_diag.num_bins
+#: Hoist of the per-block delivery plan that
+#: :meth:`FusedTraceSession._delivery_plan` resolves: None (deliver
+#: through every observer's ``record_runs``) or the ``(diagram targets,
+#: counter targets)`` pair the inlined delivery writes into directly.
+_PLAN_HOISTS = '''\
+dv_plan = self._dv_plan
+if dv_plan is not None:
+    dv_diags, dv_counters = dv_plan
 '''
 
-#: The inlined delivery body, spliced over every
-#: ``for observer in observers: observer.record_runs(events)`` site by
-#: :func:`_inline_deliveries`.  The fast arm replays the exact arithmetic
-#: of ``MultiPredictorObserver.record_runs`` over one ``(PaCo, diagram)``
-#: pair — ``ReliabilityDiagram.record`` for single-run batches,
-#: the shared fold plus ``record_folded`` for longer ones — term by term
-#: and in the same order, so the diagram floats stay bit-identical to
-#: the generic path the scalar backend takes.  The probability memo is
-#: keyed on the raw register (PaCo's probability is a pure function of
-#: it, via the memoized decode), replacing two attribute calls per
-#: delivery with one dict probe.
-_FAST_DELIVER = '''\
-if fp_diag is None:
-    for observer in observers:
-        observer.record_runs(events)
+#: The shared integer fold of a buffered batch.  A single-run batch
+#: keeps ``dv_weights`` None, so the diagrams take
+#: ``ReliabilityDiagram.record``'s one-term update; longer batches fold
+#: once for every diagram and counter, as ``record_folded`` expects.
+_EVENTS_FOLD = '''\
+if len(events) == 4:
+    dv_weights = None
+    dv_inst = events[3]
+    dv_good = dv_inst if events[1] else 0
 else:
-    fp_reg = paco.path_confidence_register
-    fp_prob = fp_probs.get(fp_reg)
-    if fp_prob is None:
-        if len(fp_probs) > (1 << 20):  # unbounded-growth guard
-            fp_probs.clear()
-        fp_prob = paco.goodpath_probability()
-        fp_probs[fp_reg] = fp_prob
-    fp_bi = int(fp_prob * fp_nb)
-    if fp_bi >= fp_nb:
-        fp_bi = fp_nb - 1
-    fp_bucket = fp_bins[fp_bi]
-    if len(events) == 4:
-        fp_w = events[3]
-        fp_bucket.predicted_sum += fp_prob * fp_w
-        fp_bucket.instances += fp_w
-        fp_diag.total_instances += fp_w
-        if events[1]:
-            fp_bucket.goodpath_instances += fp_w
-            fp_diag.total_goodpath += fp_w
-    else:
-        fp_inst = 0
-        fp_good = 0
-        fp_ps = fp_bucket.predicted_sum
-        for fp_i in range(3, len(events), 4):
-            fp_w = events[fp_i]
-            fp_inst += fp_w
-            fp_ps += fp_prob * fp_w
-            if events[fp_i - 2]:
-                fp_good += fp_w
-        fp_bucket.predicted_sum = fp_ps
-        fp_bucket.instances += fp_inst
-        fp_bucket.goodpath_instances += fp_good
-        fp_diag.total_goodpath += fp_good
-        fp_diag.total_instances += fp_inst
+    dv_weights = events[3::4]
+    dv_inst = 0
+    dv_good = 0
+    for dv_i in range(1, len(events), 4):
+        dv_w = events[dv_i + 2]
+        dv_inst += dv_w
+        if events[dv_i]:
+            dv_good += dv_w
 '''
 
+#: ``predicted_sum`` update for a buffered batch: one ``p * weight`` term
+#: per run event, in order — ``record`` for one run, ``record_folded``'s
+#: loop for more — so the float stays bit-identical to the observers'.
+_EVENTS_ACCUMULATE = '''\
+if dv_weights is None:
+    dv_bucket.predicted_sum += dv_p * dv_inst
+else:
+    dv_ps = dv_bucket.predicted_sum
+    for dv_w in dv_weights:
+        dv_ps += dv_p * dv_w
+    dv_bucket.predicted_sum = dv_ps
+'''
 
-#: The pure-local fast arm of :func:`_runs_delivery`: fold the 1-2 open
-#: runs straight into the diagram without materializing event tuples.
-#: Term order matches the tuple path exactly — the fetch run's
-#: ``predicted_sum`` contribution before the execute run's, the integer
-#: totals added once per delivery — so the floats stay bit-identical.
-_LOCAL_DELIVER = '''\
-fp_reg = paco.path_confidence_register
-fp_prob = fp_probs.get(fp_reg)
-if fp_prob is None:
-    if len(fp_probs) > (1 << 20):  # unbounded-growth guard
-        fp_probs.clear()
-    fp_prob = paco.goodpath_probability()
-    fp_probs[fp_reg] = fp_prob
-fp_bi = int(fp_prob * fp_nb)
-if fp_bi >= fp_nb:
-    fp_bi = fp_nb - 1
-fp_bucket = fp_bins[fp_bi]
-fp_w = run_fetch + run_execute
+#: The fold of the 1-2 open runs when nothing is buffered: the same
+#: values the events path would compute over the tuples it would build.
+_LOCAL_FOLD = '''\
+dv_inst = run_fetch + run_execute
+dv_good = dv_inst if run_goodpath else 0
+'''
+
+#: The open runs' ``predicted_sum`` terms, fetch run before execute run:
+#: the order the tuples would have been buffered in.
+_LOCAL_ACCUMULATE = '''\
 if run_fetch:
-    fp_bucket.predicted_sum += fp_prob * run_fetch
+    dv_bucket.predicted_sum += dv_p * run_fetch
 if run_execute:
-    fp_bucket.predicted_sum += fp_prob * run_execute
-fp_bucket.instances += fp_w
-fp_diag.total_instances += fp_w
-if run_goodpath:
-    fp_bucket.goodpath_instances += fp_w
-    fp_diag.total_goodpath += fp_w
+    dv_bucket.predicted_sum += dv_p * run_execute
+'''
+
+#: One diagram target: the probability memo keyed on the raw register
+#: (each admitted predictor's probability is a pure function of it), the
+#: bin resolution of ``ReliabilityDiagram.record``, the batch's terms,
+#: then the integer totals.
+_DIAG_DELIVER = '''\
+for dv_pred, dv_probs, dv_bins, dv_nb, dv_diag in dv_diags:
+    dv_p = dv_probs.get(dv_pred.path_confidence_register)
+    if dv_p is None:
+        dv_p = _memo_probability(dv_pred, dv_probs)
+    dv_bi = int(dv_p * dv_nb)
+    dv_bucket = dv_bins[dv_bi if dv_bi < dv_nb else dv_nb - 1]
+%(accumulate)s\
+    dv_bucket.instances += dv_inst
+    dv_bucket.goodpath_instances += dv_good
+    dv_diag.total_instances += dv_inst
+    dv_diag.total_goodpath += dv_good
+'''
+
+#: Every counter target reads the session's own count member once.
+_COUNTER_DELIVER = '''\
+dv_low = tc._low_confidence_outstanding
+for dv_ci, dv_cg, dv_max in dv_counters:
+    dv_b = dv_low if dv_low < dv_max else dv_max
+    dv_ci[dv_b] += dv_inst
+    dv_cg[dv_b] += dv_good
 '''
 
 
-def _runs_delivery(cond: str, fast_deliver: bool) -> str:
+def _memo_probability(predictor, memo: dict) -> float:
+    """Decode ``predictor``'s probability into ``memo`` (a delivery's miss).
+
+    Stores the value ``ReliabilityDiagram.record`` would bin — clamped
+    into [0, 1] — under the register it was decoded from.
+    """
+    if len(memo) > (1 << 20):  # unbounded-growth guard
+        memo.clear()
+    probability = predictor.goodpath_probability()
+    if not 0.0 <= probability <= 1.0:
+        probability = min(max(probability, 0.0), 1.0)
+    memo[predictor.path_confidence_register] = probability
+    return probability
+
+
+def _plan_targets(has_paco: bool, has_static: bool, has_pbm: bool,
+                  has_tc: bool, gate: Optional[str]):
+    """The target loops a shape's inlined delivery carries, or None.
+
+    ``(diagrams, counters)``: a diagram loop when the stack has a
+    probability member a plan can target, a counter loop when it has the
+    count member.  Gated shapes (no campaign attaches observers to them)
+    and member-less shapes deliver generically only, which keeps their
+    generated source to the size it needs.
+    """
+    diagrams = has_paco or has_static or has_pbm
+    if gate is not None or not (diagrams or has_tc):
+        return None
+    return diagrams, has_tc
+
+
+def _plan_delivery(targets, fold: str, accumulate: str) -> str:
+    """The inlined delivery over a plan's targets (zero indent)."""
+    diagrams, counters = targets
+    source = fold
+    if diagrams:
+        source += _DIAG_DELIVER % {"accumulate": _indent(accumulate, 1)}
+    if counters:
+        source += _COUNTER_DELIVER
+    return source
+
+
+def _runs_delivery(cond: str, targets) -> str:
     """One site's close-the-open-runs + deliver block (zero indent).
 
     ``cond`` is the site's delivery condition ("" = deliver whenever
     events are pending).  The generic shape buffers the open runs as
-    event tuples and delivers the batch; with ``fast_deliver``, when
-    delivery is due and nothing is already buffered, the open runs fold
-    straight into the diagram without touching the events list at all
-    (the post-pass :func:`_inline_deliveries` still rewrites the generic
-    arm's delivery for the buffered case).
+    event tuples and delivers the batch; with plan ``targets``, when a
+    plan is resolved, delivery is due and nothing is already buffered,
+    the open runs fold straight into the targets without touching the
+    events list at all (the post-pass :func:`_inline_deliveries` still
+    rewrites the generic arm's delivery for the buffered case).
     """
     extend = '''\
 if run_fetch:
@@ -752,37 +794,34 @@ if run_execute:
         observer.record_runs(events)
     del events[:]
 ''')
-    if not fast_deliver:
+    if targets is None:
         return generic
-    fast_head = ("if fp_diag is not None and not events"
-                 + (f" and {cond}" if cond else "") + ":\n")
-    return (fast_head
+    local_head = ("if dv_plan is not None and not events"
+                  + (f" and {cond}" if cond else "") + ":\n")
+    return (local_head
             + _indent("if run_fetch or run_execute:\n", 1)
-            + _indent(_LOCAL_DELIVER, 2)
+            + _indent(_plan_delivery(targets, _LOCAL_FOLD,
+                                     _LOCAL_ACCUMULATE), 2)
             + "else:\n"
             + _indent(generic, 1))
 
 
-def _fast_deliver(has_paco: bool, gate: Optional[str]) -> bool:
-    """Whether a shape inlines the single-(PaCo, diagram) delivery.
-
-    Only the fig8/9 accuracy sweep attaches that observer, and it never
-    gates; gated shapes deliver through the generic arm (correct for any
-    observers), which keeps their generated source — compiled per
-    gating job, on top of the ungated shapes — to the size it needs.
-    """
-    return has_paco and gate is None
-
-
-def _inline_deliveries(source: str) -> str:
-    """Splice :data:`_FAST_DELIVER` over every generic delivery site.
+def _inline_deliveries(source: str, targets) -> str:
+    """Give every generic delivery site an inlined arm over the plan.
 
     Every observer delivery in the generated sources is the literal
     three-line ``for observer in observers: observer.record_runs(events)``
     / ``del events[:]`` sequence; this rewrites each occurrence (at its
-    own indentation) into the fast-path branch, keeping the trailing
-    ``del`` shared by both arms.
+    own indentation) into ``if dv_plan is None:`` the generic loop,
+    ``else:`` the inlined delivery, keeping the trailing ``del`` shared
+    by both arms.
     """
+    arm = ("if dv_plan is None:\n"
+           "    for observer in observers:\n"
+           "        observer.record_runs(events)\n"
+           "else:\n"
+           + _indent(_plan_delivery(targets, _EVENTS_FOLD,
+                                    _EVENTS_ACCUMULATE), 1)).rstrip("\n")
     lines = source.split("\n")
     out: list = []
     i = 0
@@ -795,8 +834,8 @@ def _inline_deliveries(source: str) -> str:
                 and lines[i + 1].lstrip() == "observer.record_runs(events)"
                 and lines[i + 2].lstrip() == "del events[:]"):
             indent = line[:len(line) - len(stripped)]
-            for fast_line in _FAST_DELIVER.rstrip("\n").split("\n"):
-                out.append(indent + fast_line if fast_line else fast_line)
+            for arm_line in arm.split("\n"):
+                out.append(indent + arm_line if arm_line else arm_line)
             out.append(lines[i + 2])
             replaced += 1
             i += 3
@@ -998,7 +1037,7 @@ def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
     ``gate`` (a :data:`_GATES` key, or None for the ungated shapes) adds
     the inlined ``GatedTraceSession._gated_wait`` before every step.
     """
-    fast_deliver = _fast_deliver(has_paco, gate)
+    targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
     setup = ""
     fetch_members = ""
     resolve_members = ""
@@ -1110,8 +1149,8 @@ col_j = self._col_j
 '''
     if has_pbm:
         hoists += "col_pbm = self._col_pbm\n"
-    if fast_deliver:
-        hoists += _FP_HOISTS
+    if targets is not None:
+        hoists += _PLAN_HOISTS
     hoists += '''\
 gaps = self._gap_buf
 gap_pos = self._gap_pos
@@ -1168,13 +1207,13 @@ def _fused_step_block(self, max_instructions, max_cycles):
                 excess = inflight - resolve_window
                 while excess > 0:
 '''
-              + _indent(_good_drain(resolve_members, fast_deliver), 5) + '''\
+              + _indent(_good_drain(resolve_members, targets), 5) + '''\
             if predicted:
                 break
             predicted = True
             kind = block_kinds[i]
             if has_observers:
-''' + _indent(_runs_delivery("kind is kind_conditional", fast_deliver),
+''' + _indent(_runs_delivery("kind is kind_conditional", targets),
               4) + '''\
             run_fetch = 0
             run_execute = 0
@@ -1214,8 +1253,8 @@ def _fused_step_block(self, max_instructions, max_cycles):
     history.value = col_f[i]
 '''
               + _indent(stat_sync + sync, 1))
-    if fast_deliver:
-        source = _inline_deliveries(source)
+    if targets is not None:
+        source = _inline_deliveries(source, targets)
     return source
 
 
@@ -1370,7 +1409,7 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
     per-slot skeleton of ``GatedTraceSession._replay_wrongpath`` (see
     :data:`_GATED_EPISODE`).
     """
-    fast_deliver = _fast_deliver(has_paco, gate)
+    targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
     setup = _REPLAY_MASKS
     fetch_members = ""
     resolve_members = ""
@@ -1407,18 +1446,18 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
         fetch_members += _PROF_FETCH
         resolve_members += _PROF_RESOLVE
         squash_members += _PROF_SQUASH
-    if fast_deliver:
-        setup += _FP_HOISTS
+    if targets is not None:
+        setup += _PLAN_HOISTS
 
     predict_wp = _PREDICT_WP % {
         "fetch_members": fetch_members,
         "record_init": _record_init("h", "wp_sid[g]", has_paco, has_static,
                                     has_pbm, has_tc, has_prof),
     }
-    drain = _episode_drain(resolve_members, squash_members, fast_deliver)
+    drain = _episode_drain(resolve_members, squash_members, targets)
     parts = {
         "drain": _indent(drain, 5),
-        "deliver": _indent(_runs_delivery("", fast_deliver), 4),
+        "deliver": _indent(_runs_delivery("", targets), 4),
         "predict": _indent(predict_wp, 3),
         "tick": _indent(_TICK, 2) if cycle_work else "",
     }
@@ -1480,8 +1519,8 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
     self._finish_wrongpath(
         trigger, {issued} - self.config.frontend_depth)
 ''')
-    if fast_deliver:
-        source = _inline_deliveries(source)
+    if targets is not None:
+        source = _inline_deliveries(source, targets)
     return source
 
 
@@ -1627,18 +1666,19 @@ class FusedTraceSession(TraceSession):
                 raise ValueError(
                     f"the fused loops do not model {self.gating_policy.name};"
                     " build GatedTraceSession")
-        #: The inlined-delivery target: the reliability diagram when the
-        #: attached observers are exactly one MultiPredictorObserver over
-        #: this session's PaCo (resolved per block by ``_step_block``),
-        #: None otherwise (generic delivery).
-        self._fp_diag = None
-        #: register -> decoded probability memo for the inlined delivery.
-        self._fp_probs: dict = {}
         self._paco = members.get("paco")
         self._static = members.get("static")
         self._pbm = members.get("pbm")
         self._tc = members.get("tc")
         self._profiler = members.get("profiler")
+        #: The delivery plan of the block being stepped (see
+        #: :meth:`_delivery_plan`); None delivers generically.
+        self._dv_plan = None
+        #: register -> clamped probability memo per probability member,
+        #: keyed by the member's id; kept across blocks.
+        self._prob_memos = {id(member): {} for member in
+                            (self._paco, self._static, self._pbm)
+                            if member is not None}
         #: Encoded-probability memo for the per-branch MRT, keyed by the
         #: entry's (correct, total) counters — the exact inputs of
         #: ``_encoded_for`` — so repeated lookups skip the float/log math.
@@ -1726,28 +1766,71 @@ class FusedTraceSession(TraceSession):
                     return
         col_f[stop] = h
 
+    def _delivery_plan(self):
+        """Resolve the inlined observer delivery for the current block.
+
+        Returns ``(diagram targets, counter targets)`` when every attached
+        observer is one the generated delivery models exactly, else None
+        (each delivery calls every observer's ``record_runs``).  Exact
+        types only: at most one :class:`MultiPredictorObserver`, whose
+        predictors are all this session's own PaCo / Static-MRT /
+        per-branch-MRT members, each pair a ``(predictor, memo, bins,
+        num_bins, diagram)`` target; and any number of
+        :class:`CounterGoodpathObserver` over the count member, or
+        :class:`PhaseAwareCounterObserver` over it and this session's
+        generator, each an ``(instances, goodpath, max_count)`` target.
+        A phase-aware observer targets its current phase's lists only once
+        that phase exists in it; until then the block delivers
+        generically, which creates the entry exactly when the observer
+        would (the label cannot change inside a staged block).  Gated
+        sessions always deliver generically.
+        """
+        if self.gating_policy is not None:
+            return None
+        memos = self._prob_memos
+        tc = self._tc
+        generator = self.fetch_engine.generator
+        diagrams = None
+        counters = []
+        for observer in self.observers:
+            kind = type(observer)
+            if kind is MultiPredictorObserver:
+                if diagrams is not None:
+                    return None
+                diagrams = []
+                for predictor, diagram in observer._pairs:
+                    memo = memos.get(id(predictor))
+                    if memo is None:
+                        return None
+                    diagrams.append((predictor, memo, diagram.bins,
+                                     diagram.num_bins, diagram))
+            elif kind is CounterGoodpathObserver:
+                if tc is None or observer.predictor is not tc:
+                    return None
+                counters.append((observer.instances,
+                                 observer.goodpath_instances,
+                                 observer.max_count))
+            elif kind is PhaseAwareCounterObserver:
+                if (tc is None or observer.predictor is not tc
+                        or observer.generator is not generator):
+                    return None
+                phase = generator.current_phase_label or "all"
+                instances = observer._instances.get(phase)
+                if instances is None:
+                    return None
+                counters.append((instances, observer._goodpath[phase],
+                                 observer.max_count))
+            else:
+                return None
+        return tuple(diagrams or ()), tuple(counters)
+
     def _step_block(self, max_instructions: int, max_cycles: int) -> None:
-        observers = self.observers
-        fp_diag = None
-        if len(observers) > 1:
-            # Several observers share one fold per delivery.
-            if type(self._events) is list:
-                self._events = RunEventBatch(self._events)
-        else:
-            if type(self._events) is not list:
-                self._events = list(self._events)
-            if observers:
-                observer = observers[0]
-                if type(observer) is MultiPredictorObserver:
-                    pairs = observer._pairs
-                    if len(pairs) == 1 and pairs[0][0] is self._paco:
-                        fp_diag = pairs[0][1]
-        self._fp_diag = fp_diag
         if self._branch_pos >= self._branch_len:
             if not self._refill_block():
                 self._step_boundary_branch()
                 return
             self._stage(0)
+        self._dv_plan = self._delivery_plan()
         self._fused_step(self, max_instructions, max_cycles)
 
 

@@ -15,7 +15,13 @@ from typing import Dict, Iterable, Optional, Sequence
 from repro.common.stats import ReliabilityDiagram
 from repro.pathconf.base import PathConfidencePredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
-from repro.pipeline.core import InstanceObserver, RunEventBatch
+from repro.pipeline.core import InstanceObserver
+
+
+def _check_count(count: int, max_count: int) -> None:
+    """Counter observers' query range: a negative count would index from the end."""
+    if not 0 <= count <= max_count:
+        raise ValueError(f"count {count} out of range")
 
 
 class PathConfidenceObserver(InstanceObserver):
@@ -71,6 +77,11 @@ class MultiPredictorObserver(InstanceObserver):
         self.diagrams: Dict[str, ReliabilityDiagram] = {}
         self._predictors = list(predictors)
         for predictor in self._predictors:
+            if predictor.name in self.diagrams:
+                # Two predictors would share (and double-count into) one
+                # diagram.
+                raise ValueError(
+                    f"duplicate predictor name {predictor.name!r}")
             self.diagrams[predictor.name] = ReliabilityDiagram(num_bins=num_bins)
         # (predictor, diagram) pairs resolved once: record_run runs per
         # instance run, so the per-call name lookups add up.
@@ -104,22 +115,14 @@ class MultiPredictorObserver(InstanceObserver):
                 diagram.record(predictor.goodpath_probability(),
                                on_goodpath, weight=weight)
             return
-        if type(events) is RunEventBatch:
-            # The vectorized trace session shares one fold across every
-            # observer of the delivery.
-            events.ensure_folded()
-            weights = events.weights
-            instances = events.instances
-            goodpath = events.goodpath
-        else:
-            weights = events[3::4]
-            instances = 0
-            goodpath = 0
-            for i in range(1, len(events), 4):
-                weight = events[i + 2]
-                instances += weight
-                if events[i]:
-                    goodpath += weight
+        weights = events[3::4]
+        instances = 0
+        goodpath = 0
+        for i in range(1, len(events), 4):
+            weight = events[i + 2]
+            instances += weight
+            if events[i]:
+                goodpath += weight
         for predictor, diagram in self._pairs:
             diagram.record_folded(predictor.goodpath_probability(),
                                   weights, instances, goodpath)
@@ -167,30 +170,25 @@ class CounterGoodpathObserver(InstanceObserver):
             if events[1]:
                 self.goodpath_instances[bucket] += weight
             return
-        if type(events) is RunEventBatch:
-            events.ensure_folded()
-            instances = events.instances
-            goodpath = events.goodpath
-        else:
-            instances = 0
-            goodpath = 0
-            for i in range(3, len(events), 4):
-                weight = events[i]
-                instances += weight
-                if events[i - 2]:
-                    goodpath += weight
+        instances = 0
+        goodpath = 0
+        for i in range(3, len(events), 4):
+            weight = events[i]
+            instances += weight
+            if events[i - 2]:
+                goodpath += weight
         self.instances[bucket] += instances
         self.goodpath_instances[bucket] += goodpath
 
     def goodpath_probability(self, count: int) -> float:
         """Observed good-path probability when exactly ``count`` branches are out."""
-        if not 0 <= count <= self.max_count:
-            raise ValueError(f"count {count} out of range")
+        _check_count(count, self.max_count)
         if self.instances[count] == 0:
             return 0.0
         return self.goodpath_instances[count] / self.instances[count]
 
     def occupancy(self, count: int) -> int:
+        _check_count(count, self.max_count)
         return self.instances[count]
 
 
@@ -233,18 +231,13 @@ class PhaseAwareCounterObserver(InstanceObserver):
             self._instances[phase] = [0] * (self.max_count + 1)
             self._goodpath[phase] = [0] * (self.max_count + 1)
         bucket = min(self.predictor.low_confidence_count, self.max_count)
-        if type(events) is RunEventBatch:
-            events.ensure_folded()
-            instances = events.instances
-            goodpath = events.goodpath
-        else:
-            instances = 0
-            goodpath = 0
-            for i in range(3, len(events), 4):
-                weight = events[i]
-                instances += weight
-                if events[i - 2]:
-                    goodpath += weight
+        instances = 0
+        goodpath = 0
+        for i in range(3, len(events), 4):
+            weight = events[i]
+            instances += weight
+            if events[i - 2]:
+                goodpath += weight
         self._instances[phase][bucket] += instances
         self._goodpath[phase][bucket] += goodpath
 
@@ -252,6 +245,7 @@ class PhaseAwareCounterObserver(InstanceObserver):
         return list(self._instances)
 
     def goodpath_probability(self, phase: str, count: int) -> float:
+        _check_count(count, self.max_count)
         if phase not in self._instances:
             raise KeyError(f"unknown phase {phase!r}")
         if self._instances[phase][count] == 0:
@@ -259,6 +253,7 @@ class PhaseAwareCounterObserver(InstanceObserver):
         return self._goodpath[phase][count] / self._instances[phase][count]
 
     def occupancy(self, phase: str, count: int) -> int:
+        _check_count(count, self.max_count)
         if phase not in self._instances:
             return 0
         return self._instances[phase][count]

@@ -104,60 +104,6 @@ class InstanceObserver:
                        events[i + 3])
 
 
-class RunEventBatch(list):
-    """A run-event buffer whose aggregate fold is computed once per batch.
-
-    The flat stride-4 ``(kind, on_goodpath, cycle, count)`` layout of
-    :meth:`InstanceObserver.record_runs` stays unchanged — this *is* a
-    list, and every delivery/extend/clear site works on it untouched.
-    What the subclass adds is a lazily computed fold of the columns every
-    aggregate observer needs (the per-event weights, the total instance
-    count and the good-path instance count), shared across all observers
-    of one delivery instead of recomputed per observer.  The vectorized
-    trace session allocates its event buffer as a :class:`RunEventBatch`;
-    observers opt in with :meth:`ensure_folded` and fall back to their own
-    fold on plain lists, so the scalar backends are untouched.
-    """
-
-    __slots__ = ("weights", "instances", "goodpath", "_folded_length")
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.weights: list = []
-        self.instances = 0
-        self.goodpath = 0
-        self._folded_length = -1
-
-    def ensure_folded(self) -> None:
-        """Fold the batch once; later callers on the same content reuse it."""
-        length = len(self)
-        if self._folded_length == length:
-            return
-        self.weights = weights = self[3::4]
-        instances = 0
-        goodpath = 0
-        position = 1
-        for weight in weights:
-            instances += weight
-            if self[position]:
-                goodpath += weight
-            position += 4
-        self.instances = instances
-        self.goodpath = goodpath
-        self._folded_length = length
-
-    def __delitem__(self, index) -> None:
-        # The sessions reuse one buffer across deliveries (``del
-        # events[:]``); a refill to the same length must not reuse the
-        # previous batch's fold.
-        self._folded_length = -1
-        super().__delitem__(index)
-
-    def clear(self) -> None:
-        self._folded_length = -1
-        super().clear()
-
-
 @dataclass
 class CoreStats:
     """Aggregate statistics of one core run."""

@@ -52,8 +52,15 @@ from repro.eval.harness import (
     run_gating_experiment,
     run_single_thread_ipc,
 )
+from repro.eval.observers import (
+    CounterGoodpathObserver,
+    MultiPredictorObserver,
+)
+from repro.eval.profiling import MDCProfiler
 from repro.pathconf.base import PathConfidencePredictor
+from repro.pathconf.composite import CompositePathConfidence
 from repro.pathconf.paco import PaCoPredictor
+from repro.pathconf.static_mrt import StaticMRTPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.core import InstanceObserver, SimulationTruncated
 from repro.pipeline.gating import (
@@ -795,36 +802,95 @@ class TestFusedScalarParity:
         assert fused[1] == scalar[1]
         assert fused[0] == scalar[0]
 
-    @pytest.mark.parametrize("instrument", ["paco", "full"])
-    def test_accuracy_diagrams_bit_identical(self, instrument):
-        """The harness-level contract behind the fig8/fig9 sweep: the
-        reliability diagrams — including their *float* ``predicted_sum``
-        accumulators — must match the scalar session bit for bit.
+    #: Accuracy-parity budgets: gcc runs long enough to visit all three
+    #: of its phases and re-enter the first one.
+    ACCURACY_BUDGETS = {"gzip": 8_000, "twolf": 8_000, "gcc": 80_000}
 
-        The ``paco`` profile exercises the generated code's inlined
-        observer delivery (a single ``(PaCo, diagram)`` pair folds into
-        the diagram without materializing event batches); ``full``
-        exercises the generic multi-observer delivery.  Both must replay
-        ``MultiPredictorObserver``'s arithmetic exactly, so equality here
-        is ``==``, not a tolerance."""
+    @staticmethod
+    def _accuracy_state(result):
+        """Every field of an ``AccuracyResult``, each diagram as its raw
+        accumulators (the float ``predicted_sum`` included)."""
+        state = dict(vars(result))
+        state["diagrams"] = {
+            name: (diagram.total_instances, diagram.total_goodpath,
+                   [(bucket.instances, bucket.goodpath_instances,
+                     bucket.predicted_sum) for bucket in diagram.bins])
+            for name, diagram in result.diagrams.items()}
+        return state
+
+    def _check_accuracy(self, benchmark, instrument, fused_backend,
+                        scalar_backend):
         fused, scalar = (
             run_accuracy_experiment(
-                "gzip", instructions=8_000, warmup_instructions=3_000,
-                backend=backend, instrument=instrument)
-            for backend in ("trace", _ScalarTraceBackend())
-        )
-        assert set(fused.diagrams) == set(scalar.diagrams)
-        for name, reference in scalar.diagrams.items():
-            diagram = fused.diagrams[name]
-            assert diagram.total_instances == reference.total_instances
-            assert diagram.total_goodpath == reference.total_goodpath
-            for mine, theirs in zip(diagram.bins, reference.bins):
-                assert mine.instances == theirs.instances
-                assert mine.goodpath_instances == theirs.goodpath_instances
-                assert mine.predicted_sum == theirs.predicted_sum
-        assert fused.rms_errors == scalar.rms_errors
-        assert (fused.conditional_mispredict_rate
-                == scalar.conditional_mispredict_rate)
+                benchmark, instructions=self.ACCURACY_BUDGETS[benchmark],
+                warmup_instructions=3_000, backend=backend,
+                instrument=instrument)
+            for backend in (fused_backend, scalar_backend))
+        assert self._accuracy_state(fused) == self._accuracy_state(scalar)
+        return scalar
+
+    @pytest.mark.parametrize("bench", ["gzip", "twolf", "gcc"])
+    @pytest.mark.parametrize("instrument",
+                             ["full", "mrt", "paco", "counter", "mdc"])
+    def test_accuracy_diagrams_bit_identical(self, instrument, bench):
+        """The harness-level contract behind every accuracy sweep: the whole
+        ``AccuracyResult`` — reliability diagrams including their *float*
+        ``predicted_sum`` accumulators, counter and phase-counter
+        statistics, MDC rates and ``CoreStats`` — must match the scalar
+        session bit for bit.
+
+        Every profile's observer set takes the generated code's inlined
+        delivery plan (diagram targets for PaCo / Static-MRT /
+        per-branch-MRT, counter targets for the count observers), which
+        must replay the observers' arithmetic exactly, so equality here
+        is ``==``, not a tolerance.  twolf is wrong-path heavy (episode
+        deliveries); gcc is phased (phase-aware counter targets)."""
+        scalar = self._check_accuracy(bench, instrument, "trace",
+                                      _ScalarTraceBackend())
+        if bench == "twolf":
+            assert scalar.stats.flushes > 100
+        if bench == "gcc" and instrument in ("full", "counter"):
+            assert len(scalar.phase_counter_goodpath) == 3
+
+    @pytest.mark.parametrize("block_size", [1, 17, 4096])
+    def test_accuracy_block_sizes_bit_identical(self, block_size):
+        """The ``full`` profile on phased gcc at the block-size extremes:
+        the per-block plan re-resolves at every block and phase edge."""
+        self._check_accuracy("gcc", "full",
+                             TraceBackend(block_size=block_size),
+                             _ScalarTraceBackend(block_size=block_size))
+
+    def test_foreign_observer_takes_generic_delivery(self, monkeypatch):
+        """``full`` plus one observer the plan does not model: every block
+        delivers through ``record_runs`` and still matches the scalar
+        session, the extra observer included."""
+        plans = []
+        resolve = FusedTraceSession._delivery_plan
+
+        def spy(self):
+            plan = resolve(self)
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(FusedTraceSession, "_delivery_plan", spy)
+        extras = []
+
+        def observed(backend_cls):
+            class Observed(backend_cls):
+                def build(self, workload, config, instrument):
+                    session = super().build(workload, config, instrument)
+                    extras.append(_CountingObserver())
+                    session.observers.append(extras[-1])
+                    return session
+            return Observed()
+
+        self._check_accuracy("gcc", "full", observed(TraceBackend),
+                             observed(_ScalarTraceBackend))
+        assert plans and all(plan is None for plan in plans)
+        fused, scalar = extras
+        assert scalar.instances > 0
+        assert (fused.instances, fused.goodpath) == (scalar.instances,
+                                                     scalar.goodpath)
 
 
 #: The gating configurations the fused gate models: count gating at two
@@ -1094,6 +1160,91 @@ class TestFusedSessionRouting:
             Workload(spec=tiny_spec, seed=2), small_machine,
             Instrumentation(path_confidence=_CustomPathConfidence()))
         assert type(session) is TraceSession
+        assert session.run(max_instructions=500).retired_instructions >= 500
+
+
+class _SubclassedMultiObserver(MultiPredictorObserver):
+    """A multi-predictor observer the delivery plan was not written for."""
+
+
+class TestDeliveryPlanRouting:
+    """The fused session inlines observer delivery for every observer set
+    the accuracy harness attaches, and for nothing else, so a profile
+    that loses the inlined delivery fails here instead of silently
+    running slower, and a set the plan does not model is never inlined.
+    """
+
+    #: (diagram targets, counter targets) per profile on an unphased
+    #: benchmark; phased ones add the phase-aware counter observer.
+    TARGETS = {"full": (3, 1), "mrt": (3, 0), "paco": (1, 0),
+               "counter": (0, 1), "mdc": (0, 0)}
+
+    @pytest.mark.parametrize("bench", ["gzip", "gcc"])
+    @pytest.mark.parametrize("instrument", list(TARGETS))
+    def test_harness_observer_sets_resolve_a_plan(self, monkeypatch,
+                                                  instrument, bench):
+        sessions = []
+        plans = []
+        build = TraceBackend.build
+        resolve = FusedTraceSession._delivery_plan
+
+        def build_spy(self, workload, config, instrument):
+            sessions.append(build(self, workload, config, instrument))
+            return sessions[-1]
+
+        def plan_spy(self):
+            plans.append(resolve(self))
+            return plans[-1]
+
+        monkeypatch.setattr(TraceBackend, "build", build_spy)
+        monkeypatch.setattr(FusedTraceSession, "_delivery_plan", plan_spy)
+        run_accuracy_experiment(bench, instructions=40_000,
+                                warmup_instructions=2_000, backend="trace",
+                                instrument=instrument)
+        (session,) = sessions
+        assert type(session) is FusedTraceSession
+        diagrams, counters = self.TARGETS[instrument]
+        if bench == "gcc" and counters:
+            counters += 1
+        shape = (diagrams, counters)
+
+        def shape_of(plan):
+            return None if plan is None else tuple(map(len, plan))
+
+        assert shape_of(session._delivery_plan()) == shape
+        # The run's blocks stepped on that plan, not only its end state.
+        assert [shape_of(plan) for plan in plans].count(shape) > 10
+
+    @pytest.mark.parametrize("case", ["foreign-predictor", "subclass",
+                                      "two-multi", "extra-observer",
+                                      "gated"])
+    def test_unmodelled_observer_sets_resolve_none(self, case):
+        predictors = accuracy_predictors_for("full")
+        paco, static, _, count = predictors
+        composite = CompositePathConfidence(
+            predictors=predictors + [MDCProfiler()], primary=paco)
+        gating = (CountGating(count, gate_count=2) if case == "gated"
+                  else None)
+        session = build_session("gzip", composite, gating_policy=gating,
+                                backend="trace")
+        assert type(session) is (FusedGatedTraceSession if gating
+                                 else FusedTraceSession)
+        session.add_observer(MultiPredictorObserver(predictors[:3]))
+        session.add_observer(CounterGoodpathObserver(count))
+        if case != "gated":
+            # Control: the harness's ``full`` set resolves a plan here.
+            assert session._delivery_plan() is not None
+        if case == "foreign-predictor":
+            session.observers[0] = MultiPredictorObserver(
+                [paco, StaticMRTPredictor()])
+        elif case == "subclass":
+            session.observers[0] = _SubclassedMultiObserver([paco])
+        elif case == "two-multi":
+            session.observers[0] = MultiPredictorObserver([paco])
+            session.add_observer(MultiPredictorObserver([static]))
+        elif case == "extra-observer":
+            session.add_observer(_CountingObserver())
+        assert session._delivery_plan() is None
         assert session.run(max_instructions=500).retired_instructions >= 500
 
 

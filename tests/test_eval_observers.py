@@ -61,6 +61,12 @@ class TestMultiPredictorObserver:
         assert observer.diagrams["paco"].total_instances == 1
         assert set(observer.rms_errors()) == {"paco", "static-mrt"}
 
+    def test_duplicate_predictor_names_rejected(self):
+        # Two same-named predictors would share one diagram and record
+        # every run twice into it.
+        with pytest.raises(ValueError, match="'paco'"):
+            MultiPredictorObserver([PaCoPredictor(), PaCoPredictor()])
+
 
 class TestCounterGoodpathObserver:
     def test_counts_by_counter_value(self):
@@ -82,10 +88,13 @@ class TestCounterGoodpathObserver:
         observer.record("fetch", True, 0)
         assert observer.occupancy(2) == 1
 
-    def test_out_of_range_queries_raise(self):
+    @pytest.mark.parametrize("count", [-1, 5])
+    def test_out_of_range_queries_raise(self, count):
         observer = CounterGoodpathObserver(ThresholdAndCountPredictor(), max_count=4)
         with pytest.raises(ValueError):
-            observer.goodpath_probability(5)
+            observer.goodpath_probability(count)
+        with pytest.raises(ValueError):
+            observer.occupancy(count)
 
     def test_empty_bucket_probability_is_zero(self):
         observer = CounterGoodpathObserver(ThresholdAndCountPredictor(), max_count=4)
@@ -114,6 +123,16 @@ class TestPhaseAwareCounterObserver:
         observer = PhaseAwareCounterObserver(ThresholdAndCountPredictor(),
                                              _FakeGenerator())
         assert observer.occupancy("nope", 0) == 0
+
+    @pytest.mark.parametrize("count", [-1, 5])
+    def test_out_of_range_queries_raise(self, count):
+        observer = PhaseAwareCounterObserver(ThresholdAndCountPredictor(),
+                                             _FakeGenerator(), max_count=4)
+        observer.record("fetch", True, 0)
+        with pytest.raises(ValueError):
+            observer.goodpath_probability("p0", count)
+        with pytest.raises(ValueError):
+            observer.occupancy("p0", count)
 
 
 class TestRecordRunsBatching:
