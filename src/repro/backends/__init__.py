@@ -13,11 +13,10 @@ Every experiment harness runs its workloads through a
     engine for predictor- and confidence-level statistics.  Stacks that
     :func:`~repro.backends.fused._fused_plan` models run on
     :class:`~repro.backends.fused.FusedTraceSession` (generated predictor
-    loops), or under a count or PaCo gate on
-    :class:`~repro.backends.fused.FusedGatedTraceSession`; every other
-    stack runs on the scalar :class:`~repro.backends.trace.TraceSession`
-    or :class:`~repro.backends.trace.GatedTraceSession`, the
-    bit-identical references.
+    loops, with a count or PaCo gate in them when gated); every other
+    stack or gate runs on the plain
+    :class:`~repro.backends.trace.TraceSession`, the bit-identical
+    reference.
 
 Select one by name through :func:`~repro.backends.base.get_backend`, the
 ``backend=`` parameter of the harness entry points, the ``backend`` field

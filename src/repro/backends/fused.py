@@ -1,12 +1,12 @@
 """The fused trace session: codegen-fused predictor loops on the trace replay.
 
 :class:`FusedTraceSession` is what :class:`~repro.backends.trace.TraceBackend`
-builds for every ungated predictor stack :func:`_fused_plan` models, and
-:class:`FusedGatedTraceSession` for such a stack under a count or PaCo
-fetch gate (:func:`_fused_gate`).  It reuses every mechanism of the
-batched :class:`TraceSession` — block staging, closed-form gap drawing,
-the in-flight slot window, run-event batching — and replaces the per-branch python predictor work with
-step/episode loops generated per predictor-stack shape:
+builds for every predictor stack :func:`_fused_plan` models, ungated or
+under a count or PaCo fetch gate (:func:`_fused_gate`).  It reuses every
+mechanism of the plain :class:`TraceSession` — block staging,
+closed-form gap drawing, the in-flight slot window, run-event batching —
+and replaces the per-branch python predictor work with step/episode
+loops generated per predictor-stack shape:
 
 * per staged :class:`~repro.workloads.generator.BranchBlock`,
   :meth:`FusedTraceSession._stage` computes the speculative global
@@ -29,46 +29,40 @@ step/episode loops generated per predictor-stack shape:
 
 Everything that is *not* the straight-line good path runs the scalar
 machinery on the shared state: phase-boundary branches step through
-:meth:`TraceSession._step_boundary_branch` (behind the gate wait of
-:meth:`GatedTraceSession._step_boundary_branch` when gated),
-non-conditional branches predict through ``FetchEngine.predict_from_block``
-(RAS / indirect-target state stays live), and a misprediction episode
-that leaves the history register diverged re-stages the affected span.
-Stacks the generated loops do not model — custom path confidence
-predictors, oracle tokens, JRS-less configurations — and gating policies
-they do not model (``ProbabilityGating``, policies over a predictor that
-is not the stack's own member) get the scalar :class:`TraceSession` or
-:class:`GatedTraceSession` instead.
+:meth:`TraceSession._step_boundary_branch` (gate wait and wrong-path
+episode included), non-conditional branches predict through
+``FetchEngine.predict_from_block`` (RAS / indirect-target state stays
+live), and a misprediction episode that leaves the history register
+diverged re-stages the affected span.  Stacks the generated loops do not
+model — custom path confidence predictors, oracle tokens, JRS-less
+configurations — and gating policies they do not model
+(``ProbabilityGating``, policies over a predictor that is not the
+stack's own member) get the plain :class:`TraceSession` instead.
 
 The gate is the seventh stack-shape flag: none, count or paco.  A gated
-step inlines ``GatedTraceSession._gated_wait`` before every gap+branch
-step, and a gated episode runs the scalar gated episode's per-slot
-skeleton (gate check, then one gap draw and one generated branch) with
-the fused predicts and drains.  Ungated shapes generate exactly the
-source they did before the flag existed.
+step inlines ``TraceSession._gated_wait`` before every gap+branch step,
+and a gated episode runs the plain episode's per-slot skeleton (gate
+check, then one gap draw and one generated branch) with the fused
+predicts and drains.  Ungated shapes generate exactly the source they
+did before the flag existed.
 
-The contract is bit-identity with the scalar sessions, which stay as the
-references: the run-event stream, every statistic and every trained
+The contract is bit-identity with :class:`TraceSession`, which stays as
+the reference: the run-event stream, every statistic and every trained
 table must match exactly (``tests/test_backends.py`` pins block sizes
 1/17/256/4096 for paco/counter and wrong-path-heavy configs, the
 whole ``AccuracyResult`` of every accuracy profile at the harness
 level, the reliability diagrams' float accumulators included, and the
-fused gate against :class:`GatedTraceSession` on tiny, wrong-path-heavy
-and phased specs).
+fused gate against the gated :class:`TraceSession` on tiny,
+wrong-path-heavy and phased specs).
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from typing import Optional
 
-from repro.backends.trace import (
-    GatedTraceSession,
-    TraceSession,
-    _compile_method,
-    _has_cycle_work,
-    _indent,
-)
+from repro.backends.trace import TraceSession, _has_cycle_work
 from repro.branch_predictor.btb import _BTBSet
 from repro.branch_predictor.engine import BranchRecord
 from repro.common.rng import _MASK64
@@ -87,17 +81,17 @@ from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.gating import CountGating, GatingPolicy, PaCoGating
+from repro.workloads.generator import BranchBlock
 
 
 # --------------------------------------------------------------------- #
 # Fused-loop codegen.
 #
-# Like the trace backend's templates, the hot loops are assembled from
-# module-level source fragments and compiled once per predictor-stack
-# shape (which built-in path confidence predictors are attached, whether
-# any cycle-periodic work exists, and which fetch gate, if any, is in the
-# loop).  Every fragment is written at zero indentation and placed with
-# the trace module's ``_indent``.
+# The hot loops are assembled from module-level source fragments and
+# compiled once per predictor-stack shape (which built-in path confidence
+# predictors are attached, whether any cycle-periodic work exists, and
+# which fetch gate, if any, is in the loop).  Every fragment is written
+# at zero indentation and placed with ``_indent``.
 #
 # Fragment vocabulary: ``record``/``entry`` (the BranchRecord being
 # fetched / resolved), ``mdc`` (its JRS value), ``i`` (block position,
@@ -108,6 +102,28 @@ from repro.pipeline.gating import CountGating, GatingPolicy, PaCoGating
 # registers, the low-confidence count, the MRT counters and encoded
 # probabilities) is kept live.
 # --------------------------------------------------------------------- #
+
+
+def _indent(source: str, levels: int) -> str:
+    pad = "    " * levels
+    return "".join(pad + line if line.strip() else line
+                   for line in source.splitlines(True))
+
+
+def _compile_method(name: str, source: str, scope: dict, tag: str = ""):
+    """Compile one generated method against the module globals ``scope``.
+
+    The source is registered with :mod:`linecache` under a filename naming
+    the module, the method and ``tag`` (the stack shape), so tracebacks
+    show the generated lines.
+    """
+    filename = f"<{scope['__name__']}:{name}{':' + tag if tag else ''}>"
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), scope, namespace)
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    return namespace[name]
+
 
 _PROLOGUE = '''\
 engine = self.fetch_engine
@@ -621,7 +637,7 @@ _GATES = {
 
 def _good_gate_wait(gate_expr: str, resolve_members: str,
                     cycle_work: bool) -> str:
-    """``GatedTraceSession._gated_wait`` before a good-path step (zero indent).
+    """``TraceSession._gated_wait`` before a good-path step (zero indent).
 
     Each gated cycle completes one slot through the good-path drain (the
     window invariants hold while fetch is stalled) and ticks; the budget
@@ -1035,7 +1051,7 @@ def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
     """Assemble the fused ``_fused_step_block`` source for one stack shape.
 
     ``gate`` (a :data:`_GATES` key, or None for the ungated shapes) adds
-    the inlined ``GatedTraceSession._gated_wait`` before every step.
+    the inlined ``TraceSession._gated_wait`` before every step.
     """
     targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
     setup = ""
@@ -1322,7 +1338,7 @@ _EPISODE = '''\
 %(tick)s'''
 
 #: The gated episode body: the per-slot loop of
-#: ``GatedTraceSession._replay_wrongpath``.  The budget counts cycles; a
+#: ``TraceSession._replay_wrongpath``.  The budget counts cycles; a
 #: gated slot completes the oldest in-flight slot (if any) and ticks,
 #: otherwise exactly one gap is drawn — ``geometric_block(..., 1)`` with
 #: the xorshift inlined on a local copy of the stream state — clamped to
@@ -1406,7 +1422,7 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
     """Assemble the fused ``_fused_replay_wrongpath`` source for one shape.
 
     Ungated shapes pre-draw the whole episode; a ``gate`` swaps in the
-    per-slot skeleton of ``GatedTraceSession._replay_wrongpath`` (see
+    per-slot skeleton of ``TraceSession._replay_wrongpath`` (see
     :data:`_GATED_EPISODE`).
     """
     targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
@@ -1566,9 +1582,9 @@ def _fused_plan(fetch_engine: FetchEngine):
     """Decide whether the fused loops model this engine's stack exactly.
 
     Returns the ``{key: predictor}`` member map when they do, or None to
-    fall back to the scalar :class:`TraceSession` (which is always
+    fall back to the plain :class:`TraceSession` (which is always
     correct); a gated stack needs :func:`_fused_gate` to model its
-    policy as well, or it falls back to :class:`GatedTraceSession`.  The
+    policy as well, or it falls back to :class:`TraceSession` too.  The
     checks are exact-type and exhaustive on purpose: anything the
     generated fragments were not written against — custom path
     confidence predictors, subclassed members, oracle tokens, JRS-less
@@ -1617,7 +1633,7 @@ def _fused_plan(fetch_engine: FetchEngine):
 def _fused_gate(policy: GatingPolicy, members: dict) -> Optional[str]:
     """The :data:`_GATES` kind that models ``policy`` over ``members``.
 
-    Returns None — build the scalar :class:`GatedTraceSession` — for
+    Returns None — build the plain :class:`TraceSession` — for
     anything else: ``ProbabilityGating``, subclassed policies, and
     count/PaCo policies over a predictor that is not the session's own
     member (the generated gate reads the member's live state).
@@ -1641,31 +1657,30 @@ class FusedTraceSession(TraceSession):
     Construction requires a *member map* from :func:`_fused_plan`; the
     session compiles (or reuses) the fused step/episode methods for that
     stack shape and keeps the staged index columns (``_col_*``) aligned
-    with the live block buffer.  Every fallback path — phase boundaries,
-    non-conditional predicts, the episode tail — runs the inherited
-    scalar machinery on the same shared state.
+    with the live block buffer.  A ``gating_policy`` must be one
+    :func:`_fused_gate` models; the generated loops then carry the gate.
+    Every fallback path — phase boundaries, non-conditional predicts, the
+    episode tail — runs the inherited plain machinery on the same shared
+    state.
     """
-
-    #: No gate: the generated loops' gate flag is off.
-    #: :class:`FusedGatedTraceSession` gets a policy from
-    #: :class:`GatedTraceSession`.
-    gating_policy: Optional[GatingPolicy] = None
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
                  observers, resolve_window: int, mispredict_window: int,
                  members: dict, block_size: Optional[int] = None,
-                 **kwargs) -> None:
-        # ``kwargs`` go on along the MRO: the gated subclass passes
-        # ``gating_policy`` through to GatedTraceSession.
+                 gating_policy: Optional[GatingPolicy] = None) -> None:
         super().__init__(fetch_engine, config, observers, resolve_window,
-                         mispredict_window, block_size=block_size, **kwargs)
+                         mispredict_window, block_size=block_size,
+                         gating_policy=gating_policy)
         gate = None
-        if self.gating_policy is not None:
-            gate = _fused_gate(self.gating_policy, members)
+        if gating_policy is not None:
+            gate = _fused_gate(gating_policy, members)
             if gate is None:
                 raise ValueError(
-                    f"the fused loops do not model {self.gating_policy.name};"
-                    " build GatedTraceSession")
+                    f"the fused loops do not model {gating_policy.name};"
+                    " build TraceSession")
+        # The ungated episode draws every gap and branch up front.
+        self._wp_gap_buf = [0] * mispredict_window
+        self._wp_episode_block = BranchBlock(mispredict_window)
         self._paco = members.get("paco")
         self._static = members.get("static")
         self._pbm = members.get("pbm")
@@ -1833,15 +1848,3 @@ class FusedTraceSession(TraceSession):
         self._dv_plan = self._delivery_plan()
         self._fused_step(self, max_instructions, max_cycles)
 
-
-class FusedGatedTraceSession(FusedTraceSession, GatedTraceSession):
-    """The fused session with a count or PaCo fetch gate in its loops.
-
-    Built for the gating policies :func:`_fused_gate` models; bit-identical
-    to :class:`GatedTraceSession`, which stays the reference and the
-    fallback.  The generated step and episode carry the gate; everything
-    else comes from the MRO: the block wrapper and staging from
-    :class:`FusedTraceSession`, and from :class:`GatedTraceSession` the
-    gated boundary step (its wait, then a scalar step whose episode is the
-    gated scalar ``_replay_wrongpath``) with its gated-cycle helpers.
-    """

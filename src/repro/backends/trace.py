@@ -29,14 +29,14 @@ Per block (``--block-size`` / ``REPRO_TRACE_BLOCK``, default
   (:meth:`~repro.pipeline.fetch.FetchEngine.predict_from_block` /
   :meth:`~repro.pipeline.fetch.FetchEngine.resolve_record`), with the
   in-flight window holding the
-  :class:`~repro.branch_predictor.engine.BranchRecord` itself;
-* a wrong-path episode is fused the same way: all of its gap lengths
-  come from one
-  :meth:`~repro.common.rng.DeterministicRng.geometric_episode` call and
-  all of its branches from one
-  :meth:`~repro.workloads.generator.WrongPathGenerator.next_branch_block`
-  call (the gap and content streams are independent, so batching each
-  preserves its per-stream draw order bit for bit).
+  :class:`~repro.branch_predictor.engine.BranchRecord` itself.
+
+A wrong-path episode draws one gap and one branch per slot (a gate may
+stall any slot); the fused session draws a whole ungated episode in one
+:meth:`~repro.common.rng.DeterministicRng.geometric_episode` call and one
+:meth:`~repro.workloads.generator.WrongPathGenerator.next_branch_block`
+call.  The gap and content streams are independent, so either way each
+stream is consumed in the same order, bit for bit.
 
 Blocking changes *when* values are computed, never *which*: every stream
 is consumed in the same per-branch order as the scalar path, phased
@@ -70,11 +70,11 @@ between two predictor state changes every instance carries identical
 observable state, so the engine counts instances in run counters and
 closes the run — one ``(kind, on_goodpath, cycle, count)`` event — at
 each scalar flush point.  Second, closed events themselves buffer in a
-flat stride-4 column list across every span where predictor state
-provably does not change: a *conditional* branch prediction or
-resolution (``path_token`` set), a re-log pass that reports a change,
-and a phase roll force the buffer out through
-:meth:`~repro.pipeline.core.InstanceObserver.record_runs`, while
+flat stride-4 column list across spans where predictor state provably
+does not change: a branch prediction (in the fused loops only a
+*conditional* one), a conditional resolution (``path_token`` set), a
+re-log pass that reports a change, and a phase roll force the buffer out
+through :meth:`~repro.pipeline.core.InstanceObserver.record_runs`, while
 non-conditional resolutions and quiet ticks merely close events into it.
 An observer therefore reads predictor state once per delivered batch,
 and reads exactly the values the per-event calls would have read —
@@ -85,23 +85,20 @@ replay clock (slots fetched, plus redirect stalls, plus gated stalls) is
 an estimated cycle count, so ``stats.ipc`` is meaningful — not
 cycle-accurate, but preserving the orderings the application studies
 consume (``supports_timing``).  Fetch gating is modelled on top of it by
-:class:`GatedTraceSession` (``supports_gating``) and its fused twin
-:class:`~repro.backends.fused.FusedGatedTraceSession`: a gated cycle stalls
-fetch while the oldest in-flight slot completes, so good-path gated
-cycles show up as pure IPC loss while wrong-path gated cycles trade
-fetched wrong-path slots for (nearly free) stall cycles — exactly the
-energy/performance trade-off of fig10.  SMT arbitration over two
+a session's optional ``gating_policy`` (``supports_gating``): a gated
+cycle stalls fetch while the oldest in-flight slot completes, so
+good-path gated cycles show up as pure IPC loss while wrong-path gated
+cycles trade fetched wrong-path slots for (nearly free) stall cycles —
+exactly the energy/performance trade-off of fig10.  SMT arbitration over two
 interleaved trace sessions lives in :mod:`repro.backends.smt_trace`.
 
 For the predictor stacks the campaigns run, :class:`TraceBackend` builds
 :class:`~repro.backends.fused.FusedTraceSession`, which replaces this
 module's per-branch predictor calls with generated loops over staged
-table-index columns — and, under a count or PaCo gate over the stack's
-own member (every fig10 gating job),
-:class:`~repro.backends.fused.FusedGatedTraceSession`, whose loops carry
-the gate.  The scalar :class:`TraceSession` and :class:`GatedTraceSession`
-here are the fallbacks for every other stack and policy and the
-references the fused sessions are pinned against.
+table-index columns; under a count or PaCo gate over the stack's own
+member (every fig10 gating job) those loops carry the gate.  The plain
+:class:`TraceSession` here is the fallback for every other stack and
+policy and the reference the fused session is pinned against.
 
 Parity with the cycle backend for fig2 MDC rates, fig3 counters, fig8/9
 reliability, table7 RMS and tableA1 MRT variants — and for the fig10
@@ -114,7 +111,6 @@ timing numbers.
 
 from __future__ import annotations
 
-import linecache
 import math
 import os
 from collections import deque
@@ -187,483 +183,6 @@ def _has_cycle_work(path_confidence) -> bool:
     return cls_on_cycle is not PathConfidencePredictor.on_cycle
 
 
-# --------------------------------------------------------------------- #
-# The one drain body.
-#
-# Completing the oldest in-flight slots is needed in four places — after
-# a good-path gap, after a good-path branch, inside a wrong-path episode
-# and on a gated stall cycle — and it must run on *loop locals* in the
-# batched paths (an attribute round-trip per slot would dominate the hot
-# loop).  Rather than maintaining textual copies that can drift, the body
-# exists once below and is compiled into each consumer: the block step,
-# the fused wrong-path episode, and the self-state
-# ``_complete_oldest(excess)`` wrapper the scalar/gated paths call.
-# ``tests/test_trace_drain.py`` pins all consumers against a reference
-# implementation.
-#
-# Local vocabulary (bound by every consumer): ``window`` (deque of
-# BranchRecord-or-signed-int runs), ``excess`` (slots still to
-# complete), ``inflight``, ``engine``, ``cycle``, the pending-run
-# counters ``run_fetch``/``run_execute``/``run_goodpath``, the event
-# buffer ``events`` + ``observers``/``has_observers``,
-# ``kind_conditional``, and the stat deltas ``good_executed``/
-# ``bad_executed``/``retired``/``branches_retired``/
-# ``branch_misp_retired``/``cond_retired``/``cond_misp_retired``.
-# --------------------------------------------------------------------- #
-
-_DRAIN_BODY = '''\
-entry = window[0]
-if type(entry) is int:
-    if entry > 0:
-        take = entry if entry <= excess else excess
-        good_executed += take
-        retired += take
-    else:
-        take = -entry if -entry <= excess else excess
-        bad_executed += take
-    run_execute += take
-    if take < (entry if entry > 0 else -entry):
-        window[0] = entry - take if entry > 0 else entry + take
-    else:
-        window.popleft()
-    excess -= take
-    inflight -= take
-else:
-    window.popleft()
-    inflight -= 1
-    excess -= 1
-    # A branch resolution closes the pending instance run.  Only a
-    # *conditional* resolution (path_token set) can change confidence
-    # state, so only those force the buffered events out; the rest
-    # close into the buffer and ride along.
-    if has_observers:
-        if run_fetch:
-            events.extend(("fetch", run_goodpath, cycle, run_fetch))
-        if run_execute:
-            events.extend(("execute", run_goodpath, cycle, run_execute))
-        if events and entry.path_token is not None:
-            for observer in observers:
-                observer.record_runs(events)
-            del events[:]
-    run_fetch = 0
-    run_execute = 0
-    engine.resolve_record(entry)
-    run_goodpath = not engine.on_wrong_path
-    if entry.on_goodpath:
-        good_executed += 1
-        retired += 1
-        branches_retired += 1
-        if entry.mispredicted:
-            branch_misp_retired += 1
-        if entry.kind is kind_conditional:
-            cond_retired += 1
-            if entry.mispredicted:
-                cond_misp_retired += 1
-    else:
-        bad_executed += 1
-    run_execute += 1
-'''
-
-
-def _indent(source: str, levels: int) -> str:
-    pad = "    " * levels
-    return "".join(pad + line if line.strip() else line
-                   for line in source.splitlines(True))
-
-
-def _compile_method(name: str, source: str, scope: dict, tag: str = ""):
-    """Compile one generated method against the module globals ``scope``.
-
-    The source is registered with :mod:`linecache` under a filename naming
-    the module, the method and ``tag`` (the stack shape, for templates
-    compiled once per shape), so tracebacks show the generated lines.
-    """
-    filename = f"<{scope['__name__']}:{name}{':' + tag if tag else ''}>"
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), scope, namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return namespace[name]
-
-
-_STEP_BLOCK_SRC = '''\
-def _step_block(self, max_instructions, max_cycles):
-    """Advance the replay by up to one block of gap+branch steps.
-
-    The batched twin of the scalar per-branch step: per staged branch
-    it accounts the inter-branch gap, closes the pending observer run,
-    predicts the branch straight from the block columns, and either
-    appends the record to the in-flight window (draining and running
-    the per-cycle confidence work exactly as the scalar path does) or
-    replays the fused wrong-path episode.  Run events buffer in
-    ``self._events`` and are delivered just before the next predictor
-    state change (see the module docstring).  Stops early — leaving
-    the buffer position for the next call or :meth:`run` leg — when
-    the instruction budget or cycle limit is reached.
-    """
-    if self._branch_pos >= self._branch_len:
-        if not self._refill_block():
-            self._step_boundary_branch()
-            return
-
-    engine = self.fetch_engine
-    stats = self.stats
-    window = self._window
-    observers = self.observers
-    has_observers = bool(observers)
-    events = self._events
-    path_confidence = engine.path_confidence
-    cycle_work = self._cycle_work_possible
-    resolve_window = self.resolve_window
-    kind_conditional = BranchKind.CONDITIONAL
-    block = self._block
-    block_kinds = block.kind
-    gaps = self._gap_buf
-    gap_pos = self._gap_pos
-    i = self._branch_pos
-    stop = self._branch_len
-    next_seq = self._next_seq
-    cycle = self._cycle
-    inflight = self._inflight
-    run_fetch = self._run_fetch
-    run_execute = self._run_execute
-    run_goodpath = self._run_goodpath
-    # Stats deltas, folded into the CoreStats record (and the fetch
-    # engine's mirror counters) at sync points only.
-    retired_base = stats.retired_instructions
-    good_fetched = 0
-    good_executed = 0
-    bad_executed = 0
-    retired = 0
-    branches_retired = 0
-    branch_misp_retired = 0
-    cond_retired = 0
-    cond_misp_retired = 0
-
-    while i < stop:
-        if retired_base + retired >= max_instructions or cycle >= max_cycles:
-            break
-        gap = gaps[gap_pos]
-        gap_pos += 1
-        if gap:
-            # _fetch_good_gap, inlined.
-            good_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] > 0:
-                window[-1] += gap
-            else:
-                window.append(gap)
-            inflight += gap
-        # The one drain body serves both drain points of the scalar
-        # step: the first pass completes the slots the gap pushed past
-        # the window depth, the second the branch's own slot.  (On
-        # entry to an iteration ``inflight <= resolve_window`` holds,
-        # so the first pass is a no-op when the gap was empty.)
-        took_episode = False
-        predicted = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-%(drain)s
-            if predicted:
-                break
-            predicted = True
-            # The branch itself: the pending run ends here.  Only a
-            # *conditional* prediction is about to change confidence
-            # state, so only those force the buffered events out.
-            if has_observers:
-                if run_fetch:
-                    events.extend(("fetch", run_goodpath, cycle, run_fetch))
-                if run_execute:
-                    events.extend(("execute", run_goodpath, cycle,
-                                   run_execute))
-                if events and block_kinds[i] is kind_conditional:
-                    for observer in observers:
-                        observer.record_runs(events)
-                    del events[:]
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
-            record = engine.predict_from_block(block, i, seq)
-            i += 1
-            good_fetched += 1
-            cycle += 1
-            run_fetch += 1
-            if engine.on_wrong_path:
-                run_goodpath = False
-                # Sync everything and take the (rare) wrong-path
-                # episode through the fused episode method, then
-                # reload.
-                self._next_seq = next_seq
-                self._cycle = cycle
-                self._inflight = inflight
-                self._run_fetch = run_fetch
-                self._run_execute = run_execute
-                self._run_goodpath = run_goodpath
-                stats.goodpath_fetched += good_fetched
-                engine.goodpath_fetched += good_fetched
-                stats.goodpath_executed += good_executed
-                stats.badpath_executed += bad_executed
-                stats.retired_instructions += retired
-                stats.branches_retired += branches_retired
-                stats.branch_mispredicts_retired += branch_misp_retired
-                stats.conditional_branches_retired += cond_retired
-                stats.conditional_mispredicts_retired += cond_misp_retired
-                good_fetched = good_executed = bad_executed = retired = 0
-                branches_retired = branch_misp_retired = 0
-                cond_retired = cond_misp_retired = 0
-
-                self._replay_wrongpath(record)
-
-                next_seq = self._next_seq
-                cycle = self._cycle
-                inflight = self._inflight
-                run_fetch = self._run_fetch
-                run_execute = self._run_execute
-                run_goodpath = self._run_goodpath
-                retired_base = stats.retired_instructions
-                took_episode = True
-                break
-            run_goodpath = True
-            window.append(record)
-            inflight += 1
-        if took_episode:
-            continue
-        if cycle_work:
-            # Cycle-periodic confidence work (PaCo's re-log pass) can
-            # change predictor state: deliver events closed at earlier
-            # (state-preserving) boundaries before the tick so they
-            # are observed with pre-tick state, and close the open run
-            # after a tick that reports a change — the scalar flush
-            # points exactly.
-            if has_observers and events:
-                for observer in observers:
-                    observer.record_runs(events)
-                del events[:]
-            if path_confidence.on_cycle(cycle):
-                if has_observers:
-                    if run_fetch:
-                        events.extend(("fetch", run_goodpath, cycle,
-                                       run_fetch))
-                    if run_execute:
-                        events.extend(("execute", run_goodpath, cycle,
-                                       run_execute))
-                    if events:
-                        for observer in observers:
-                            observer.record_runs(events)
-                        del events[:]
-                run_fetch = 0
-                run_execute = 0
-
-    # Sync the locals back (loop finished or budget/cycle stop).
-    self._branch_pos = i
-    self._gap_pos = gap_pos
-    self._next_seq = next_seq
-    self._cycle = cycle
-    self._inflight = inflight
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    stats.goodpath_fetched += good_fetched
-    engine.goodpath_fetched += good_fetched
-    stats.goodpath_executed += good_executed
-    stats.badpath_executed += bad_executed
-    stats.retired_instructions += retired
-    stats.branches_retired += branches_retired
-    stats.branch_mispredicts_retired += branch_misp_retired
-    stats.conditional_branches_retired += cond_retired
-    stats.conditional_mispredicts_retired += cond_misp_retired
-''' % {"drain": _indent(_DRAIN_BODY, 5)}
-
-
-_REPLAY_WRONGPATH_SRC = '''\
-def _replay_wrongpath(self, record):
-    """Replay the wrong-path stream for the calibrated resolution window.
-
-    Fused like ``_step_block``: all gap lengths for the episode's
-    ``mispredict_window`` budget come from one
-    :meth:`~repro.common.rng.DeterministicRng.geometric_episode` call,
-    all wrong-path branches are staged into the reusable episode-sized
-    block by one
-    :meth:`~repro.workloads.generator.WrongPathGenerator.next_branch_block`
-    call, and cycle/inflight/run bookkeeping stays in loop locals
-    synced at episode end.  The gap and branch-content streams are
-    independent, so drawing each one episode-at-a-time preserves its
-    per-stream draw order — and therefore every value — bit for bit.
-    """
-    engine = self.fetch_engine
-    stats = self.stats
-    window = self._window
-    observers = self.observers
-    has_observers = bool(observers)
-    events = self._events
-    path_confidence = engine.path_confidence
-    cycle_work = self._cycle_work_possible
-    resolve_window = self.resolve_window
-    kind_conditional = BranchKind.CONDITIONAL
-    wp_gaps = self._wp_gap_buf
-    n_gaps, n_branches = self._wp_gap_rng.geometric_episode(
-        self._log_one_minus_p, wp_gaps, self.mispredict_window)
-    wp_block = self._wp_episode_block
-    if n_branches:
-        engine.wrongpath_generator.next_branch_block(wp_block, n_branches)
-    next_seq = self._next_seq
-    cycle = self._cycle
-    inflight = self._inflight
-    run_fetch = self._run_fetch
-    run_execute = self._run_execute
-    run_goodpath = self._run_goodpath
-    bad_fetched = 0
-    good_executed = 0
-    bad_executed = 0
-    retired = 0
-    branches_retired = 0
-    branch_misp_retired = 0
-    cond_retired = 0
-    cond_misp_retired = 0
-
-    for g in range(n_gaps):
-        gap = wp_gaps[g]
-        if gap:
-            # _fetch_bad_gap, inlined.
-            bad_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] < 0:
-                window[-1] -= gap
-            else:
-                window.append(-gap)
-            inflight += gap
-        fetched_branch = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-%(drain)s
-            if fetched_branch or g >= n_branches:
-                break
-            fetched_branch = True
-            # Wrong-path branches are all conditional: the prediction
-            # changes confidence state, so close the pending run and
-            # deliver everything buffered first.
-            if has_observers:
-                if run_fetch:
-                    events.extend(("fetch", run_goodpath, cycle, run_fetch))
-                if run_execute:
-                    events.extend(("execute", run_goodpath, cycle,
-                                   run_execute))
-                if events:
-                    for observer in observers:
-                        observer.record_runs(events)
-                    del events[:]
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
-            wp_record = engine.predict_from_block(wp_block, g, seq,
-                                                  on_goodpath=False)
-            bad_fetched += 1
-            cycle += 1
-            run_fetch += 1
-            window.append(wp_record)
-            inflight += 1
-        if g >= n_branches:
-            # The clamped final gap ended the episode: no branch, no
-            # cycle tick — exactly where the scalar loop broke out.
-            break
-        if cycle_work:
-            if has_observers and events:
-                for observer in observers:
-                    observer.record_runs(events)
-                del events[:]
-            if path_confidence.on_cycle(cycle):
-                if has_observers:
-                    if run_fetch:
-                        events.extend(("fetch", run_goodpath, cycle,
-                                       run_fetch))
-                    if run_execute:
-                        events.extend(("execute", run_goodpath, cycle,
-                                       run_execute))
-                    if events:
-                        for observer in observers:
-                            observer.record_runs(events)
-                        del events[:]
-                run_fetch = 0
-                run_execute = 0
-
-    self._next_seq = next_seq
-    self._cycle = cycle
-    self._inflight = inflight
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    stats.badpath_fetched += bad_fetched
-    engine.badpath_fetched += bad_fetched
-    stats.goodpath_executed += good_executed
-    stats.badpath_executed += bad_executed
-    stats.retired_instructions += retired
-    stats.branches_retired += branches_retired
-    stats.branch_mispredicts_retired += branch_misp_retired
-    stats.conditional_branches_retired += cond_retired
-    stats.conditional_mispredicts_retired += cond_misp_retired
-    # Estimate of the wrong-path slots that issued before the squash:
-    # everything fetched more than a front-end depth ahead of
-    # resolution has left the front end and consumed execution
-    # resources.  The episode fetches exactly ``mispredict_window``
-    # slots, so the estimate is a per-episode constant.
-    self._finish_wrongpath(
-        record, self.mispredict_window - self.config.frontend_depth)
-''' % {"drain": _indent(_DRAIN_BODY, 5)}
-
-
-_COMPLETE_OLDEST_SRC = '''\
-def _complete_oldest(self, excess):
-    """Complete the ``excess`` oldest in-flight slots.
-
-    The self-state wrapper around the one shared drain body (the same
-    source the block loops compile inline): used by the scalar helpers
-    — gap fetches past the window depth, the boundary step, the gated
-    scalar paths — and, with ``excess == 1``, by the gated session's
-    stall cycles.
-    """
-    engine = self.fetch_engine
-    stats = self.stats
-    window = self._window
-    observers = self.observers
-    has_observers = bool(observers)
-    events = self._events
-    kind_conditional = BranchKind.CONDITIONAL
-    cycle = self._cycle
-    inflight = self._inflight
-    run_fetch = self._run_fetch
-    run_execute = self._run_execute
-    run_goodpath = self._run_goodpath
-    good_executed = 0
-    bad_executed = 0
-    retired = 0
-    branches_retired = 0
-    branch_misp_retired = 0
-    cond_retired = 0
-    cond_misp_retired = 0
-    while excess > 0:
-%(drain)s
-    self._inflight = inflight
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    stats.goodpath_executed += good_executed
-    stats.badpath_executed += bad_executed
-    stats.retired_instructions += retired
-    stats.branches_retired += branches_retired
-    stats.branch_mispredicts_retired += branch_misp_retired
-    stats.conditional_branches_retired += cond_retired
-    stats.conditional_mispredicts_retired += cond_misp_retired
-''' % {"drain": _indent(_DRAIN_BODY, 2)}
-
-
 class TraceSession(SimulationSession):
     """One branch-driven replay: a fetch engine plus a slot window.
 
@@ -679,12 +198,36 @@ class TraceSession(SimulationSession):
     (budget or cycle limit) resumes from the buffered position, so the
     consumed stream order — and therefore every statistic — matches the
     scalar one-branch-at-a-time replay bit for bit.
+
+    With a ``gating_policy`` the predicate is evaluated before every
+    good-path fetch step and before every wrong-path slot of a
+    misprediction episode — the points where the predictors' state (and
+    therefore the predicate) can have changed.  A gated cycle stalls
+    fetch for one estimated cycle while the oldest in-flight slot
+    completes, mirroring how the cycle model's back end keeps draining
+    under a gated front end:
+
+    * on the good path a gated cycle is pure delay — the completed slot
+      would have drained for free at the next fetch — so good-path
+      gating shows up as IPC loss;
+    * inside a wrong-path episode the mispredicted branch resolves on
+      its own schedule, so a gated cycle substitutes for a wrong-path
+      fetch slot at (nearly) no time cost — the episode still spans
+      ``mispredict_window`` estimated cycles but fetches fewer
+      wrong-path slots, which is the energy saving gating exists for.
+
+    Termination is guaranteed: a gated cycle always completes a slot, and
+    an empty window means every branch has resolved, which zeroes the
+    low-confidence count / path-confidence register that gates fetch.
+    The wait still fails open on an empty window in case a policy gates
+    on something else.  ``None`` (the default) never gates.
     """
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
                  observers, resolve_window: int,
                  mispredict_window: int,
-                 block_size: Optional[int] = None) -> None:
+                 block_size: Optional[int] = None,
+                 gating_policy: Optional[GatingPolicy] = None) -> None:
         if resolve_window < 1:
             raise ValueError("resolve window must be at least one instruction")
         if mispredict_window < 1:
@@ -703,6 +246,7 @@ class TraceSession(SimulationSession):
         self.resolve_window = resolve_window
         self.mispredict_window = mispredict_window
         self.block_size = block_size
+        self.gating_policy = gating_policy
 
         spec = fetch_engine.generator.spec
         pool = RngPool(fetch_engine.generator._pool.master_seed).fork("trace-gaps")
@@ -723,7 +267,8 @@ class TraceSession(SimulationSession):
         # Batched generation buffers.  Good-path gaps and branches are
         # drawn block-at-a-time and consumed in lockstep; a phase
         # boundary splits a block (``_refill_block`` returns 0 and the
-        # boundary branch is stepped slot-by-slot instead).
+        # boundary branch is stepped slot-by-slot instead).  The
+        # wrong-path episode draws one gap and one branch per slot.
         self._block = BranchBlock(block_size)
         self._boundary_block = BranchBlock(1)
         self._wp_block = BranchBlock(1)
@@ -733,11 +278,6 @@ class TraceSession(SimulationSession):
         self._branch_pos = 0
         self._branch_len = 0
         self._wp_gap_scratch = [0]
-        # Fused wrong-path episode buffers (the gated sessions keep the
-        # per-slot episode — gating decisions interleave with the draws —
-        # so the one-slot buffers above stay for them).
-        self._wp_gap_buf = [0] * mispredict_window
-        self._wp_episode_block = BranchBlock(mispredict_window)
 
         # Batched instance recording (see module docstring): the pending
         # run counters plus the closed-run event buffer awaiting
@@ -842,13 +382,60 @@ class TraceSession(SimulationSession):
         self._branch_len = m
         return m
 
-    # The hot loops: compiled from the module-level templates so the
-    # drain body exists exactly once (see the note above _DRAIN_BODY).
-    _step_block = _compile_method("_step_block", _STEP_BLOCK_SRC, globals())
-    _replay_wrongpath = _compile_method("_replay_wrongpath",
-                                        _REPLAY_WRONGPATH_SRC, globals())
-    _complete_oldest = _compile_method("_complete_oldest",
-                                       _COMPLETE_OLDEST_SRC, globals())
+    def _step_block(self, max_instructions: int, max_cycles: int) -> None:
+        """Advance the replay by up to one block of gap+branch steps.
+
+        Steps one (gate check, gap, branch) tuple at a time through the
+        self-state helpers: gating decisions depend on predictor state
+        that changes branch by branch.  Per staged branch it accounts the
+        inter-branch gap, closes the pending observer run, predicts the
+        branch straight from the block columns, and either appends the
+        record to the in-flight window (draining and running the
+        per-cycle confidence work) or replays the wrong-path episode.
+        Stops early — leaving the buffer position for the next call or
+        :meth:`run` leg — when the instruction budget or cycle limit is
+        reached.
+        """
+        if self._branch_pos >= self._branch_len:
+            if not self._refill_block():
+                self._step_boundary_branch()
+                return
+        engine = self.fetch_engine
+        stats = self.stats
+        block = self._block
+        policy = self.gating_policy
+        while self._branch_pos < self._branch_len:
+            if (stats.retired_instructions >= max_instructions
+                    or self._cycle >= max_cycles):
+                return
+            if policy is not None and policy.should_gate():
+                self._gated_wait()
+                if (stats.retired_instructions >= max_instructions
+                        or self._cycle >= max_cycles):
+                    return
+            gap = self._gap_buf[self._gap_pos]
+            self._gap_pos += 1
+            if gap:
+                self._fetch_good_gap(gap)
+            self._flush_runs()
+            i = self._branch_pos
+            self._branch_pos = i + 1
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            record = engine.predict_from_block(block, i, seq)
+            engine.goodpath_fetched += 1
+            stats.goodpath_fetched += 1
+            self._cycle += 1
+            self._run_fetch += 1
+            if engine.on_wrong_path:
+                self._run_goodpath = False
+                self._replay_wrongpath(record)
+                continue
+            self._run_goodpath = True
+            self._window.append(record)
+            self._inflight += 1
+            self._drain()
+            self._cycle_tick()
 
     def _step_boundary_branch(self) -> None:
         """One gap+branch step with the gap applied slot-by-slot.
@@ -859,8 +446,12 @@ class TraceSession(SimulationSession):
         boundary-bounded chunks with an observer flush between them —
         exactly the scalar path — and the branch is generated only after
         the schedule has settled, so phase-aware observers and the
-        per-phase site selection read the right phase.
+        per-phase site selection read the right phase.  Under a gate the
+        step waits first, like every good-path step; the fused session
+        steps its boundary branches here too.
         """
+        if self.gating_policy is not None:
+            self._gated_wait()
         # Events closed before the boundary must be observed with the
         # pre-roll phase label: deliver them before the schedule can
         # advance.  (The *open* run keeps riding across the roll and is
@@ -897,6 +488,82 @@ class TraceSession(SimulationSession):
         self._window.append(record)
         self._inflight += 1
         self._drain()
+        self._cycle_tick()
+
+    def _replay_wrongpath(self, record: BranchRecord) -> None:
+        """Replay the wrong-path stream for the calibrated resolution window.
+
+        The episode budget counts estimated *cycles*, not fetched slots:
+        the mispredicted branch resolves ``mispredict_window`` cycles
+        after fetch whether or not the front end kept fetching, so a
+        gated cycle consumes episode budget without fetching a wrong-path
+        slot.  Each fetched slot draws its own gap and branch, since the
+        gate interleaves with the draws; the gap and branch-content
+        streams are independent, so the values are the ones an
+        episode-at-a-time draw produces.  Resolution and recovery are
+        :meth:`_finish_wrongpath`.
+        """
+        engine = self.fetch_engine
+        wrongpath = engine.wrongpath_generator
+        stats = self.stats
+        wp_block = self._wp_block
+        gap_scratch = self._wp_gap_scratch
+        log1p = self._log_one_minus_p
+        wp_rng = self._wp_gap_rng
+        policy = self.gating_policy
+        remaining = self.mispredict_window
+        fetched = 0
+        while remaining:
+            if policy is not None and policy.should_gate():
+                self._gated_step()
+                remaining -= 1
+                continue
+            wp_rng.geometric_block(log1p, gap_scratch, 1)
+            gap = gap_scratch[0]
+            if gap > remaining:
+                gap = remaining
+            if gap:
+                self._fetch_bad_gap(gap)
+                remaining -= gap
+                fetched += gap
+            if not remaining:
+                break
+            self._flush_runs()
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            wrongpath.next_branch_into(wp_block, 0)
+            wp_record = engine.predict_from_block(wp_block, 0, seq,
+                                                  on_goodpath=False)
+            engine.badpath_fetched += 1
+            stats.badpath_fetched += 1
+            self._cycle += 1
+            self._run_fetch += 1
+            self._window.append(wp_record)
+            self._inflight += 1
+            self._drain()
+            remaining -= 1
+            fetched += 1
+            self._cycle_tick()
+        # Estimate of the wrong-path slots that issued before the squash:
+        # everything fetched more than a front-end depth ahead of
+        # resolution has left the front end and consumed execution
+        # resources.  Gated cycles consume episode budget without
+        # fetching, so gating directly shrinks the wrong-path work both
+        # fetched and executed.
+        self._finish_wrongpath(record, fetched - self.config.frontend_depth)
+
+    def _gated_wait(self) -> None:
+        """Stall good-path fetch until the policy stops gating."""
+        policy = self.gating_policy
+        while policy.should_gate() and self._window:
+            self._gated_step()
+
+    def _gated_step(self) -> None:
+        """One gated cycle: fetch stalls, the oldest in-flight slot completes."""
+        self.stats.gated_cycles += 1
+        self._cycle += 1
+        if self._window:
+            self._complete_oldest(1)
         self._cycle_tick()
 
     def _fetch_good_gap(self, count: int) -> None:
@@ -939,14 +606,108 @@ class TraceSession(SimulationSession):
         if excess > 0:
             self._complete_oldest(excess)
 
+    def _complete_oldest(self, excess: int) -> None:
+        """Complete the ``excess`` oldest in-flight slots.
+
+        The one drain implementation: gap fetches past the window depth,
+        branch fetches, wrong-path slots and (with ``excess == 1``) gated
+        cycles all complete slots here.  It runs on locals and syncs them
+        back once, so a long gap run drains in one pass.
+        """
+        engine = self.fetch_engine
+        stats = self.stats
+        window = self._window
+        observers = self.observers
+        has_observers = bool(observers)
+        events = self._events
+        kind_conditional = BranchKind.CONDITIONAL
+        cycle = self._cycle
+        inflight = self._inflight
+        run_fetch = self._run_fetch
+        run_execute = self._run_execute
+        run_goodpath = self._run_goodpath
+        good_executed = 0
+        bad_executed = 0
+        retired = 0
+        branches_retired = 0
+        branch_misp_retired = 0
+        cond_retired = 0
+        cond_misp_retired = 0
+        while excess > 0:
+            entry = window[0]
+            if type(entry) is int:
+                if entry > 0:
+                    take = entry if entry <= excess else excess
+                    good_executed += take
+                    retired += take
+                else:
+                    take = -entry if -entry <= excess else excess
+                    bad_executed += take
+                run_execute += take
+                if take < (entry if entry > 0 else -entry):
+                    window[0] = entry - take if entry > 0 else entry + take
+                else:
+                    window.popleft()
+                excess -= take
+                inflight -= take
+            else:
+                window.popleft()
+                inflight -= 1
+                excess -= 1
+                # A branch resolution closes the pending instance run.
+                # Only a *conditional* resolution (path_token set) can
+                # change confidence state, so only those force the
+                # buffered events out; the rest close into the buffer and
+                # ride along.
+                if has_observers:
+                    if run_fetch:
+                        events.extend(("fetch", run_goodpath, cycle,
+                                       run_fetch))
+                    if run_execute:
+                        events.extend(("execute", run_goodpath, cycle,
+                                       run_execute))
+                    if events and entry.path_token is not None:
+                        for observer in observers:
+                            observer.record_runs(events)
+                        del events[:]
+                run_fetch = 0
+                run_execute = 0
+                engine.resolve_record(entry)
+                run_goodpath = not engine.on_wrong_path
+                if entry.on_goodpath:
+                    good_executed += 1
+                    retired += 1
+                    branches_retired += 1
+                    if entry.mispredicted:
+                        branch_misp_retired += 1
+                    if entry.kind is kind_conditional:
+                        cond_retired += 1
+                        if entry.mispredicted:
+                            cond_misp_retired += 1
+                else:
+                    bad_executed += 1
+                run_execute += 1
+        self._inflight = inflight
+        self._run_fetch = run_fetch
+        self._run_execute = run_execute
+        self._run_goodpath = run_goodpath
+        stats.goodpath_executed += good_executed
+        stats.badpath_executed += bad_executed
+        stats.retired_instructions += retired
+        stats.branches_retired += branches_retired
+        stats.branch_mispredicts_retired += branch_misp_retired
+        stats.conditional_branches_retired += cond_retired
+        stats.conditional_mispredicts_retired += cond_misp_retired
+
     def _finish_wrongpath(self, record: BranchRecord, issued: int) -> None:
         """Resolve the mispredicted branch: the shared episode tail.
 
         Mirrors the cycle core's recovery order — account the
         ``issued`` wrong-path slots estimated to have left the front
         end, resolve (train/repair), squash everything younger, redirect
-        fetch, then record the execute instance.  Shared by the fused
-        episode and the gated session's scalar one.
+        fetch, then record the execute instance.  Shared by
+        :meth:`_replay_wrongpath` and the fused session's generated
+        episodes.
         """
         engine = self.fetch_engine
         stats = self.stats
@@ -1042,196 +803,17 @@ class TraceSession(SimulationSession):
             self._flush_runs()
 
 
-class GatedTraceSession(TraceSession):
-    """A trace replay with a fetch gating policy in the loop.
-
-    The gating predicate is evaluated before every good-path fetch step
-    and before every wrong-path slot of a misprediction episode — the
-    points where the predictors' state (and therefore the predicate) can
-    have changed.  A gated cycle stalls fetch for one estimated cycle
-    while the oldest in-flight slot completes, mirroring how the cycle
-    model's back end keeps draining under a gated front end:
-
-    * on the good path a gated cycle is pure delay — the completed slot
-      would have drained for free at the next fetch — so good-path
-      gating shows up as IPC loss;
-    * inside a wrong-path episode the mispredicted branch resolves on
-      its own schedule, so a gated cycle substitutes for a wrong-path
-      fetch slot at (nearly) no time cost — the episode still spans
-      ``mispredict_window`` estimated cycles but fetches fewer
-      wrong-path slots, which is the energy saving gating exists for.
-
-    Termination is guaranteed: a gated cycle always completes a slot, and
-    an empty window means every branch has resolved, which zeroes the
-    low-confidence count / path-confidence register that gates fetch.
-    The ``while`` guard still fails open on an empty window in case a
-    policy gates on something else.
-
-    The ungated sessions are untouched — a ``NoGating`` policy builds the
-    same session as no policy at all.  For count and PaCo gating the
-    backend builds the fused twin
-    (:class:`~repro.backends.fused.FusedGatedTraceSession`); this session
-    is its reference and the fallback for every other policy.
-    """
-
-    def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
-                 observers, resolve_window: int, mispredict_window: int,
-                 gating_policy: GatingPolicy,
-                 block_size: Optional[int] = None) -> None:
-        super().__init__(fetch_engine, config, observers, resolve_window,
-                         mispredict_window, block_size=block_size)
-        self.gating_policy = gating_policy
-
-    def _step_block(self, max_instructions: int, max_cycles: int) -> None:
-        """Scalar gating-aware twin of the batched good-path step.
-
-        Gating decisions depend on predictor state that changes branch by
-        branch, so the gated session steps one (gate-check, gap, branch)
-        tuple at a time through the self-state helpers instead of the
-        compiled block loop.  Stream consumption order is identical, so
-        the predictors see the same branches.
-        """
-        if self._branch_pos >= self._branch_len:
-            if not self._refill_block():
-                self._step_boundary_branch()
-                return
-        engine = self.fetch_engine
-        stats = self.stats
-        block = self._block
-        while self._branch_pos < self._branch_len:
-            if (stats.retired_instructions >= max_instructions
-                    or self._cycle >= max_cycles):
-                return
-            if self.gating_policy.should_gate():
-                self._gated_wait()
-                if (stats.retired_instructions >= max_instructions
-                        or self._cycle >= max_cycles):
-                    return
-            gap = self._gap_buf[self._gap_pos]
-            self._gap_pos += 1
-            if gap:
-                self._fetch_good_gap(gap)
-            self._flush_runs()
-            i = self._branch_pos
-            self._branch_pos = i + 1
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            record = engine.predict_from_block(block, i, seq)
-            engine.goodpath_fetched += 1
-            stats.goodpath_fetched += 1
-            self._cycle += 1
-            self._run_fetch += 1
-            if engine.on_wrong_path:
-                self._run_goodpath = False
-                self._replay_wrongpath(record)
-                continue
-            self._run_goodpath = True
-            self._window.append(record)
-            self._inflight += 1
-            self._drain()
-            self._cycle_tick()
-
-    def _step_boundary_branch(self) -> None:
-        """The boundary step behind the gate.
-
-        Phase-boundary branches step through the inherited scalar path in
-        every session built on this one (the fused gated session too), so
-        the gate wait lives here rather than in each caller; the step's
-        wrong-path episode resolves to the gated :meth:`_replay_wrongpath`.
-        """
-        self._gated_wait()
-        super()._step_boundary_branch()
-
-    def _gated_step(self) -> None:
-        """One gated cycle: fetch stalls, the oldest in-flight slot completes.
-
-        The completion is the shared drain body with an excess of one —
-        the gated session's parameterization of the single drain
-        implementation.
-        """
-        self.stats.gated_cycles += 1
-        self._cycle += 1
-        if self._window:
-            self._complete_oldest(1)
-        self._cycle_tick()
-
-    def _gated_wait(self) -> None:
-        """Stall good-path fetch until the policy stops gating."""
-        policy = self.gating_policy
-        while policy.should_gate() and self._window:
-            self._gated_step()
-
-    def _replay_wrongpath(self, record: BranchRecord) -> None:
-        """The wrong-path episode with the gate in the fetch loop.
-
-        The episode budget counts estimated *cycles*, not fetched slots:
-        the mispredicted branch resolves ``mispredict_window`` cycles
-        after fetch whether or not the front end kept fetching, so a
-        gated cycle consumes episode budget without fetching a wrong-path
-        slot.  Stays scalar — the gate interleaves with the draws — but
-        resolution and recovery share :meth:`_finish_wrongpath` with the
-        fused ungated episode.
-        """
-        engine = self.fetch_engine
-        wrongpath = engine.wrongpath_generator
-        stats = self.stats
-        wp_block = self._wp_block
-        gap_scratch = self._wp_gap_scratch
-        log1p = self._log_one_minus_p
-        wp_rng = self._wp_gap_rng
-        policy = self.gating_policy
-        remaining = self.mispredict_window
-        fetched = 0
-        while remaining:
-            if policy.should_gate():
-                self._gated_step()
-                remaining -= 1
-                continue
-            wp_rng.geometric_block(log1p, gap_scratch, 1)
-            gap = gap_scratch[0]
-            if gap > remaining:
-                gap = remaining
-            if gap:
-                self._fetch_bad_gap(gap)
-                remaining -= gap
-                fetched += gap
-            if not remaining:
-                break
-            self._flush_runs()
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            wrongpath.next_branch_into(wp_block, 0)
-            wp_record = engine.predict_from_block(wp_block, 0, seq,
-                                                  on_goodpath=False)
-            engine.badpath_fetched += 1
-            stats.badpath_fetched += 1
-            self._cycle += 1
-            self._run_fetch += 1
-            self._window.append(wp_record)
-            self._inflight += 1
-            self._drain()
-            remaining -= 1
-            fetched += 1
-            self._cycle_tick()
-        # Same issued-before-squash estimate as the ungated episode, over
-        # the slots this episode actually fetched: gated cycles consume
-        # episode budget without fetching, so gating directly shrinks the
-        # wrong-path work both fetched and executed.
-        self._finish_wrongpath(record, fetched - self.config.frontend_depth)
-
-
 class TraceBackend(SimulationBackend):
     """Fast branch-driven replay for predictor-level experiments.
 
     :meth:`build` picks the session from the stack it is given.  A stack
     that :func:`~repro.backends.fused._fused_plan` models gets the
     bit-identical :class:`~repro.backends.fused.FusedTraceSession` when
-    ungated, and :class:`~repro.backends.fused.FusedGatedTraceSession`
-    under a gate :func:`~repro.backends.fused._fused_gate` models (count
-    or PaCo gating over the stack's own member).  Any other gated stack
-    gets the scalar :class:`GatedTraceSession`, any other ungated stack
-    the scalar :class:`TraceSession`; those two are also the references
-    the fused sessions are tested against.
+    ungated or under a gate :func:`~repro.backends.fused._fused_gate`
+    models (count or PaCo gating over the stack's own member).  Every
+    other stack or gate gets the scalar :class:`TraceSession`, which is
+    also the reference the fused session is tested against.  A
+    ``NoGating`` policy builds the same session as no policy at all.
 
     Parameters
     ----------
@@ -1273,27 +855,20 @@ class TraceBackend(SimulationBackend):
         mispredict_window = (self.mispredict_window
                              if self.mispredict_window is not None
                              else 2 * config.min_mispredict_penalty)
-        # Imported here: the fused sessions subclass this module's.
-        from repro.backends.fused import (FusedGatedTraceSession,
-                                          FusedTraceSession, _fused_gate,
+        # Imported here: the fused session subclasses this module's.
+        from repro.backends.fused import (FusedTraceSession, _fused_gate,
                                           _fused_plan)
         members = _fused_plan(fetch_engine)
         gating = instrument.gating_policy
-        if gating is not None and not isinstance(gating, NoGating):
-            if members is None or _fused_gate(gating, members) is None:
-                return GatedTraceSession(fetch_engine, config,
-                                         instrument.observers, resolve_window,
-                                         mispredict_window, gating,
-                                         block_size=self.block_size)
-            return FusedGatedTraceSession(fetch_engine, config,
-                                          instrument.observers,
-                                          resolve_window, mispredict_window,
-                                          members, gating_policy=gating,
-                                          block_size=self.block_size)
-        if members is None:
-            return TraceSession(fetch_engine, config, instrument.observers,
-                                resolve_window, mispredict_window,
-                                block_size=self.block_size)
-        return FusedTraceSession(fetch_engine, config, instrument.observers,
-                                 resolve_window, mispredict_window, members,
-                                 block_size=self.block_size)
+        if isinstance(gating, NoGating):
+            gating = None
+        if members is not None and (
+                gating is None or _fused_gate(gating, members) is not None):
+            return FusedTraceSession(fetch_engine, config,
+                                     instrument.observers, resolve_window,
+                                     mispredict_window, members,
+                                     block_size=self.block_size,
+                                     gating_policy=gating)
+        return TraceSession(fetch_engine, config, instrument.observers,
+                            resolve_window, mispredict_window,
+                            block_size=self.block_size, gating_policy=gating)

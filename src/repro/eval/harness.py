@@ -370,8 +370,9 @@ def run_gating_experiment(
 
     ``backend="cycle"`` measures gating on the out-of-order core (ground
     truth); ``backend="trace"`` runs the gated trace replay — the fused
-    :class:`~repro.backends.fused.FusedGatedTraceSession`, bit-identical
-    to the scalar :class:`~repro.backends.trace.GatedTraceSession` — for
+    :class:`~repro.backends.fused.FusedTraceSession` with the gate in its
+    loops, bit-identical to the gated
+    :class:`~repro.backends.trace.TraceSession` — for
     estimated IPC and gated-cycle counts whose throttle orderings are
     parity-gated against the cycle model by ``tests/test_backends.py``.
     """

@@ -13,11 +13,14 @@ gate that must still pass.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import itertools
 import linecache
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,13 +39,11 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends.fused import (
-    FusedGatedTraceSession,
     FusedTraceSession,
     _build_replay_source,
     _build_step_source,
     _fused_methods,
 )
-from repro.backends.trace import GatedTraceSession
 from repro.campaign import CampaignSpec, CampaignSpecError, build_plan, preset
 from repro.eval.harness import (
     accuracy_predictors_for,
@@ -80,7 +81,7 @@ from repro.runner import (
     single_ipc_job,
 )
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.spec import BenchmarkSpec, MemorySpec
+from repro.workloads.spec import BenchmarkSpec, MemorySpec, PhaseSpec
 from repro.workloads.suite import get_benchmark
 
 
@@ -120,13 +121,12 @@ class _StreamObserver(InstanceObserver):
 
 
 class _ScalarTraceBackend(TraceBackend):
-    """``trace`` with the scalar sessions for every stack.
+    """``trace`` with the scalar :class:`TraceSession` for every stack.
 
-    The parity oracle: :class:`TraceBackend` builds the fused sessions for
-    every stack (and count/PaCo gate) they model, so comparing its output
-    against this backend compares fused against scalar replay — the
-    scalar :class:`TraceSession` for ungated stacks, the scalar
-    :class:`GatedTraceSession` for gated ones.
+    The parity oracle: :class:`TraceBackend` builds the fused session for
+    every stack (and count/PaCo gate) it models, so comparing its output
+    against this backend compares fused against scalar replay, gated or
+    not.
     """
 
     def build(self, workload, config, instrument):
@@ -134,12 +134,11 @@ class _ScalarTraceBackend(TraceBackend):
         windows = (config.width * config.frontend_depth,
                    2 * config.min_mispredict_penalty)
         gating = instrument.gating_policy
-        if gating is not None and not isinstance(gating, NoGating):
-            return GatedTraceSession(fetch_engine, config,
-                                     instrument.observers, *windows, gating,
-                                     block_size=self.block_size)
+        if isinstance(gating, NoGating):
+            gating = None
         return TraceSession(fetch_engine, config, instrument.observers,
-                            *windows, block_size=self.block_size)
+                            *windows, block_size=self.block_size,
+                            gating_policy=gating)
 
 
 def _trained_state(session):
@@ -802,6 +801,55 @@ class TestFusedScalarParity:
         assert fused[1] == scalar[1]
         assert fused[0] == scalar[0]
 
+    @pytest.mark.parametrize("block_size", [1, 17, 4096])
+    @pytest.mark.parametrize("predictor", ["paco", "counter"])
+    def test_phased_boundary_episode_matches_scalar(
+            self, monkeypatch, small_machine, predictor, block_size):
+        """Ungated phase-boundary branches step through the plain boundary
+        step on the fused session too, and a mispredicted one replays the
+        plain per-slot episode.  Short phases on a wrong-path-heavy spec
+        make boundary branches mispredict; the spy asserts the fused
+        session's boundary steps took episodes, so the parity is never
+        vacuous."""
+        spec = dataclasses.replace(
+            TestBatchedObserverStream._wrongpath_heavy_spec(),
+            name="wp-heavy-phased",
+            phases=[PhaseSpec(length_instructions=300, hard_fraction=0.85,
+                              label="hard"),
+                    PhaseSpec(length_instructions=300, hard_fraction=0.5,
+                              label="mixed")])
+        boundary_step = TraceSession._step_boundary_branch
+        episodes = []
+
+        def spy(self):
+            flushes = self.stats.flushes
+            boundary_step(self)
+            if type(self) is FusedTraceSession:
+                episodes.append(self.stats.flushes - flushes)
+
+        monkeypatch.setattr(TraceSession, "_step_boundary_branch", spy)
+        runs = []
+        for backend_cls in (TraceBackend, _ScalarTraceBackend):
+            if predictor == "paco":
+                path_confidence = PaCoPredictor(relog_period_cycles=2_000)
+            else:
+                path_confidence = ThresholdAndCountPredictor(threshold=3)
+            observer = _StreamObserver()
+            session = backend_cls(block_size=block_size).build(
+                Workload(spec=spec, seed=5), small_machine,
+                Instrumentation(path_confidence=path_confidence,
+                                observers=(observer,)))
+            stats = session.run(max_instructions=3_000)
+            runs.append((session, observer.events, stats))
+        (fused, fused_events, fused_stats), (scalar, scalar_events,
+                                             scalar_stats) = runs
+        assert type(fused) is FusedTraceSession
+        assert type(scalar) is TraceSession
+        assert sum(episodes) >= 1
+        assert fused_stats == scalar_stats
+        assert fused_events == scalar_events
+        assert _trained_state(fused) == _trained_state(scalar)
+
     #: Accuracy-parity budgets: gcc runs long enough to visit all three
     #: of its phases and re-enter the first one.
     ACCURACY_BUDGETS = {"gzip": 8_000, "twolf": 8_000, "gcc": 80_000}
@@ -904,9 +952,10 @@ FUSED_GATES = {
 
 
 class TestFusedGatedParity:
-    """The fused gated session is bit-identical to :class:`GatedTraceSession`.
+    """The gated fused session is bit-identical to the gated
+    :class:`TraceSession`.
 
-    :class:`TraceBackend` output (asserted to be the fused gated session)
+    :class:`TraceBackend` output (asserted to be the gated fused session)
     against the scalar gated session built by :class:`_ScalarTraceBackend`
     at the same block size, over the harness's two-leg warm-up ``run()``
     split, with and without an observer attached: the run-event stream,
@@ -945,8 +994,10 @@ class TestFusedGatedParity:
                           observe, instructions)
         scalar = self._run(_ScalarTraceBackend, spec, machine, block_size,
                            gate, observe, instructions)
-        assert type(fused[0]) is FusedGatedTraceSession
-        assert type(scalar[0]) is GatedTraceSession
+        assert type(fused[0]) is FusedTraceSession
+        assert type(scalar[0]) is TraceSession
+        assert fused[0].gating_policy is not None
+        assert scalar[0].gating_policy is not None
         assert scalar[2].gated_cycles > 0
         assert fused[2] == scalar[2]
         assert fused[1] == scalar[1]
@@ -980,13 +1031,13 @@ class TestFusedGatedParity:
                                    block_size, observe):
         """Phase boundaries step through the inherited scalar boundary
         step, whose gate wait and wrong-path episode must be the gated
-        ones in the fused gated session too."""
+        ones in the gated fused session too."""
         self._check(phased_spec, small_machine, block_size, gate, observe,
                     instructions=12_000)
 
 
 class TestVecTraceStreamParity:
-    """Count-gated stacks build the fused gated session, and its stream
+    """Count-gated stacks build the gated fused session, and its stream
     equals the scalar gated session's per-branch (block size 1) replay.
 
     The class and test keep the names of the suite that pinned the
@@ -1010,7 +1061,8 @@ class TestVecTraceStreamParity:
                             gating_policy=CountGating(path_confidence,
                                                       gate_count=2),
                             observers=(observer,)))
-        assert type(session) is FusedGatedTraceSession
+        assert type(session) is FusedTraceSession
+        assert session.gating_policy is not None
         stats = session.run(max_instructions=4_000)
         assert stats == reference[1]
         assert observer.events == reference[0]
@@ -1041,12 +1093,13 @@ class TestFusedSessionRouting:
 
     @staticmethod
     def _built_sessions(monkeypatch, jobs):
+        """``(session type, gating policy type)`` per build of ``jobs``."""
         built = []
         build = TraceBackend.build
 
         def spy(self, workload, config, instrument):
             session = build(self, workload, config, instrument)
-            built.append(type(session))
+            built.append((type(session), type(session.gating_policy)))
             return session
 
         monkeypatch.setattr(TraceBackend, "build", spy)
@@ -1060,7 +1113,7 @@ class TestFusedSessionRouting:
         built = self._built_sessions(monkeypatch, [accuracy_job(
             "gzip", instructions=500, warmup_instructions=0,
             backend="trace", instrument=instrument)])
-        assert built == [FusedTraceSession]
+        assert built == [(FusedTraceSession, type(None))]
 
     def test_ungated_and_single_ipc_stacks_build_fused_session(
             self, monkeypatch):
@@ -1070,25 +1123,25 @@ class TestFusedSessionRouting:
             single_ipc_job("gzip", instructions=500, warmup_instructions=0,
                            backend="trace"),
         ])
-        assert built == [FusedTraceSession, FusedTraceSession]
+        assert built == [(FusedTraceSession, type(None))] * 2
 
-    @pytest.mark.parametrize("mode, knob", [
-        ("count", {"gate_count": 2}),
-        ("paco", {"gating_probability": 0.2}),
+    @pytest.mark.parametrize("mode, knob, policy", [
+        ("count", {"gate_count": 2}, CountGating),
+        ("paco", {"gating_probability": 0.2}, PaCoGating),
     ], ids=["count", "paco"])
-    def test_gated_stacks_build_gated_session(self, monkeypatch, mode, knob):
+    def test_gated_stacks_build_gated_session(self, monkeypatch, mode, knob,
+                                              policy):
         """The fig10 count and PaCo gating jobs run the fused gate."""
         built = self._built_sessions(monkeypatch, [gating_job(
             "gzip", mode=mode, instructions=500, warmup_instructions=0,
             backend="trace", **knob)])
-        assert built == [FusedGatedTraceSession]
+        assert built == [(FusedTraceSession, policy)]
 
     def test_paper_preset_gating_jobs_build_fused_sessions(self,
                                                            monkeypatch):
         """Every fig10 job of ``campaign plan --preset paper`` builds a
-        fused session: the gated one for count and PaCo gating, the
-        ungated one for the baseline.  Each build is stopped before the
-        job runs."""
+        fused session: gated for count and PaCo gating, ungated for the
+        baseline.  Each build is stopped before the job runs."""
 
         class Built(Exception):
             pass
@@ -1096,7 +1149,8 @@ class TestFusedSessionRouting:
         build = TraceBackend.build
 
         def spy(self, workload, config, instrument):
-            raise Built(type(build(self, workload, config, instrument)))
+            session = build(self, workload, config, instrument)
+            raise Built((type(session), type(session.gating_policy)))
 
         monkeypatch.setattr(TraceBackend, "build", spy)
         built = {}
@@ -1109,58 +1163,77 @@ class TestFusedSessionRouting:
                 execute_job(job)
             built.setdefault(job.params["mode"], set()).add(
                 excinfo.value.args[0])
-        assert built == {"count": {FusedGatedTraceSession},
-                         "paco": {FusedGatedTraceSession},
-                         "none": {FusedTraceSession}}
+        assert built == {"count": {(FusedTraceSession, CountGating)},
+                         "paco": {(FusedTraceSession, PaCoGating)},
+                         "none": {(FusedTraceSession, type(None))}}
 
-    @pytest.mark.parametrize("case", [
-        "probability", "foreign-count", "foreign-paco", "custom"])
-    def test_unmodelled_gates_build_scalar_gated_session(
-            self, tiny_spec, small_machine, case):
-        """Gates the fused loops do not model fall back to the scalar
-        :class:`GatedTraceSession`: a policy type they were not written
-        for, a count or PaCo policy over a predictor that is not the
-        session's own member, and a gate over an unmodelled stack."""
-        if case == "probability":
-            path_confidence = PaCoPredictor()
-            policy = ProbabilityGating(path_confidence, 0.5)
-        elif case == "foreign-count":
-            path_confidence = ThresholdAndCountPredictor(threshold=3)
-            policy = CountGating(ThresholdAndCountPredictor(threshold=3), 1)
-        elif case == "foreign-paco":
-            path_confidence = PaCoPredictor()
-            policy = PaCoGating(PaCoPredictor(), 0.5)
-        else:
-            path_confidence = _CustomPathConfidence()
-            policy = CountGating(ThresholdAndCountPredictor(threshold=3), 1)
+    #: The routing table: (stack, policy) -> the session type built.  The
+    #: fused session takes every modelled stack that is ungated or gated
+    #: by count or PaCo gating over its own member; everything else takes
+    #: the scalar session.
+    ROUTES = [
+        ("modelled", "none", FusedTraceSession),
+        ("modelled", "no-gating", FusedTraceSession),
+        ("modelled", "own-count", FusedTraceSession),
+        ("modelled", "own-paco", FusedTraceSession),
+        ("modelled", "foreign-count", TraceSession),
+        ("modelled", "foreign-paco", TraceSession),
+        ("modelled", "probability", TraceSession),
+        ("unmodelled", "none", TraceSession),
+        ("unmodelled", "no-gating", TraceSession),
+        ("unmodelled", "own-count", TraceSession),
+        ("unmodelled", "own-paco", TraceSession),
+        ("unmodelled", "foreign-count", TraceSession),
+        ("unmodelled", "foreign-paco", TraceSession),
+        ("unmodelled", "probability", TraceSession),
+    ]
+
+    @pytest.mark.parametrize("stack, policy, session_type", ROUTES,
+                             ids=[f"{stack}-{policy}"
+                                  for stack, policy, _ in ROUTES])
+    def test_routing_table(self, tiny_spec, small_machine, stack, policy,
+                           session_type):
+        """The session type and the policy it carries, for a stack the
+        fused loops model (PaCo plus the count predictor) or one they do
+        not (the same pair plus a custom predictor).  ``NoGating`` builds
+        the same session as no policy at all."""
+        paco = PaCoPredictor()
+        count = ThresholdAndCountPredictor(threshold=3)
+        predictors = [paco, count]
+        if stack == "unmodelled":
+            predictors.append(_CustomPathConfidence())
+        gating = {
+            "none": lambda: None,
+            "no-gating": NoGating,
+            "own-count": lambda: CountGating(count, 1),
+            "own-paco": lambda: PaCoGating(paco, 0.5),
+            "foreign-count": lambda: CountGating(
+                ThresholdAndCountPredictor(threshold=3), 1),
+            "foreign-paco": lambda: PaCoGating(PaCoPredictor(), 0.5),
+            "probability": lambda: ProbabilityGating(paco, 0.5),
+        }[policy]()
         session = TraceBackend().build(
             Workload(spec=tiny_spec, seed=2), small_machine,
-            Instrumentation(path_confidence=path_confidence,
-                            gating_policy=policy))
-        assert type(session) is GatedTraceSession
+            Instrumentation(path_confidence=CompositePathConfidence(
+                predictors=predictors, primary=paco), gating_policy=gating))
+        assert type(session) is session_type
+        expected = None if policy in ("none", "no-gating") else gating
+        assert session.gating_policy is expected
         assert session.run(max_instructions=500).retired_instructions >= 500
 
     def test_fused_session_rejects_unmodelled_gate(self, tiny_spec,
                                                    small_machine):
-        """Built directly, the fused gated session refuses a gate it
-        would not model instead of running without it."""
+        """Built directly, the fused session refuses a gate it would not
+        model instead of running without it."""
         path_confidence = PaCoPredictor()
         instrument = Instrumentation(path_confidence=path_confidence)
         fetch_engine = build_fetch_engine(Workload(spec=tiny_spec, seed=2),
                                           small_machine, instrument)
-        with pytest.raises(ValueError, match="GatedTraceSession"):
-            FusedGatedTraceSession(
+        with pytest.raises(ValueError, match="TraceSession"):
+            FusedTraceSession(
                 fetch_engine, small_machine, (), 16, 8,
                 {"paco": path_confidence},
                 gating_policy=ProbabilityGating(path_confidence, 0.5))
-
-    def test_custom_predictor_builds_scalar_session(self, tiny_spec,
-                                                    small_machine):
-        session = TraceBackend().build(
-            Workload(spec=tiny_spec, seed=2), small_machine,
-            Instrumentation(path_confidence=_CustomPathConfidence()))
-        assert type(session) is TraceSession
-        assert session.run(max_instructions=500).retired_instructions >= 500
 
 
 class _SubclassedMultiObserver(MultiPredictorObserver):
@@ -1227,8 +1300,8 @@ class TestDeliveryPlanRouting:
                   else None)
         session = build_session("gzip", composite, gating_policy=gating,
                                 backend="trace")
-        assert type(session) is (FusedGatedTraceSession if gating
-                                 else FusedTraceSession)
+        assert type(session) is FusedTraceSession
+        assert session.gating_policy is gating
         session.add_observer(MultiPredictorObserver(predictors[:3]))
         session.add_observer(CounterGoodpathObserver(count))
         if case != "gated":
@@ -1281,6 +1354,24 @@ class TestGateCodegen:
             assert "gated_cycles" in "".join(linecache.getlines(filename))
             assert "gated_cycles" not in "".join(
                 linecache.getlines(ungated_fn.__code__.co_filename))
+
+
+class TestSingleCodegenSystem:
+    """The fused loops are the only generated code: no other module under
+    ``src/repro`` calls the ``exec`` or ``compile`` builtins, so the
+    scalar reference stays plain python."""
+
+    def test_only_fused_module_compiles_code(self):
+        root = Path(repro.__file__).parent
+        callers = set()
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("exec", "compile")):
+                    callers.add(path.relative_to(root.parent).as_posix())
+        assert callers == {"repro/backends/fused.py"}
 
 
 #: The retired vectorized backend's name, spelled indirectly so a search

@@ -1,13 +1,12 @@
-"""Regression tests for the trace backend's single drain implementation.
+"""Regression tests for the trace backend's drain.
 
-The drain body — completing the oldest in-flight slots — exists once in
-``repro.backends.trace`` (``_DRAIN_BODY``) and is compiled into three
-consumers: the batched block step, the fused wrong-path episode, and the
-self-state ``_complete_oldest`` wrapper the scalar/gated paths use.
-These tests pin the compiled wrapper behaviour-identical to a reference
-implementation of the scalar drain semantics across gap-only, branch-only
-and mixed windows, and pin the inlined copies against the wrapper by
-running the batched and scalar sessions over the same replay.
+Completing the oldest in-flight slots is one plain method,
+``TraceSession._complete_oldest``; the fused session's generated loops
+carry their own inlined drains.  These tests pin the method
+behaviour-identical to a reference implementation of the drain semantics
+across gap-only, branch-only and mixed windows, and pin the fused
+session's inlined drains against it by running the fused and scalar
+sessions over the same replay.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from repro.backends import (
     Workload,
     build_fetch_engine,
 )
-from repro.backends.trace import GatedTraceSession
+from repro.backends.fused import FusedTraceSession
+from repro.backends.trace import TraceSession
 from repro.isa.types import BranchKind
 from repro.pathconf.paco import PaCoPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
@@ -250,38 +250,41 @@ class TestCompleteOldest:
 
 
 class TestInlinedDrainsMatchWrapper:
-    """The compiled inline copies (block step, fused episode) against the
-    scalar paths that go through ``_complete_oldest``.
+    """The fused session's inlined drains (block step, episode) against
+    the scalar paths that go through ``_complete_oldest``.
 
-    A scalar gated session whose policy never fires replays the same
-    streams as the base session but takes the scalar step/episode paths,
-    so equal stats and equal observer streams pin all drain consumers to
-    one behaviour.  It is built directly: :class:`TraceBackend` would
-    build the fused gated session, whose drains are the batched ones.
+    The scalar :class:`TraceSession` is built directly — ungated, and
+    gated by a policy that never fires, which takes every gate check and
+    must still replay the same streams.  Equal stats and equal observer
+    streams pin all drain consumers to one behaviour.
     """
 
-    def _run(self, spec, machine, gated, seed=6, instructions=5_000):
+    def _run(self, spec, machine, session_kind, seed=6, instructions=5_000):
         predictor = ThresholdAndCountPredictor(threshold=3)
         observer = _StreamObserver()
         instrument = Instrumentation(path_confidence=predictor,
                                      observers=(observer,))
         workload = Workload(spec=spec, seed=seed)
-        if gated:
-            session = GatedTraceSession(
+        if session_kind == "fused":
+            session = TraceBackend().build(workload, machine, instrument)
+            assert type(session) is FusedTraceSession
+        else:
+            gating = (CountGating(predictor, gate_count=10 ** 9)
+                      if session_kind == "never-gated" else None)
+            session = TraceSession(
                 build_fetch_engine(workload, machine, instrument), machine,
                 instrument.observers,
                 machine.width * machine.frontend_depth,
-                2 * machine.min_mispredict_penalty,
-                CountGating(predictor, gate_count=10 ** 9))
-        else:
-            session = TraceBackend().build(workload, machine, instrument)
+                2 * machine.min_mispredict_penalty, gating_policy=gating)
         stats = session.run(max_instructions=instructions)
         return observer.events, stats
 
-    def test_scalar_and_batched_paths_agree(self, tiny_spec, small_machine):
-        batched = self._run(tiny_spec, small_machine, gated=False)
-        scalar = self._run(tiny_spec, small_machine, gated=True)
+    @pytest.mark.parametrize("scalar_kind", ["ungated", "never-gated"])
+    def test_scalar_and_batched_paths_agree(self, tiny_spec, small_machine,
+                                            scalar_kind):
+        fused = self._run(tiny_spec, small_machine, "fused")
+        scalar = self._run(tiny_spec, small_machine, scalar_kind)
         assert scalar[1].gated_cycles == 0
-        # gated_cycles is the only field the gated wrapper could touch.
-        assert scalar[1] == batched[1]
-        assert scalar[0] == batched[0]
+        # gated_cycles is the only field a gate could touch.
+        assert scalar[1] == fused[1]
+        assert scalar[0] == fused[0]
