@@ -9,9 +9,7 @@ Subcommands
     overrides the driver's default simulation backend (predictor-level
     experiments default to the fast trace engine; fig10/fig12 default to
     the cycle model and accept ``--backend trace`` for parity-gated
-    estimates).  ``--block-size`` (or ``REPRO_TRACE_BLOCK``) sets the
-    trace backend's branch-generation batch — pure mechanism, results
-    are bit-identical for every value.
+    estimates).
 ``sweep``
     Run several experiments (default: all of them) sharing one runner and
     one cache, and print a wall-clock summary.
@@ -30,7 +28,6 @@ Examples::
 
     python -m repro run table7 --workers 4
     python -m repro run table7 --backend cycle      # ground-truth numbers
-    python -m repro run table7 --block-size 1024    # trace generation batch
     python -m repro run table7 --dry-run            # list jobs, run nothing
     python -m repro run fig12 --quick --workers 2
     python -m repro sweep --experiments table7,fig2 --workers 4
@@ -47,18 +44,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.backends import UnknownBackendError, validate_backend_name
-from repro.backends.trace import (
-    DEFAULT_TRACE_BLOCK,
-    TRACE_BLOCK_ENV,
-    resolve_trace_block_size,
-)
 from repro.pipeline.core import SimulationTruncated
 from repro.experiments import (
     ablations,
@@ -95,14 +86,6 @@ def _worker_count(value: str) -> int:
     """argparse type for ``--workers``: an integer >= 1, rejected loudly."""
     try:
         return resolve_worker_count(value, source="--workers")
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _block_size(value: str) -> int:
-    """argparse type for ``--block-size``: an integer >= 1, rejected loudly."""
-    try:
-        return resolve_trace_block_size(value, source="--block-size")
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
 
@@ -151,13 +134,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
                              "predictor-level experiments, cycle for "
                              "fig10/fig12, which accept trace for "
                              "parity-gated timing estimates)")
-    parser.add_argument("--block-size", type=_block_size, default=None,
-                        help="trace-backend generation block size "
-                             "(default: $REPRO_TRACE_BLOCK or "
-                             f"{DEFAULT_TRACE_BLOCK}; results are "
-                             "bit-identical for every value >= 1, so this "
-                             "is pure mechanism and never part of a cache "
-                             "key)")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="result cache directory "
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
@@ -177,12 +153,6 @@ def _driver_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _build_runner(args: argparse.Namespace) -> SweepRunner:
-    if getattr(args, "block_size", None) is not None:
-        # Exported through the environment so forked worker processes
-        # inherit it; block size is pure mechanism (results are
-        # bit-identical for every value), so it deliberately rides in no
-        # job identity or cache key.
-        os.environ[TRACE_BLOCK_ENV] = str(args.block_size)
     cache: Optional[ResultCache] = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -654,15 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      help="execute at most this many "
                                           "pending jobs, then stop "
                                           "(journal keeps the progress)")
-    campaign_run_parser.add_argument("--block-size", type=_block_size,
-                                     default=None,
-                                     help="trace-backend generation block "
-                                          "size (default: $REPRO_TRACE_BLOCK "
-                                          f"or {DEFAULT_TRACE_BLOCK}; "
-                                          "bit-identical results for every "
-                                          "value >= 1 — pure mechanism, "
-                                          "excluded from job digests and "
-                                          "cache keys)")
     campaign_run_parser.add_argument("--workers", type=_worker_count,
                                      default=1,
                                      help="worker processes (default: 1)")

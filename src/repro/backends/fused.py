@@ -1495,7 +1495,7 @@ def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
         bound, gate_expr = _GATES[gate]
         setup += bound
         docstring = '''\
-    """Fused-predictor twin of ``GatedTraceSession._replay_wrongpath``.
+    """Fused-predictor twin of ``TraceSession._replay_wrongpath``.
 
     The ungated fused episode's predicts, drains and deferred history
     local ``h``, on the gated session's per-slot skeleton: the gate is

@@ -13,8 +13,7 @@ come from the replay's own gap process).
 
 The replay is *branch-driven and batched*: non-branch instructions are
 never generated at all, and branches are produced and consumed in blocks.
-Per block (``--block-size`` / ``REPRO_TRACE_BLOCK``, default
-:data:`DEFAULT_TRACE_BLOCK`):
+Per block (:data:`DEFAULT_TRACE_BLOCK` branches):
 
 * the geometric inter-branch gaps are drawn in one
   :meth:`~repro.common.rng.DeterministicRng.geometric_block` call (one
@@ -112,7 +111,6 @@ timing numbers.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from typing import Deque, Optional
 
@@ -139,31 +137,6 @@ from repro.workloads.generator import BranchBlock
 #: ``tests/test_backends.py``) — so it rides in neither Job identities
 #: nor result-cache keys.
 DEFAULT_TRACE_BLOCK = 256
-
-#: Environment knob overriding the default block size (the CLI's
-#: ``--block-size`` flag sets it so worker processes inherit the value).
-TRACE_BLOCK_ENV = "REPRO_TRACE_BLOCK"
-
-
-def resolve_trace_block_size(value: object,
-                             source: str = "block size") -> int:
-    """Validate a trace block size from a CLI flag or environment knob.
-
-    Accepts an ``int`` or an integer-shaped string and requires it to be
-    at least 1; ``source`` names the knob in the error message (the same
-    contract as :func:`repro.runner.sweep.resolve_worker_count`).
-    """
-    try:
-        size = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid {source} value {value!r}: expected an integer >= 1"
-        ) from None
-    if size < 1:
-        raise ValueError(
-            f"invalid {source} value {value!r}: block sizes must be >= 1"
-        )
-    return size
 
 
 def _has_cycle_work(path_confidence) -> bool:
@@ -233,12 +206,9 @@ class TraceSession(SimulationSession):
         if mispredict_window < 1:
             raise ValueError("mispredict window must be at least one instruction")
         if block_size is None:
-            block_size = resolve_trace_block_size(
-                os.environ.get(TRACE_BLOCK_ENV, DEFAULT_TRACE_BLOCK),
-                source=TRACE_BLOCK_ENV,
-            )
-        else:
-            block_size = resolve_trace_block_size(block_size)
+            block_size = DEFAULT_TRACE_BLOCK
+        elif block_size < 1:
+            raise ValueError("block size must be at least 1")
         self.fetch_engine = fetch_engine
         self.config = config
         self.stats = CoreStats()
@@ -827,9 +797,8 @@ class TraceBackend(SimulationBackend):
         to ``2 * min_mispredict_penalty`` (calibrated against the cycle
         model's wrong-path fetches per flush).
     block_size:
-        Branches generated per batch.  Defaults to the
-        ``REPRO_TRACE_BLOCK`` environment knob (or
-        :data:`DEFAULT_TRACE_BLOCK`); results are bit-identical for any
+        Branches generated per batch.  Defaults to
+        :data:`DEFAULT_TRACE_BLOCK`; results are bit-identical for any
         value >= 1, so this is never part of a job identity or cache key.
     """
 

@@ -21,7 +21,12 @@ This module fuses all of that into one structure:
 * :class:`PredictorStateEngine` — straight-line predict/resolve code
   operating on the *flat table storage* (plain contiguous lists of small
   ints) borrowed from the tournament predictor and the JRS table, with
-  all masks and thresholds hoisted into locals.
+  all masks and thresholds hoisted into locals.  Its two entry points,
+  :meth:`~PredictorStateEngine.predict_columns` and
+  :meth:`~PredictorStateEngine.resolve_record`, take the branch as plain
+  columns and read its outcome from the record, so the cycle model and
+  the trace replay share one predict/resolve path (the fetch engine
+  adapts the cycle model's Instructions to it).
 
 :class:`~repro.branch_predictor.frontend.FrontEndPredictor` keeps its
 object-per-step ``predict``/``resolve`` as the readable reference
@@ -37,7 +42,6 @@ from typing import Optional
 
 from repro.branch_predictor.frontend import FrontEndPredictor
 from repro.confidence.jrs import JRSConfidencePredictor
-from repro.isa.instruction import Instruction
 from repro.isa.types import BranchKind
 
 
@@ -101,10 +105,8 @@ class BranchRecord:
         # in-flight bookkeeping
         "resolved",
         "is_conditional",
-        # trace block path only: the architectural outcome rides in the
-        # record because no Instruction is materialized.  Set by
-        # FetchEngine.predict_from_block, never by __init__ (the cycle
-        # path pays nothing for them).
+        # the architectural outcome and path, read at resolve time.  Set
+        # by FetchEngine.predict_from_block, never by __init__.
         "kind",
         "out_taken",
         "out_target",
@@ -235,187 +237,16 @@ class PredictorStateEngine:
     # fetch-time: predict + confidence lookup
     # ------------------------------------------------------------------ #
 
-    def predict_branch(self, instr: Instruction) -> BranchRecord:
-        """Predict a fetched control-flow instruction.
+    def predict_columns(self, pc: int, kind: BranchKind,
+                        static_branch_id: Optional[int],
+                        thread_id: int) -> BranchRecord:
+        """Predict one branch given as plain columns.
 
         Behaviour-identical to
         :meth:`FrontEndPredictor.predict <repro.branch_predictor.frontend.FrontEndPredictor.predict>`
         — same table reads, same speculative history/RAS updates, same BTB
         LRU touches — plus, for conditional branches, the JRS confidence
-        lookup that used to be a separate step in the fetch engine.
-        """
-        kind = instr.branch_kind
-        if kind is BranchKind.NOT_A_BRANCH:
-            raise ValueError("predict_branch() called on a non-branch instruction")
-        pc = instr.pc
-        history = self._history
-        history_now = history.value
-
-        if kind is BranchKind.CONDITIONAL:
-            pc_bits = pc >> 2
-            gshare_index = ((pc_bits ^ (history_now & self._gshare_hist_mask))
-                            & self._gshare_mask)
-            gshare_taken = (self._gshare_table[gshare_index]
-                            >= self._gshare_threshold)
-            bimodal_index = pc_bits & self._bimodal_mask
-            bimodal_taken = (self._bimodal_table[bimodal_index]
-                             >= self._bimodal_threshold)
-            chooser_index = ((pc_bits ^ (history_now & self._chooser_hist_mask))
-                             & self._chooser_mask)
-            chose_gshare = self._chooser[chooser_index] >= 2
-            taken = gshare_taken if chose_gshare else bimodal_taken
-
-            btb_target = self._btb.predict_target(pc)
-
-            record = BranchRecord(pc, 0, 0, taken, history_now,
-                                  instr.static_branch_id, instr.thread_id)
-            record.target = btb_target if taken else None
-            record.btb_hit = btb_target is not None
-            record.gshare_taken = gshare_taken
-            record.gshare_index = gshare_index
-            record.bimodal_taken = bimodal_taken
-            record.bimodal_index = bimodal_index
-            record.chooser_index = chooser_index
-            record.chose_gshare = chose_gshare
-
-            jrs_table = self._jrs_table
-            if jrs_table is not None:
-                index = ((pc_bits ^ (history_now & self._jrs_hist_mask))
-                         & self._jrs_mask)
-                shift = self._jrs_enhanced_shift
-                if shift >= 0 and taken:
-                    index = (index ^ (1 << shift)) & self._jrs_mask
-                confidence = self.confidence
-                confidence.lookups += 1
-                record.mdc_index = index
-                record.mdc_value = jrs_table[index]
-
-            # Speculative global-history update with the predicted direction.
-            history.value = (((history_now << 1) | (1 if taken else 0))
-                             & history.mask)
-            return record
-
-        record = BranchRecord(pc, 0, 0, True, history_now,
-                              instr.static_branch_id, instr.thread_id)
-        record.is_conditional = False
-        if kind in (BranchKind.UNCONDITIONAL, BranchKind.CALL):
-            target = self._btb.predict_target(pc)
-            if kind is BranchKind.CALL:
-                self._ras.push(pc + 4)
-        elif kind is BranchKind.RETURN:
-            target = self._ras.pop()
-        else:  # indirect jump / indirect call
-            target = self._indirect.predict_target(pc, history_now)
-            if target is None:
-                target = self._btb.predict_target(pc)
-            if kind is BranchKind.INDIRECT_CALL:
-                self._ras.push(pc + 4)
-        record.target = target
-        record.btb_hit = target is not None
-        return record
-
-    # ------------------------------------------------------------------ #
-    # resolution-time: history repair + table training
-    # ------------------------------------------------------------------ #
-
-    def resolve_branch(self, instr: Instruction, record: BranchRecord,
-                       train: bool) -> None:
-        """Resolve a branch: repair history, train the tables consulted at
-        fetch, and (for trained conditional branches) update the JRS entry.
-
-        Behaviour-identical to
-        :meth:`FrontEndPredictor.resolve <repro.branch_predictor.frontend.FrontEndPredictor.resolve>`
-        followed by ``JRSConfidencePredictor.update``.
-        """
-        outcome = instr.outcome
-        if outcome is None:
-            raise ValueError("cannot resolve a branch without an outcome")
-
-        if record.is_conditional:
-            actual_taken = outcome.taken
-            if record.mispredicted:
-                history = self._history
-                history.value = ((((record.history & history.mask) << 1)
-                                  | (1 if actual_taken else 0)) & history.mask)
-            if not train:
-                return
-            # Tournament training with the indices consulted at fetch:
-            # chooser first (only on component disagreement), then both
-            # component tables — exactly the reference update order.
-            gshare_correct = record.gshare_taken == actual_taken
-            bimodal_correct = record.bimodal_taken == actual_taken
-            if gshare_correct != bimodal_correct:
-                chooser = self._chooser
-                index = record.chooser_index
-                value = chooser[index]
-                if gshare_correct:
-                    if value < 3:
-                        chooser[index] = value + 1
-                elif value > 0:
-                    chooser[index] = value - 1
-            table = self._gshare_table
-            index = record.gshare_index
-            value = table[index]
-            if actual_taken:
-                if value < self._gshare_max:
-                    table[index] = value + 1
-            elif value > 0:
-                table[index] = value - 1
-            table = self._bimodal_table
-            index = record.bimodal_index
-            value = table[index]
-            if actual_taken:
-                if value < self._bimodal_max:
-                    table[index] = value + 1
-            elif value > 0:
-                table[index] = value - 1
-            if actual_taken:
-                self._btb.update(instr.pc, outcome.target)
-            # JRS miss-distance-counter update on the entry read at fetch.
-            jrs_table = self._jrs_table
-            if jrs_table is not None:
-                confidence = self.confidence
-                confidence.updates += 1
-                index = record.mdc_index
-                if record.mispredicted:
-                    confidence.resets += 1
-                    jrs_table[index] = 0
-                else:
-                    value = jrs_table[index]
-                    if value < self._jrs_max:
-                        jrs_table[index] = value + 1
-            return
-
-        if not train:
-            return
-        kind = instr.branch_kind
-        if kind in (BranchKind.UNCONDITIONAL, BranchKind.CALL):
-            self._btb.update(instr.pc, outcome.target)
-        elif kind in (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL):
-            self._indirect.update(instr.pc, outcome.target, record.history)
-            self._btb.update(instr.pc, outcome.target)
-
-    # ------------------------------------------------------------------ #
-    # block entry points (the trace backend's Instruction-free hot path)
-    #
-    # ``predict_columns`` / ``resolve_record`` are behaviour-identical
-    # twins of :meth:`predict_branch` / :meth:`resolve_branch` that read
-    # the branch from :class:`~repro.workloads.generator.BranchBlock`
-    # columns (respectively from the outcome slots the fetch engine
-    # stashed in the record) instead of an Instruction.  The bodies are
-    # deliberately duplicated rather than layered — this is the
-    # per-branch hot path of both backends, and an extra call frame per
-    # branch is exactly what this module exists to remove;
-    # ``tests/test_predictor_engine.py`` pins the twins together.
-    # ------------------------------------------------------------------ #
-
-    def predict_columns(self, pc: int, kind: BranchKind,
-                        static_branch_id: Optional[int],
-                        thread_id: int) -> BranchRecord:
-        """Predict one branch given as plain columns (no Instruction).
-
-        Bit-identical table reads, speculative history/RAS updates, BTB
-        LRU touches and JRS lookup to :meth:`predict_branch`.
+        lookup.
         """
         history = self._history
         history_now = history.value
@@ -483,12 +314,19 @@ class PredictorStateEngine:
         record.btb_hit = target is not None
         return record
 
+    # ------------------------------------------------------------------ #
+    # resolution-time: history repair + table training
+    # ------------------------------------------------------------------ #
+
     def resolve_record(self, record: BranchRecord, train: bool) -> None:
         """Resolve a branch whose outcome rides in the record itself.
 
-        Behaviour-identical to :meth:`resolve_branch` with an Instruction
-        carrying the same ``(pc, branch_kind, outcome)``; the trace block
-        path stores them in ``record.kind`` / ``record.out_taken`` /
+        Repairs the history, trains the tables consulted at fetch and (for
+        trained conditional branches) updates the JRS entry:
+        behaviour-identical to
+        :meth:`FrontEndPredictor.resolve <repro.branch_predictor.frontend.FrontEndPredictor.resolve>`
+        followed by ``JRSConfidencePredictor.update``.  The fetch engine
+        stores the outcome in ``record.kind`` / ``record.out_taken`` /
         ``record.out_target`` at predict time.
         """
         if record.is_conditional:

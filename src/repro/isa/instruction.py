@@ -81,8 +81,6 @@ class Instruction:
         "complete_cycle",
         "retired",
         "squashed",
-        "predicted_taken",
-        "predicted_target",
         "mispredicted",
         "conf_token",
         "producer",
@@ -120,8 +118,6 @@ class Instruction:
         self.complete_cycle: int = -1
         self.retired: bool = False
         self.squashed: bool = False
-        self.predicted_taken: Optional[bool] = None
-        self.predicted_target: Optional[int] = None
         self.mispredicted: bool = False
         self.conf_token: object = None
         self.producer: Optional["Instruction"] = None

@@ -256,7 +256,7 @@ class OutOfOrderCore:
             if instr.squashed:
                 continue
             if instr.is_branch:
-                self.fetch_engine.resolve_branch(instr)
+                self.fetch_engine.resolve_record(instr.conf_token)
                 if instr.mispredicted and instr.on_goodpath:
                     self._recover_from_mispredict(instr, cycle)
             self._record_instance("execute", cycle)
@@ -272,7 +272,7 @@ class OutOfOrderCore:
                 continue
             instr.squashed = True
             if instr.is_branch:
-                self.fetch_engine.squash_branch(instr)
+                self.fetch_engine.squash_record(instr.conf_token)
         self._rob = survivors
         self._scheduler = [i for i in self._scheduler if not i.squashed]
         self.fetch_engine.recover(branch)

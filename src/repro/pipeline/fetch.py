@@ -35,7 +35,11 @@ from repro.confidence.jrs import JRSConfidencePredictor
 from repro.isa.instruction import Instruction
 from repro.isa.types import BranchKind
 from repro.pathconf.base import PathConfidencePredictor
-from repro.workloads.generator import WorkloadGenerator, WrongPathGenerator
+from repro.workloads.generator import (
+    BranchBlock,
+    WorkloadGenerator,
+    WrongPathGenerator,
+)
 
 
 class FetchEngine:
@@ -52,6 +56,8 @@ class FetchEngine:
         self.confidence = confidence
         self.path_confidence = path_confidence
         self.state_engine = PredictorStateEngine(frontend, confidence)
+        # The one-branch block the cycle model's fetch predicts through.
+        self._branch_slot = BranchBlock(1)
 
         self.on_wrong_path = False
         self._pending_mispredict_seq: Optional[int] = None
@@ -79,60 +85,35 @@ class FetchEngine:
         return instr
 
     def _predict_branch(self, instr: Instruction) -> None:
-        self.branches_fetched += 1
-        record = self.state_engine.predict_branch(instr)
+        """Predict a fetched branch through :meth:`predict_from_block`."""
+        block = self._branch_slot
         outcome = instr.outcome
-        if record.is_conditional:
-            mispredicted = (outcome is not None
-                            and record.taken != outcome.taken)
-        else:
-            # Control flow with a predicted target: mispredict when the
-            # target is unknown (BTB/RAS/indirect miss) or wrong.
-            mispredicted = (outcome is not None
-                            and record.target != outcome.target)
-        record.mispredicted = mispredicted
-        instr.predicted_taken = record.taken
-        instr.predicted_target = record.target
-        instr.mispredicted = mispredicted
-        # Accuracy bookkeeping (note_prediction_outcome, inlined).
-        frontend = self.frontend
-        frontend.total_predictions += 1
-        if record.is_conditional:
-            frontend.conditional_predictions += 1
-            if mispredicted:
-                frontend.total_mispredictions += 1
-                frontend.conditional_mispredictions += 1
-            self.conditional_branches_fetched += 1
-            record.path_token = self.path_confidence.on_branch_fetch(record)
-        elif mispredicted:
-            frontend.total_mispredictions += 1
+        block.pc[0] = instr.pc
+        block.kind[0] = instr.branch_kind
+        block.taken[0] = outcome.taken
+        block.target[0] = outcome.target
+        block.static_branch_id[0] = instr.static_branch_id
+        record = self.predict_from_block(block, 0, instr.seq,
+                                         instr.on_goodpath)
+        instr.mispredicted = record.mispredicted
         instr.conf_token = record
 
-        # A mispredicted branch on the good path sends fetch onto the wrong
-        # path until it resolves.  Wrong-path "mispredicts" change nothing:
-        # we are already fetching instructions that will be squashed.
-        if mispredicted and instr.on_goodpath and not self.on_wrong_path:
-            self.on_wrong_path = True
-            self._pending_mispredict_seq = instr.seq
-
     # ------------------------------------------------------------------ #
-    # block entry points (the trace backend's Instruction-free hot path)
+    # record entry points (the one predict/resolve path of both backends)
     # ------------------------------------------------------------------ #
 
     def predict_from_block(self, block, i: int, seq: int,
                            on_goodpath: bool = True) -> BranchRecord:
         """Predict branch ``i`` of a generated branch block.
 
-        The record-based twin of :meth:`_predict_branch`: same predictor
-        work (through
+        Runs the predictor work (through
         :meth:`~repro.branch_predictor.engine.PredictorStateEngine.predict_columns`),
-        same accuracy bookkeeping, same wrong-path switching — but the
-        branch arrives as :class:`~repro.workloads.generator.BranchBlock`
-        columns and its architectural outcome is stashed in the record's
-        outcome slots for resolution, so no Instruction ever exists.
-        Fetch counters (``goodpath_fetched`` / ``badpath_fetched``) stay
-        with the caller, mirroring how the trace session splits them from
-        prediction bookkeeping on the scalar path.
+        the accuracy bookkeeping, the path confidence registration and the
+        wrong-path switch.  The branch arrives as
+        :class:`~repro.workloads.generator.BranchBlock` columns and its
+        architectural outcome is stashed in the record's outcome slots for
+        resolution.  Fetch counters (``goodpath_fetched`` /
+        ``badpath_fetched``) stay with the caller.
         """
         self.branches_fetched += 1
         kind = block.kind[i]
@@ -168,7 +149,12 @@ class FetchEngine:
         return record
 
     def resolve_record(self, record: BranchRecord) -> None:
-        """Record-based twin of :meth:`resolve_branch` (trace block path)."""
+        """Resolve a branch when it executes (good or wrong path).
+
+        Good-path branches train the tables and the path confidence
+        predictor; wrong-path branches leave the window without training
+        (they never retire).
+        """
         if record.resolved:
             return
         record.resolved = True
@@ -184,7 +170,7 @@ class FetchEngine:
                 self.path_confidence.on_branch_squash(token)
 
     def squash_record(self, record: BranchRecord) -> None:
-        """Record-based twin of :meth:`squash_branch` (trace block path)."""
+        """Release an unresolved branch that is flushed."""
         if record.resolved:
             return
         record.resolved = True
@@ -194,34 +180,6 @@ class FetchEngine:
     # ------------------------------------------------------------------ #
     # resolution / recovery
     # ------------------------------------------------------------------ #
-
-    def resolve_branch(self, instr: Instruction) -> None:
-        """Called by the core when a branch executes (good or wrong path)."""
-        record: Optional[BranchRecord] = instr.conf_token
-        if record is None or record.resolved:
-            return
-        record.resolved = True
-        train = instr.on_goodpath
-        self.state_engine.resolve_branch(instr, record, train)
-        token = record.path_token
-        if token is not None:
-            if train:
-                self.path_confidence.on_branch_resolve(
-                    token, mispredicted=instr.mispredicted
-                )
-            else:
-                # Wrong-path branches leave the window without training the
-                # mispredict-rate machinery (they never retire).
-                self.path_confidence.on_branch_squash(token)
-
-    def squash_branch(self, instr: Instruction) -> None:
-        """Called by the core when an unresolved branch is flushed."""
-        record: Optional[BranchRecord] = instr.conf_token
-        if record is None or record.resolved:
-            return
-        record.resolved = True
-        if record.path_token is not None:
-            self.path_confidence.on_branch_squash(record.path_token)
 
     def recover(self, mispredicted_instr: Instruction) -> None:
         """Resume good-path fetch after the mispredicted branch resolved."""

@@ -190,7 +190,7 @@ class SMTCore:
                 continue
             if instr.is_branch:
                 thread = self.threads[instr.thread_id]
-                thread.fetch_engine.resolve_branch(instr)
+                thread.fetch_engine.resolve_record(instr.conf_token)
                 if instr.mispredicted and instr.on_goodpath:
                     self._recover_thread(thread, instr, cycle)
 
@@ -203,7 +203,7 @@ class SMTCore:
                 continue
             instr.squashed = True
             if instr.is_branch:
-                thread.fetch_engine.squash_branch(instr)
+                thread.fetch_engine.squash_record(instr.conf_token)
         thread.rob = survivors
         self._scheduler = [i for i in self._scheduler if not i.squashed]
         thread.fetch_engine.recover(branch)

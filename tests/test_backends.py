@@ -38,6 +38,7 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
+from repro.backends import trace as trace_backend
 from repro.backends.fused import (
     FusedTraceSession,
     _build_replay_source,
@@ -567,8 +568,7 @@ class TestTraceCycleParity:
 
 class TestTraceBlockSize:
     """Block size is pure mechanism: results are bit-identical for every
-    value, the knob is validated like a worker count, and it never rides
-    in a job identity or cache key."""
+    value, and values below 1 are rejected."""
 
     def _stats(self, spec, machine, block_size):
         session = TraceBackend(block_size=block_size).build(
@@ -589,34 +589,15 @@ class TestTraceBlockSize:
                                                monkeypatch, block_size):
         """Phase-aware observers must see the same per-phase instances at
         every block size (boundary blocks fall back to slot-by-slot)."""
-        monkeypatch.setenv("REPRO_TRACE_BLOCK", str(block_size))
+        monkeypatch.setattr(trace_backend, "DEFAULT_TRACE_BLOCK", block_size)
         result = run_accuracy_experiment(
             phased_spec, instructions=6_000, warmup_instructions=1_000,
             backend="trace", instrument="counter")
-        monkeypatch.setenv("REPRO_TRACE_BLOCK", "64")
+        monkeypatch.setattr(trace_backend, "DEFAULT_TRACE_BLOCK", 64)
         reference = run_accuracy_experiment(
             phased_spec, instructions=6_000, warmup_instructions=1_000,
             backend="trace", instrument="counter")
         assert result == reference
-
-    def test_env_knob_overrides_default(self, tiny_spec, small_machine,
-                                        monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_BLOCK", "32")
-        session = TraceBackend().build(
-            Workload(spec=tiny_spec, seed=1), small_machine,
-            Instrumentation(path_confidence=PaCoPredictor()),
-        )
-        assert session.block_size == 32
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "many", ""])
-    def test_env_knob_validated_loudly(self, tiny_spec, small_machine,
-                                       monkeypatch, bad):
-        monkeypatch.setenv("REPRO_TRACE_BLOCK", bad)
-        with pytest.raises(ValueError, match="REPRO_TRACE_BLOCK"):
-            TraceBackend().build(
-                Workload(spec=tiny_spec, seed=1), small_machine,
-                Instrumentation(path_confidence=PaCoPredictor()),
-            )
 
     def test_explicit_block_size_validated(self, tiny_spec, small_machine):
         with pytest.raises(ValueError):
@@ -625,22 +606,39 @@ class TestTraceBlockSize:
                 Instrumentation(path_confidence=PaCoPredictor()),
             )
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("backend_cls, session_cls",
+                             [(TraceBackend, FusedTraceSession),
+                              (_ScalarTraceBackend, TraceSession)],
+                             ids=["fused", "scalar"])
+    def test_block_size_below_one_rejected(self, tiny_spec, small_machine,
+                                           backend_cls, session_cls, bad):
+        """Both session types keep the ``block_size`` seam's lower bound."""
+        def build(block_size):
+            return backend_cls(block_size=block_size).build(
+                Workload(spec=tiny_spec, seed=1), small_machine,
+                Instrumentation(path_confidence=PaCoPredictor()),
+            )
+
+        assert type(build(1)) is session_cls
+        with pytest.raises(ValueError, match="block"):
+            build(bad)
+
     def test_block_size_excluded_from_job_identity(self, tmp_path,
                                                    monkeypatch):
-        """Different block sizes must hit the same cache entry: the knob
-        cannot change results, so it must not fragment the cache."""
+        """Block size cannot change results, so it must not ride in a job's
+        digest or cache key and fragment the cache."""
         def make_job():
             return accuracy_job("gzip", instructions=2_000,
                                 warmup_instructions=500, seed=1,
                                 backend="trace")
 
-        monkeypatch.delenv("REPRO_TRACE_BLOCK", raising=False)
         job = make_job()
         digest_default = job.digest()
         cache = ResultCache(tmp_path)
         key_default = cache.key(job)
         assert "block" not in str(job.payload()).lower()
-        monkeypatch.setenv("REPRO_TRACE_BLOCK", "8")
+        monkeypatch.setattr(trace_backend, "DEFAULT_TRACE_BLOCK", 8)
         assert make_job().digest() == digest_default
         assert cache.key(make_job()) == key_default
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -733,36 +732,6 @@ class TestCampaignCli:
         capsys.readouterr()
         assert cli.main(["campaign", "run", "--campaign-dir", str(camp),
                          "--shard", "3/2"]) == 2
-
-    def test_run_accepts_block_size(self, tmp_path, capsys, monkeypatch):
-        """--block-size on campaign run exports the env knob (so forked
-        workers inherit it) and — block size being pure mechanism —
-        produces the same merged report as the default."""
-        monkeypatch.delenv("REPRO_TRACE_BLOCK", raising=False)
-        camp = tmp_path / "camp"
-        assert cli.main(self.plan_args(camp)) == 0
-        assert cli.main(["campaign", "run", "--campaign-dir", str(camp),
-                         "--shard", "1/1", "--no-cache",
-                         "--block-size", "7"]) == 0
-        assert os.environ["REPRO_TRACE_BLOCK"] == "7"
-        assert cli.main(["campaign", "merge",
-                         "--campaign-dir", str(camp)]) == 0
-        capsys.readouterr()
-        written = (camp / "merged" / "table7-seed1.txt").read_text(
-            encoding="utf-8")
-        reference = table7_rms.report(
-            runner=SweepRunner(), **MINI_SPEC.driver_kwargs(1))
-        assert written == reference + "\n"
-
-    def test_run_rejects_bad_block_size(self, tmp_path, capsys):
-        camp = tmp_path / "camp"
-        cli.main(self.plan_args(camp))
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["campaign", "run", "--campaign-dir", str(camp),
-                      "--shard", "1/1", "--block-size", "0"])
-        assert excinfo.value.code == 2
-        assert "--block-size" in capsys.readouterr().err
 
 
 class TestDryRun:

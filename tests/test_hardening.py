@@ -235,44 +235,20 @@ class TestWorkerValidation:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestTraceBlockSizeValidation:
-    def test_resolve_trace_block_size_accepts_ints_and_strings(self):
-        from repro.backends.trace import resolve_trace_block_size
-        assert resolve_trace_block_size(1) == 1
-        assert resolve_trace_block_size("512") == 512
-        assert resolve_trace_block_size(" 64 ") == 64
+class TestBlockSizeFlagRemoved:
+    """The trace block size is fixed at ``DEFAULT_TRACE_BLOCK``; a stale
+    ``--block-size`` must fail loudly rather than be silently ignored."""
 
-    @pytest.mark.parametrize("value", [0, -1, "0", "-3", "huge", "", None, 2.5])
-    def test_resolve_trace_block_size_rejects_invalid(self, value):
-        from repro.backends.trace import resolve_trace_block_size
-        with pytest.raises(ValueError, match="block|integer"):
-            resolve_trace_block_size(value)
-
-    def test_error_names_the_source_knob(self):
-        from repro.backends.trace import resolve_trace_block_size
-        with pytest.raises(ValueError, match="REPRO_TRACE_BLOCK"):
-            resolve_trace_block_size("0", source="REPRO_TRACE_BLOCK")
-
-    def test_cli_rejects_zero_block_size(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig2", "--block-size", "64"],
+        ["campaign", "run", "--campaign-dir", "camp", "--shard", "1/1",
+         "--block-size", "64"],
+    ], ids=["run", "campaign-run"])
+    def test_cli_rejects_block_size_flag(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["run", "fig2", "--block-size", "0"])
+            cli.main(argv)
         assert excinfo.value.code == 2
         assert "--block-size" in capsys.readouterr().err
-
-    def test_cli_exports_block_size_to_environment(self, monkeypatch,
-                                                   tmp_path, capsys):
-        monkeypatch.delenv("REPRO_TRACE_BLOCK", raising=False)
-        seen = {}
-
-        def fake_driver(runner=None, quick=False, **kwargs):
-            seen["block"] = os.environ.get("REPRO_TRACE_BLOCK")
-            return ""
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig2", fake_driver)
-        code = cli.main(["run", "fig2", "--quick", "--no-cache",
-                         "--block-size", "128"])
-        assert code == 0
-        assert seen["block"] == "128"
 
 
 class TestMaxJobsValidation:

@@ -3,9 +3,11 @@
 The engine (``repro.branch_predictor.engine``) is the hot-path
 reimplementation of the front-end predict/resolve flow plus the JRS
 confidence lookup, operating on one shared :class:`BranchRecord` per
-branch.  These tests pin it to the readable reference implementation —
+branch.  These tests drive its record entry points
+(``predict_columns``/``resolve_record``, the one path both backends
+use) against the readable reference implementation —
 ``FrontEndPredictor.predict``/``resolve`` with their per-step objects —
-because the cycle backend's golden results depend on the two being
+because every backend's golden results depend on the two being
 behaviour-identical.
 """
 
@@ -26,12 +28,23 @@ from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 
 
 def _branch(seq, pc, kind=BranchKind.CONDITIONAL, taken=True,
-            target=0x400100, static_branch_id=None):
+            target=0x400100):
+    """A branch Instruction for the ``FrontEndPredictor`` reference."""
     return Instruction(
         seq=seq, pc=pc, iclass=InstructionClass.BRANCH, branch_kind=kind,
         outcome=BranchOutcome(taken=taken, target=target),
-        static_branch_id=static_branch_id,
     )
+
+
+def _predict(engine, pc, kind=BranchKind.CONDITIONAL, taken=True,
+             target=0x400100, static_branch_id=None):
+    """Predict one branch through the engine's record path, with its
+    outcome stashed in the record for ``resolve_record``."""
+    record = engine.predict_columns(pc, kind, static_branch_id, 0)
+    record.kind = kind
+    record.out_taken = taken
+    record.out_target = target
+    return record
 
 
 def _frontend_pair(**kwargs):
@@ -83,8 +96,7 @@ class TestIndexMath:
             pc = 0x400000 + (rng.next_u64() % 512) * 4
             # Push some history so the XOR indices are non-trivial.
             history = fused.history.value
-            instr = _branch(seq, pc, taken=rng.bernoulli(0.6))
-            record = engine.predict_branch(instr)
+            record = _predict(engine, pc, taken=rng.bernoulli(0.6))
             tournament = fused.direction
             assert record.gshare_index == tournament.gshare._index(pc, history)
             assert record.bimodal_index == tournament.bimodal._index(pc)
@@ -93,14 +105,13 @@ class TestIndexMath:
                                                         record.taken)
             assert record.mdc_value == jrs_fused.table[record.mdc_index]
             assert record.history == history
-            engine.resolve_branch(instr, record, train=True)
+            engine.resolve_record(record, train=True)
 
     def test_prediction_values_match_tables(self):
         _, (jrs, _) = _frontend_pair()
         frontend = FrontEndPredictor(direction_index_bits=10)
         engine = PredictorStateEngine(frontend, jrs)
-        instr = _branch(0, 0x400040)
-        record = engine.predict_branch(instr)
+        record = _predict(engine, 0x400040)
         tournament = frontend.direction
         assert record.gshare_taken == (
             tournament.gshare.table[record.gshare_index]
@@ -132,9 +143,8 @@ class TestChooserParityWithTokenObjects:
             reference.update(pc, history, taken, result)
             # Fused path: one BranchRecord, indices precomputed at fetch.
             frontend.history.value = history  # keep histories in lockstep
-            instr = _branch(seq, pc, taken=taken)
-            record = engine.predict_branch(instr)
-            engine.resolve_branch(instr, record, train=True)
+            record = _predict(engine, pc, taken=taken)
+            engine.resolve_record(record, train=True)
             assert record.chose_gshare == (result.meta.chose_gshare)
             assert record.taken == result.taken
             history = ((history << 1) | (1 if taken else 0)) & 0xFF
@@ -158,17 +168,16 @@ class TestEnginePredictorParity:
         engine = PredictorStateEngine(fused, jrs_fused)
         rng = DeterministicRng(23)
         pending = []  # delayed resolution: (ref instr, ref pred, ref lookup,
-                      #                      fused instr, fused record)
+                      #                      fused record)
         for seq in range(1_500):
             kind = self.KINDS[rng.next_u64() % len(self.KINDS)]
             pc = 0x400000 + (rng.next_u64() % 200) * 4
             taken = rng.bernoulli(0.5) if kind is BranchKind.CONDITIONAL else True
             target = 0x410000 + (rng.next_u64() % 64) * 4
             instr_ref = _branch(seq, pc, kind, taken, target)
-            instr_fused = _branch(seq, pc, kind, taken, target)
 
             pred = reference.predict(instr_ref)
-            record = engine.predict_branch(instr_fused)
+            record = _predict(engine, pc, kind, taken, target)
             assert record.taken == pred.taken
             assert record.target == pred.target
             assert record.btb_hit == pred.btb_hit
@@ -185,21 +194,21 @@ class TestEnginePredictorParity:
                 lookup = None
             pred.mispredicted = mispredicted
             record.mispredicted = mispredicted
-            pending.append((instr_ref, pred, lookup, instr_fused, record))
+            pending.append((instr_ref, pred, lookup, record))
 
             # Resolve a few branches out of band so histories move between
             # predict and resolve, exactly as in-flight windows do.
             while len(pending) > 4:
-                i_ref, p_ref, lk, i_fused, rec = pending.pop(0)
+                i_ref, p_ref, lk, rec = pending.pop(0)
                 reference.resolve(i_ref, p_ref, train=train)
                 if lk is not None and train:
                     jrs_ref.update(lk, was_correct=not p_ref.mispredicted)
-                engine.resolve_branch(i_fused, rec, train=train)
-        for i_ref, p_ref, lk, i_fused, rec in pending:
+                engine.resolve_record(rec, train=train)
+        for i_ref, p_ref, lk, rec in pending:
             reference.resolve(i_ref, p_ref, train=train)
             if lk is not None and train:
                 jrs_ref.update(lk, was_correct=not p_ref.mispredicted)
-            engine.resolve_branch(i_fused, rec, train=train)
+            engine.resolve_record(rec, train=train)
         return reference, fused, jrs_ref, jrs_fused
 
     def test_trained_state_identical(self):
@@ -231,19 +240,17 @@ class TestResetSemantics:
         engine = PredictorStateEngine(frontend, jrs)
         rng = DeterministicRng(3)
         for seq in range(400):
-            instr = _branch(seq, 0x400000 + (rng.next_u64() % 64) * 4,
-                            taken=rng.bernoulli(0.5))
-            record = engine.predict_branch(instr)
-            record.mispredicted = record.taken != instr.outcome.taken
-            engine.resolve_branch(instr, record, train=True)
+            record = _predict(engine, 0x400000 + (rng.next_u64() % 64) * 4,
+                              taken=rng.bernoulli(0.5))
+            record.mispredicted = record.taken != record.out_taken
+            engine.resolve_record(record, train=True)
         assert any(v != 2 for v in frontend.direction.gshare.table)
         assert any(v != 0 for v in jrs.table)
         frontend.direction.reset()
         jrs.reset()
         frontend.history.restore(0)
         # The engine's borrowed references observe the cleared state.
-        instr = _branch(999, 0x400000)
-        record = engine.predict_branch(instr)
+        record = _predict(engine, 0x400000)
         assert record.mdc_value == 0
         assert record.gshare_taken and record.bimodal_taken  # weakly taken
         assert record.chose_gshare  # chooser back at its weak-gshare init
@@ -256,7 +263,7 @@ class TestResetSemantics:
         # explicit rebind.
         jrs.table = [5] * jrs.size
         engine.rebind()
-        record = engine.predict_branch(_branch(0, 0x400000))
+        record = _predict(engine, 0x400000)
         assert record.mdc_value == 5
 
 
@@ -309,83 +316,3 @@ class TestSharedRecordTokens:
         token = composite.on_branch_fetch(info)
         assert type(token) is list and token[0] is info
         composite.on_branch_resolve(token, mispredicted=False)
-
-
-class TestBlockEntryPointTwins:
-    """predict_columns / resolve_record == predict_branch / resolve_branch.
-
-    The trace backend's block path reads branches from BranchBlock
-    columns and stashes the architectural outcome in the record; the
-    twins must leave every table, history bit and counter exactly where
-    the Instruction-based pair does.
-    """
-
-    KINDS = TestEnginePredictorParity.KINDS
-
-    def test_column_twins_leave_identical_state(self):
-        from repro.workloads.generator import BranchBlock
-
-        (instr_fe, column_fe), (jrs_instr, jrs_column) = _frontend_pair(
-            history_bits=8, direction_index_bits=11, btb_sets=64, ras_depth=8)
-        instr_engine = PredictorStateEngine(instr_fe, jrs_instr)
-        column_engine = PredictorStateEngine(column_fe, jrs_column)
-        rng = DeterministicRng(29)
-        block = BranchBlock(1)
-        pending = []
-        for seq in range(1_500):
-            kind = self.KINDS[rng.next_u64() % len(self.KINDS)]
-            pc = 0x400000 + (rng.next_u64() % 200) * 4
-            taken = rng.bernoulli(0.5) if kind is BranchKind.CONDITIONAL else True
-            target = 0x410000 + (rng.next_u64() % 64) * 4
-            sid = seq % 32 if kind is BranchKind.CONDITIONAL else None
-            instr = _branch(seq, pc, kind, taken, target, static_branch_id=sid)
-
-            record_a = instr_engine.predict_branch(instr)
-            block.pc[0] = pc
-            block.kind[0] = kind
-            block.taken[0] = taken
-            block.target[0] = target
-            block.static_branch_id[0] = sid
-            record_b = column_engine.predict_columns(pc, kind, sid, 0)
-
-            assert record_b.taken == record_a.taken
-            assert record_b.target == record_a.target
-            assert record_b.btb_hit == record_a.btb_hit
-            assert record_b.history == record_a.history
-            assert record_b.mdc_index == record_a.mdc_index
-            assert record_b.mdc_value == record_a.mdc_value
-            assert record_b.is_conditional == record_a.is_conditional
-
-            if kind is BranchKind.CONDITIONAL:
-                mispredicted = record_a.taken != taken
-            else:
-                mispredicted = record_a.target != target
-            record_a.mispredicted = mispredicted
-            record_b.mispredicted = mispredicted
-            record_b.kind = kind
-            record_b.out_taken = taken
-            record_b.out_target = target
-            pending.append((instr, record_a, record_b))
-
-            # Resolve out of band so histories move between predict and
-            # resolve, exactly as in-flight windows do.
-            while len(pending) > 4:
-                d_instr, d_rec_a, d_rec_b = pending.pop(0)
-                train = d_instr.seq % 5 != 0  # mix trained and squashed
-                instr_engine.resolve_branch(d_instr, d_rec_a, train=train)
-                column_engine.resolve_record(d_rec_b, train=train)
-        for d_instr, d_rec_a, d_rec_b in pending:
-            instr_engine.resolve_branch(d_instr, d_rec_a, train=True)
-            column_engine.resolve_record(d_rec_b, train=True)
-
-        assert (column_fe.direction.gshare.table
-                == instr_fe.direction.gshare.table)
-        assert (column_fe.direction.bimodal.table
-                == instr_fe.direction.bimodal.table)
-        assert column_fe.direction.chooser == instr_fe.direction.chooser
-        assert column_fe.history.value == instr_fe.history.value
-        assert column_fe.indirect._table == instr_fe.indirect._table
-        assert jrs_column.table == jrs_instr.table
-        assert jrs_column.lookups == jrs_instr.lookups
-        assert jrs_column.updates == jrs_instr.updates
-        assert jrs_column.resets == jrs_instr.resets
