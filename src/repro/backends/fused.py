@@ -1351,7 +1351,7 @@ _GATED_EPISODE = '''\
     mask64 = _MASK64
     wp_rng = self._wp_gap_rng
     wp_state = wp_rng._state
-    next_branch_into = engine.wrongpath_generator.next_branch_into
+    next_wp_branch = engine.wrongpath_generator.next_branch_block
     wp_block = self._wp_block
     wp_pc = wp_block.pc
     wp_taken = wp_block.taken
@@ -1408,7 +1408,7 @@ _GATED_EPISODE = '''\
             run_execute = 0
             seq = next_seq
             next_seq += 1
-            next_branch_into(wp_block, 0)
+            next_wp_branch(wp_block, 1)
 %(predict)s\
             remaining -= 1
         if not fetched_branch:

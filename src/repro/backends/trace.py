@@ -501,7 +501,7 @@ class TraceSession(SimulationSession):
             self._flush_runs()
             seq = self._next_seq
             self._next_seq = seq + 1
-            wrongpath.next_branch_into(wp_block, 0)
+            wrongpath.next_branch_block(wp_block, 1)
             wp_record = engine.predict_from_block(wp_block, 0, seq,
                                                   on_goodpath=False)
             engine.badpath_fetched += 1

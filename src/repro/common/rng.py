@@ -131,33 +131,13 @@ class DeterministicRng:
     # ------------------------------------------------------------------ #
     # block APIs
     #
-    # Each block method replays the *exact* scalar draw sequence of its
-    # per-call counterpart into a preallocated list: ``fill_uniforms(out,
-    # n)`` consumes the stream precisely as ``n`` calls to :meth:`random`
-    # would, and likewise for :meth:`geometric_block` /
-    # :meth:`cumulative_choice_block`.  The bit-identity is pinned by
-    # ``tests/test_common_rng.py``.  :meth:`geometric_block` is the gap
-    # draw shared by the trace backend's scalar and blocked paths; the
-    # other two are the general block entry points of the same contract
-    # for streams whose per-item draw count is fixed.
+    # The trace backend's gap draws: :meth:`geometric_block` fills a
+    # preallocated list with ``n`` gaps and :meth:`geometric_episode`
+    # draws one bounded wrong-path episode.  Each replays the *exact*
+    # scalar draw sequence (one :meth:`random` per gap), so blocked and
+    # scalar execution consume the stream identically; the bit-identity
+    # is pinned by ``tests/test_common_rng.py``.
     # ------------------------------------------------------------------ #
-
-    def fill_uniforms(self, out: list, n: int, start: int = 0) -> list:
-        """Fill ``out[start:start + n]`` with the next ``n`` uniforms.
-
-        Bit-identical to ``n`` successive :meth:`random` calls; the
-        xorshift step is inlined once for the whole block instead of once
-        per draw.
-        """
-        state = self._state
-        for i in range(start, start + n):
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            out[i] = (((state * 0x2545F4914F6CDD1D) & _MASK64) >> 11) \
-                / 9007199254740992.0
-        self._state = state
-        return out
 
     def geometric_block(self, log_one_minus_p: "float | None", out: list,
                         n: int, start: int = 0) -> list:
@@ -233,31 +213,6 @@ class DeterministicRng:
             remaining -= gap + 1
         self._state = state
         return n, n
-
-    def cumulative_choice_block(self, items: Sequence[_T],
-                                cumulative: Sequence[float], total: float,
-                                out: list, n: int, start: int = 0) -> list:
-        """Draw ``n`` weighted choices over one precomputed cumulative table.
-
-        Bit-identical to ``n`` successive :meth:`cumulative_choice` calls
-        with the same ``(items, cumulative, total)`` arguments.
-        """
-        state = self._state
-        last = items[-1]
-        for i in range(start, start + n):
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            target = ((((state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                      / 9007199254740992.0) * total
-            chosen = last
-            for item, acc in zip(items, cumulative):
-                if target < acc:
-                    chosen = item
-                    break
-            out[i] = chosen
-        self._state = state
-        return out
 
     @staticmethod
     def cumulative_weights(weights: Sequence[float]) -> "tuple[list, float]":

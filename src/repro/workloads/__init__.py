@@ -4,7 +4,7 @@ The paper evaluates PaCo on 12 SPEC2000 integer benchmarks running on an
 execution-driven MIPS simulator.  Neither the binaries nor the traces are
 available here, so this package provides the closest synthetic equivalent:
 each benchmark is modelled as a population of static branches with
-behaviour models (biased, loop, pattern, correlated, phased, indirect)
+behaviour models (biased, loop, correlated, indirect) and a phase schedule,
 whose parameters are calibrated so that the *predictability structure* the
 paper reports — per-benchmark conditional mispredict rates (Table 7),
 per-MDC-bucket mispredict spreads (Fig. 2), phase behaviour (gcc/mcf),
@@ -28,9 +28,7 @@ from repro.workloads.branch_models import (
     BranchBehavior,
     BiasedRandomBranch,
     LoopBranch,
-    PatternBranch,
     CorrelatedBranch,
-    PhaseSensitiveBranch,
     IndirectTargetModel,
     GlobalCorrelationState,
 )
@@ -42,9 +40,7 @@ __all__ = [
     "BranchBehavior",
     "BiasedRandomBranch",
     "LoopBranch",
-    "PatternBranch",
     "CorrelatedBranch",
-    "PhaseSensitiveBranch",
     "IndirectTargetModel",
     "GlobalCorrelationState",
     "BenchmarkSpec",

@@ -9,9 +9,6 @@ kinds of easy and hard branches real integer code produces:
     Taken ``trip_count - 1`` times then not taken once; almost perfectly
     predictable except at loop exits.
 
-``PatternBranch``
-    A short repeating taken/not-taken pattern; learnable by global history.
-
 ``BiasedRandomBranch``
     Independent Bernoulli outcomes with a fixed bias; the predictor can do
     no better than guessing the majority direction, so the mispredict rate
@@ -24,24 +21,26 @@ kinds of easy and hard branches real integer code produces:
     the behaviour the paper attributes to gap (and the systematic
     underestimation PaCo shows at very low good-path probability).
 
-``PhaseSensitiveBranch``
-    Behaves like a different biased branch in each program phase; used for
-    gcc/mcf-style phase behaviour where the same MDC bucket has different
-    mispredict rates in different phases.
-
 ``IndirectTargetModel``
     A target sequence for indirect calls/jumps with a configurable number
     of hot targets; used for the perlbmk pathology where a single indirect
     call causes almost all mispredictions and the JRS table (conditional
     branches only) cannot see it.
+
+Program phases are not a behaviour model: a
+:class:`~repro.workloads.spec.PhaseSpec` overrides the hard population's
+dynamic fraction and taken-bias for its duration, and the generator
+applies the override around these models.  Each model has one draw
+method, ``next_outcome``; the block generator inlines the
+:class:`BiasedRandomBranch` draw and calls ``next_outcome`` for the rest.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.common.rng import _MASK64, DeterministicRng
+from repro.common.rng import DeterministicRng
 
 
 class GlobalCorrelationState:
@@ -79,21 +78,6 @@ class BranchBehavior(abc.ABC):
     def next_outcome(self, rng: DeterministicRng, phase: int = 0) -> bool:
         """Return True if the branch is taken on this dynamic instance."""
 
-    def next_outcomes(self, rng: DeterministicRng, n: int, out: list,
-                      start: int = 0, phase: int = 0) -> list:
-        """Draw ``n`` outcomes into ``out[start:start + n]``.
-
-        Bit-identical to ``n`` successive :meth:`next_outcome` calls with
-        the same ``rng`` and ``phase`` (pinned by
-        ``tests/test_workloads_branch_models.py``).  Subclasses override
-        this with a loop that hoists their per-call state; the batched
-        branch-stream generator uses it as the block entry point for
-        behaviours whose draws it does not inline.
-        """
-        for i in range(start, start + n):
-            out[i] = self.next_outcome(rng, phase=phase)
-        return out
-
     def reset(self) -> None:
         """Reset any per-branch dynamic state (loop counters, etc.)."""
 
@@ -110,21 +94,6 @@ class BiasedRandomBranch(BranchBehavior):
 
     def next_outcome(self, rng: DeterministicRng, phase: int = 0) -> bool:
         return rng.bernoulli(self.taken_probability)
-
-    def next_outcomes(self, rng: DeterministicRng, n: int, out: list,
-                      start: int = 0, phase: int = 0) -> list:
-        # n independent Bernoulli draws with the xorshift step inlined
-        # once for the whole block (bit-identical to n bernoulli calls).
-        p = self.taken_probability
-        state = rng._state
-        for i in range(start, start + n):
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            out[i] = ((((state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                      / 9007199254740992.0) < p
-        rng._state = state
-        return out
 
 
 class LoopBranch(BranchBehavior):
@@ -159,80 +128,8 @@ class LoopBranch(BranchBehavior):
             return False  # loop exit: fall through
         return True
 
-    def next_outcomes(self, rng: DeterministicRng, n: int, out: list,
-                      start: int = 0, phase: int = 0) -> list:
-        # In-trip iterations draw nothing; only loop exits hit the rng
-        # (the jitter draws), so the hoisted counter covers almost every
-        # outcome of a long block.
-        remaining = self._remaining
-        for i in range(start, start + n):
-            remaining -= 1
-            if remaining <= 0:
-                remaining = self._new_trip(rng)
-                out[i] = False
-            else:
-                out[i] = True
-        self._remaining = remaining
-        return out
-
     def reset(self) -> None:
         self._remaining = self.trip_count
-
-
-class PatternBranch(BranchBehavior):
-    """A repeating taken/not-taken pattern, e.g. ``TTNT``.
-
-    Global-history predictors learn these patterns quickly, so they end up
-    in the high-MDC (high-confidence) buckets with near-zero mispredict
-    rates — exactly the population Fig. 2's right-hand side is made of.
-    """
-
-    __slots__ = ("pattern", "_index", "noise_probability")
-
-    def __init__(self, pattern: Sequence[bool], noise_probability: float = 0.0) -> None:
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
-        self.pattern: List[bool] = [bool(p) for p in pattern]
-        self.noise_probability = noise_probability
-        self._index = 0
-
-    @classmethod
-    def from_string(cls, text: str, noise_probability: float = 0.0) -> "PatternBranch":
-        """Build a pattern from a string of ``T``/``N`` characters."""
-        mapping = {"T": True, "N": False}
-        try:
-            pattern = [mapping[ch] for ch in text.upper()]
-        except KeyError as exc:
-            raise ValueError(f"invalid pattern character {exc}") from exc
-        return cls(pattern, noise_probability=noise_probability)
-
-    def next_outcome(self, rng: DeterministicRng, phase: int = 0) -> bool:
-        outcome = self.pattern[self._index]
-        self._index = (self._index + 1) % len(self.pattern)
-        if self.noise_probability > 0.0 and rng.bernoulli(self.noise_probability):
-            outcome = not outcome
-        return outcome
-
-    def next_outcomes(self, rng: DeterministicRng, n: int, out: list,
-                      start: int = 0, phase: int = 0) -> list:
-        pattern = self.pattern
-        length = len(pattern)
-        index = self._index
-        noise = self.noise_probability
-        if noise > 0.0:
-            for i in range(start, start + n):
-                outcome = pattern[index]
-                index = (index + 1) % length
-                out[i] = (not outcome) if rng.bernoulli(noise) else outcome
-        else:
-            for i in range(start, start + n):
-                out[i] = pattern[index]
-                index = (index + 1) % length
-        self._index = index
-        return out
-
-    def reset(self) -> None:
-        self._index = 0
 
 
 class CorrelatedBranch(BranchBehavior):
@@ -254,71 +151,6 @@ class CorrelatedBranch(BranchBehavior):
             else self.calm_probability
         )
         return rng.bernoulli(probability)
-
-    def next_outcomes(self, rng: DeterministicRng, n: int, out: list,
-                      start: int = 0, phase: int = 0) -> list:
-        # Two Bernoulli draws per outcome (the Markov step and the
-        # outcome itself), inlined with the hidden state hoisted.
-        state_obj = self.state
-        turbulent = state_obj.turbulent
-        enter = state_obj.enter_probability
-        exit_p = state_obj.exit_probability
-        calm_p = self.calm_probability
-        turb_p = self.turbulent_probability
-        rng_state = rng._state
-        for i in range(start, start + n):
-            rng_state ^= (rng_state >> 12)
-            rng_state ^= (rng_state << 25) & _MASK64
-            rng_state ^= (rng_state >> 27)
-            u = ((((rng_state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                 / 9007199254740992.0)
-            if turbulent:
-                if u < exit_p:
-                    turbulent = False
-            elif u < enter:
-                turbulent = True
-            rng_state ^= (rng_state >> 12)
-            rng_state ^= (rng_state << 25) & _MASK64
-            rng_state ^= (rng_state >> 27)
-            u = ((((rng_state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                 / 9007199254740992.0)
-            out[i] = u < (turb_p if turbulent else calm_p)
-        rng._state = rng_state
-        state_obj.turbulent = turbulent
-        return out
-
-
-class PhaseSensitiveBranch(BranchBehavior):
-    """A branch whose taken-probability depends on the current program phase."""
-
-    __slots__ = ("phase_probabilities",)
-
-    def __init__(self, phase_probabilities: Sequence[float]) -> None:
-        if not phase_probabilities:
-            raise ValueError("need at least one phase probability")
-        for p in phase_probabilities:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("phase probabilities must be in [0, 1]")
-        self.phase_probabilities = list(phase_probabilities)
-
-    def next_outcome(self, rng: DeterministicRng, phase: int = 0) -> bool:
-        probability = self.phase_probabilities[phase % len(self.phase_probabilities)]
-        return rng.bernoulli(probability)
-
-    def next_outcomes(self, rng: DeterministicRng, n: int, out: list,
-                      start: int = 0, phase: int = 0) -> list:
-        # All n outcomes share one phase (the block generator splits
-        # blocks at phase boundaries), so the probability is constant.
-        p = self.phase_probabilities[phase % len(self.phase_probabilities)]
-        state = rng._state
-        for i in range(start, start + n):
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            out[i] = ((((state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                      / 9007199254740992.0) < p
-        rng._state = state
-        return out
 
 
 class IndirectTargetModel:

@@ -29,7 +29,6 @@ from repro.workloads.branch_models import (
     GlobalCorrelationState,
     IndirectTargetModel,
     LoopBranch,
-    PatternBranch,
 )
 from repro.workloads.spec import BenchmarkSpec, PhaseSpec
 
@@ -379,8 +378,8 @@ class WorkloadGenerator:
         Site selection is batched per behaviour class: the per-phase
         ``(classes, cumulative, total, site_lists)`` entry is hoisted out
         of the loop (refreshed only at phase rolls), the dominant
-        biased-random outcome draw is inlined, and other behaviours are
-        invoked through their ``next_outcomes`` block entry point.
+        biased-random outcome draw is inlined, and other behaviours draw
+        through their scalar ``next_outcome``.
         """
         if n < 1:
             raise ValueError("block size must be at least 1")
@@ -519,9 +518,8 @@ class WorkloadGenerator:
                         < behavior.taken_probability
                 else:
                     rng_branch._state = br_state
-                    behavior.next_outcomes(rng_branch, 1, out_taken, i,
-                                           phase=phase_index)
-                    taken = out_taken[i]
+                    taken = behavior.next_outcome(rng_branch,
+                                                  phase=phase_index)
                     br_state = rng_branch._state
                 out_pc[i] = static.pc
                 out_kind[i] = kind_cond
@@ -837,36 +835,18 @@ class WrongPathGenerator:
             on_goodpath=False,
         )
 
-    def next_branch_into(self, block: BranchBlock, i: int) -> None:
-        """Write the next wrong-path branch into column ``i`` of ``block``.
-
-        Bit-identical draws to :meth:`next_branch` (same ``main``-stream
-        order: site choice, direction, dependence distance) without
-        materializing an :class:`~repro.isa.instruction.Instruction`;
-        the trace backend's block path fetches wrong-path branches
-        through this entry point.
-        """
-        rng = self._rng
-        sites = self._parent._conditional_sites
-        site = sites[rng.next_u64() % len(sites)]
-        taken = rng.bernoulli(0.55)
-        static = site.static
-        block.pc[i] = static.pc + 0x8  # a nearby, but distinct, wrong-path PC
-        block.kind[i] = BranchKind.CONDITIONAL
-        block.taken[i] = taken
-        block.target[i] = static.taken_target if taken else static.fallthrough
-        block.static_branch_id[i] = static.branch_id
-        block.dep_distance[i] = rng.randint(0, 8)
-
     def next_branch_block(self, block: BranchBlock, n: int) -> None:
         """Fill ``block[0:n]`` with the next ``n`` wrong-path branches.
 
-        Bit-identical to ``n`` successive :meth:`next_branch_into` calls
+        Bit-identical to ``n`` successive :meth:`next_branch` calls
         (same ``main``-stream draw order per branch: site choice,
         direction, dependence distance) with the xorshift step inlined
-        once for the whole episode; the trace backend's fused wrong-path
-        episode stages a whole episode's branches through this in one
-        call.  Sets ``block.count``.
+        once for the whole episode, and without materializing
+        :class:`~repro.isa.instruction.Instruction` objects.  The trace
+        backend's ungated wrong-path episode stages a whole episode's
+        branches through this in one call; the gated episode, which may
+        stop after any slot, draws one branch per call (``n == 1``).
+        Sets ``block.count``.
         """
         rng = self._rng
         sites = self._parent._conditional_sites

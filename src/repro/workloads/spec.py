@@ -33,6 +33,10 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if self.length_instructions <= 0:
             raise ValueError("phase length must be positive")
+        for attr in ("hard_fraction", "hard_taken_bias"):
+            value = getattr(self, attr)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"phase {attr} must be in [0, 1]")
 
 
 @dataclass
@@ -114,11 +118,13 @@ class BenchmarkSpec:
         correlated population (gap-style clustered mispredicts).
     loop_fraction / pattern_fraction:
         Fractions of dynamic conditional branches that are loop back-edges
-        or *easy* (strongly biased / patterned) branches.
-    loop_trip_range / pattern_lengths / easy_bias_range:
-        Shape parameters of the easy populations.  ``easy_bias_range`` is
-        the taken-probability range of the easy population; very
-        predictable benchmarks (vortex, perlbmk) use a range close to 1.
+        or *easy* (strongly biased) branches.
+    loop_trip_range / easy_bias_range:
+        Shape parameters of the easy populations.  ``loop_trip_range``
+        bounds the per-site loop trip counts (minimum at least 2);
+        ``easy_bias_range`` is the taken-probability range of the easy
+        population; very predictable benchmarks (vortex, perlbmk) use a
+        range close to 1.
     indirect_targets / indirect_repeat_probability:
         Behaviour of indirect jumps/calls; many targets with a low repeat
         probability produce perlbmk's indirect-call pathology.
@@ -143,7 +149,6 @@ class BenchmarkSpec:
     loop_fraction: float = 0.30
     pattern_fraction: float = 0.30
     loop_trip_range: Sequence[int] = (8, 64)
-    pattern_lengths: Sequence[int] = (2, 4, 6, 8)
     easy_bias_range: Sequence[float] = (0.96, 0.995)
     indirect_targets: int = 4
     indirect_repeat_probability: float = 0.85
@@ -170,6 +175,8 @@ class BenchmarkSpec:
             raise ValueError("hard_taken_bias must be in [0, 1]")
         if self.num_static_conditionals <= 0:
             raise ValueError("need a positive number of static conditionals")
+        if min(self.loop_trip_range) < 2:
+            raise ValueError("loop_trip_range minimum must be at least 2")
         lo, hi = min(self.easy_bias_range), max(self.easy_bias_range)
         if not 0.5 <= lo <= hi <= 1.0:
             raise ValueError("easy_bias_range must lie within [0.5, 1.0]")

@@ -1334,7 +1334,7 @@ class TestGateCodegen:
             for marker in ("gated_cycles", "gate_bound",
                            "_low_confidence_outstanding >=",
                            "path_confidence_register >", "gating_policy",
-                           "next_branch_into"):
+                           "next_wp_branch"):
                 assert marker not in source
 
     @pytest.mark.parametrize("gate, member", [("count", 3), ("paco", 0)])

@@ -73,20 +73,22 @@ class TestDeterministicRng:
         with pytest.raises(ValueError):
             DeterministicRng(1).weighted_choice(["a", "b"], [0.0, 0.0])
 
-    def test_fill_uniforms_matches_scalar_random(self):
-        a, b = DeterministicRng(21), DeterministicRng(21)
-        out = [0.0] * 64
-        a.fill_uniforms(out, 64)
-        assert out == [b.random() for _ in range(64)]
+    def test_cumulative_choice_matches_weighted_choice(self):
+        items = ["a", "b", "c", "d"]
+        weights = [0.1, 0.5, 0.2, 0.2]
+        cum, total = DeterministicRng.cumulative_weights(weights)
+        a, b = DeterministicRng(41), DeterministicRng(41)
+        assert ([a.cumulative_choice(items, cum, total) for _ in range(500)]
+                == [b.weighted_choice(items, weights) for _ in range(500)])
         assert a._state == b._state
 
-    def test_fill_uniforms_start_offset_leaves_prefix(self):
-        rng = DeterministicRng(22)
-        out = [-1.0] * 10
-        rng.fill_uniforms(out, 4, start=3)
-        assert out[:3] == [-1.0] * 3
-        assert out[7:] == [-1.0] * 3
-        assert all(0.0 <= v < 1.0 for v in out[3:7])
+    def test_cumulative_choice_never_picks_zero_weight_items(self):
+        items = ["a", "b", "c", "d"]
+        cum, total = DeterministicRng.cumulative_weights([0.0, 2.0, 0.0, 1.0])
+        rng = DeterministicRng(43)
+        picks = [rng.cumulative_choice(items, cum, total) for _ in range(3000)]
+        assert set(picks) == {"b", "d"}
+        assert abs(picks.count("b") / 3000 - 2.0 / 3.0) < 0.03
 
     def test_geometric_block_matches_scalar_closed_form(self):
         import math
@@ -145,16 +147,6 @@ class TestDeterministicRng:
         assert rng.geometric_episode(None, out, 4) == (4, 4)
         assert out == [0] * 4
         assert rng._state == before
-
-    def test_cumulative_choice_block_matches_scalar(self):
-        items = ["a", "b", "c", "d"]
-        cum, total = DeterministicRng.cumulative_weights([0.1, 0.5, 0.2, 0.2])
-        a, b = DeterministicRng(41), DeterministicRng(41)
-        out = [None] * 500
-        a.cumulative_choice_block(items, cum, total, out, 500)
-        assert out == [b.cumulative_choice(items, cum, total)
-                       for _ in range(500)]
-        assert a._state == b._state
 
     def test_zero_seed_still_produces_values(self):
         rng = DeterministicRng(0)

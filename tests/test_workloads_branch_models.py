@@ -9,8 +9,6 @@ from repro.workloads.branch_models import (
     GlobalCorrelationState,
     IndirectTargetModel,
     LoopBranch,
-    PatternBranch,
-    PhaseSensitiveBranch,
 )
 
 
@@ -68,39 +66,6 @@ class TestLoopBranch:
         assert outcomes == [True, True, True, False]
 
 
-class TestPatternBranch:
-    def test_follows_pattern(self):
-        rng = DeterministicRng(7)
-        branch = PatternBranch([True, False, True])
-        outcomes = [branch.next_outcome(rng) for _ in range(6)]
-        assert outcomes == [True, False, True, True, False, True]
-
-    def test_from_string(self):
-        branch = PatternBranch.from_string("TNT")
-        assert branch.pattern == [True, False, True]
-
-    def test_from_string_rejects_bad_characters(self):
-        with pytest.raises(ValueError):
-            PatternBranch.from_string("TXN")
-
-    def test_noise_flips_some_outcomes(self):
-        rng = DeterministicRng(8)
-        branch = PatternBranch([True] * 4, noise_probability=0.5)
-        outcomes = [branch.next_outcome(rng) for _ in range(200)]
-        assert any(not o for o in outcomes)
-
-    def test_rejects_empty_pattern(self):
-        with pytest.raises(ValueError):
-            PatternBranch([])
-
-    def test_reset_restarts_pattern(self):
-        rng = DeterministicRng(9)
-        branch = PatternBranch([True, False])
-        branch.next_outcome(rng)
-        branch.reset()
-        assert branch.next_outcome(rng) is True
-
-
 class TestCorrelatedBranch:
     def test_turbulence_raises_mispredictability(self):
         state = GlobalCorrelationState(enter_probability=0.0, exit_probability=1.0)
@@ -131,23 +96,23 @@ class TestCorrelatedBranch:
         assert not state.turbulent
 
 
-class TestPhaseSensitiveBranch:
-    def test_uses_phase_probability(self):
-        rng = DeterministicRng(13)
-        branch = PhaseSensitiveBranch([1.0, 0.0])
-        assert branch.next_outcome(rng, phase=0) is True
-        assert branch.next_outcome(rng, phase=1) is False
+class TestPhaseArgument:
+    """The generator passes its phase index to ``next_outcome``; phase
+    behaviour lives in ``PhaseSpec``, so no model's stream may depend on
+    the index."""
 
-    def test_phase_wraps_around(self):
-        rng = DeterministicRng(14)
-        branch = PhaseSensitiveBranch([1.0, 0.0])
-        assert branch.next_outcome(rng, phase=2) is True
-
-    def test_rejects_empty_and_invalid(self):
-        with pytest.raises(ValueError):
-            PhaseSensitiveBranch([])
-        with pytest.raises(ValueError):
-            PhaseSensitiveBranch([1.5])
+    @pytest.mark.parametrize("make", [
+        lambda: BiasedRandomBranch(0.7),
+        lambda: LoopBranch(trip_count=6, jitter_probability=0.3),
+        lambda: CorrelatedBranch(GlobalCorrelationState(0.2, 0.3)),
+    ], ids=["biased", "loop", "correlated"])
+    def test_next_outcome_ignores_phase(self, make):
+        a, b = make(), make()
+        rng_a, rng_b = DeterministicRng(21), DeterministicRng(21)
+        outcomes_a = [a.next_outcome(rng_a) for _ in range(500)]
+        outcomes_b = [b.next_outcome(rng_b, phase=i % 3) for i in range(500)]
+        assert outcomes_a == outcomes_b
+        assert rng_a._state == rng_b._state
 
 
 class TestIndirectTargetModel:
@@ -179,70 +144,3 @@ class TestIndirectTargetModel:
     def test_rejects_zero_targets(self):
         with pytest.raises(ValueError):
             IndirectTargetModel(base_target=0x800000, num_targets=0)
-
-
-class TestNextOutcomesBlockEquivalence:
-    """next_outcomes(rng, n) must replay n scalar next_outcome calls
-    bit-exactly: same outcomes, same rng stream state afterwards, same
-    behaviour-internal state."""
-
-    def _behaviors(self):
-        shared_a = GlobalCorrelationState()
-        shared_b = GlobalCorrelationState()
-        return [
-            (BiasedRandomBranch(0.73), BiasedRandomBranch(0.73)),
-            (LoopBranch(5, jitter_probability=0.3),
-             LoopBranch(5, jitter_probability=0.3)),
-            (LoopBranch(3), LoopBranch(3)),
-            (PatternBranch.from_string("TTNT"),
-             PatternBranch.from_string("TTNT")),
-            (PatternBranch.from_string("TN", noise_probability=0.2),
-             PatternBranch.from_string("TN", noise_probability=0.2)),
-            (CorrelatedBranch(shared_a, calm_probability=0.9,
-                              turbulent_probability=0.5),
-             CorrelatedBranch(shared_b, calm_probability=0.9,
-                              turbulent_probability=0.5)),
-            (PhaseSensitiveBranch([0.9, 0.2, 0.6]),
-             PhaseSensitiveBranch([0.9, 0.2, 0.6])),
-        ]
-
-    def test_block_equals_scalar_outcomes_and_states(self):
-        for phase in (0, 1):
-            for block_model, scalar_model in self._behaviors():
-                rng_block = DeterministicRng(97)
-                rng_scalar = DeterministicRng(97)
-                n = 500
-                out = [None] * n
-                block_model.next_outcomes(rng_block, n, out, phase=phase)
-                scalar = [scalar_model.next_outcome(rng_scalar, phase=phase)
-                          for _ in range(n)]
-                label = type(block_model).__name__
-                assert out == scalar, label
-                assert rng_block._state == rng_scalar._state, label
-
-    def test_block_resumes_mid_state(self):
-        # Alternate scalar and block calls on the same model: the block
-        # must pick up loop counters / pattern indices mid-stream.
-        model = LoopBranch(4, jitter_probability=0.5)
-        mirror = LoopBranch(4, jitter_probability=0.5)
-        rng_a, rng_b = DeterministicRng(5), DeterministicRng(5)
-        collected_a = []
-        collected_b = []
-        for _ in range(20):
-            collected_a.append(model.next_outcome(rng_a))
-            out = [None] * 7
-            model.next_outcomes(rng_a, 7, out)
-            collected_a.extend(out)
-        for _ in range(20):
-            collected_b.extend(mirror.next_outcome(rng_b) for _ in range(8))
-        assert collected_a == collected_b
-        assert rng_a._state == rng_b._state
-
-    def test_start_offset_writes_only_the_requested_slice(self):
-        model = BiasedRandomBranch(0.5)
-        rng = DeterministicRng(8)
-        out = ["x"] * 10
-        model.next_outcomes(rng, 4, out, start=3)
-        assert out[:3] == ["x"] * 3
-        assert out[7:] == ["x"] * 3
-        assert all(isinstance(v, bool) for v in out[3:7])

@@ -129,6 +129,65 @@ class TestWorkloadGenerator:
         hard_rate = minority_by_phase["hard"][1] / max(minority_by_phase["hard"][0], 1)
         assert hard_rate > easy_rate
 
+    def test_suite_builds_only_biased_loop_and_correlated_models(self):
+        from repro.workloads.branch_models import (
+            BiasedRandomBranch, CorrelatedBranch, LoopBranch)
+        from repro.workloads.suite import benchmark_names
+        for name in benchmark_names():
+            generator = WorkloadGenerator(get_benchmark(name), seed=1)
+            for site in generator._conditional_sites:
+                assert type(site.behavior) in (
+                    BiasedRandomBranch, CorrelatedBranch, LoopBranch), name
+
+    @pytest.mark.parametrize("hard_fraction", [0.0, 1.0])
+    def test_phase_hard_fraction_bounds_select_populations(self, hard_fraction):
+        # At the bounds of [0, 1] a phase selects only the hard population
+        # (1.0) or never selects it (0.0), on the scalar and block paths.
+        spec = BenchmarkSpec(
+            name="bounds", num_static_conditionals=16, hard_fraction=0.3,
+            loop_fraction=0.2, pattern_fraction=0.3,
+            phases=[PhaseSpec(length_instructions=10_000,
+                              hard_fraction=hard_fraction)],
+        )
+        scalar_gen = WorkloadGenerator(spec, seed=3)
+        block_gen = WorkloadGenerator(spec, seed=3)
+        hard_ids = {site.static.branch_id
+                    for site in scalar_gen._sites_by_class["hard"]}
+        scalar = [scalar_gen.next_branch(seq) for seq in range(2000)]
+        block = block_gen.next_branch_block(0, 2000)
+        _assert_block_equals_instructions(block, scalar)
+        conditional_ids = [instr.static_branch_id for instr in scalar
+                           if instr.branch_kind is BranchKind.CONDITIONAL]
+        assert len(conditional_ids) > 1000
+        from_hard = [sid in hard_ids for sid in conditional_ids]
+        assert all(from_hard) if hard_fraction == 1.0 else not any(from_hard)
+
+    @pytest.mark.parametrize("base_bias, bias, expected",
+                             [(0.98, 0.0, 0.02), (0.5, 1.0, 0.98)])
+    def test_phase_hard_taken_bias_bounds_clamp_hard_sites(
+            self, base_bias, bias, expected):
+        # A phase bias at the bounds of [0, 1] still leaves hard sites
+        # mispredictable: their taken-probability is clamped to
+        # [0.02, 0.98].  The base bias puts every site's jittered bias
+        # plus the phase shift past the clamp.
+        spec = BenchmarkSpec(
+            name="bias-bounds", num_static_conditionals=16, hard_fraction=0.9,
+            hard_taken_bias=base_bias, loop_fraction=0.0,
+            pattern_fraction=0.1, correlated_fraction=0.0,
+            phases=[PhaseSpec(length_instructions=100_000,
+                              hard_taken_bias=bias)],
+        )
+        generator = WorkloadGenerator(spec, seed=5)
+        hard_ids = {site.static.branch_id
+                    for site in generator._sites_by_class["hard"]}
+        outcomes = [instr.outcome.taken
+                    for instr in (generator.next_branch(seq)
+                                  for seq in range(20_000))
+                    if instr.branch_kind is BranchKind.CONDITIONAL
+                    and instr.static_branch_id in hard_ids]
+        assert len(outcomes) > 5000
+        assert abs(sum(outcomes) / len(outcomes) - expected) < 0.005
+
     def test_thread_id_is_stamped(self, tiny_spec):
         generator = WorkloadGenerator(tiny_spec, seed=1, thread_id=1)
         assert all(i.thread_id == 1 for i in _generate(generator, 100))
@@ -302,47 +361,51 @@ class TestNextBranchBlock:
 
 
 class TestWrongPathBlockWriter:
-    def test_next_branch_into_matches_next_branch(self, tiny_spec):
-        from repro.workloads.generator import BranchBlock
-        parent_a = WorkloadGenerator(tiny_spec, seed=3)
-        parent_b = WorkloadGenerator(tiny_spec, seed=3)
-        scalar_wp = WrongPathGenerator(parent_a, seed=6)
-        block_wp = WrongPathGenerator(parent_b, seed=6)
-        block = BranchBlock(1)
-        for seq in range(300):
-            instr = scalar_wp.next_branch(seq)
-            block_wp.next_branch_into(block, 0)
-            assert block.pc[0] == instr.pc
-            assert block.kind[0] == instr.branch_kind
-            assert block.taken[0] == instr.outcome.taken
-            assert block.target[0] == instr.outcome.target
-            assert block.static_branch_id[0] == instr.static_branch_id
-            assert block.dep_distance[0] == instr.dep_distance
-        assert scalar_wp._rng._state == block_wp._rng._state
+    """next_branch_block(block, n) must stage exactly the branches n
+    successive scalar next_branch calls draw (same main-stream draws,
+    same order, same stream state afterwards), both at n == 1 (the
+    gated episode's per-slot draw) and at whole-episode sizes."""
 
-    def test_next_branch_block_matches_scalar_writer(self, tiny_spec):
-        """The episode-fused writer must stage exactly the branches n
-        successive next_branch_into calls would have (same draws, same
-        order), for every episode size."""
+    @pytest.mark.parametrize("sizes", [(1,) * 300, (1, 2, 5, 17, 32, 3, 32)],
+                             ids=["one-slot", "episodes"])
+    def test_next_branch_block_matches_next_branch(self, tiny_spec, sizes):
         from repro.workloads.generator import BranchBlock
         parent_a = WorkloadGenerator(tiny_spec, seed=3)
         parent_b = WorkloadGenerator(tiny_spec, seed=3)
         scalar_wp = WrongPathGenerator(parent_a, seed=6)
         block_wp = WrongPathGenerator(parent_b, seed=6)
-        scalar_block = BranchBlock(1)
-        block = BranchBlock(32)
-        for n in (1, 2, 5, 17, 32, 3, 32):
+        block = BranchBlock(max(sizes))
+        seq = 0
+        for n in sizes:
             block_wp.next_branch_block(block, n)
             assert block.count == n
             for i in range(n):
-                scalar_wp.next_branch_into(scalar_block, 0)
-                assert block.pc[i] == scalar_block.pc[0]
-                assert block.kind[i] == scalar_block.kind[0]
-                assert block.taken[i] == scalar_block.taken[0]
-                assert block.target[i] == scalar_block.target[0]
-                assert (block.static_branch_id[i]
-                        == scalar_block.static_branch_id[0])
-                assert block.dep_distance[i] == scalar_block.dep_distance[0]
+                instr = scalar_wp.next_branch(seq)
+                seq += 1
+                assert block.pc[i] == instr.pc
+                assert block.kind[i] == instr.branch_kind
+                assert block.taken[i] == instr.outcome.taken
+                assert block.target[i] == instr.outcome.target
+                assert block.static_branch_id[i] == instr.static_branch_id
+                assert block.dep_distance[i] == instr.dep_distance
+            assert scalar_wp._rng._state == block_wp._rng._state
+
+    @pytest.mark.parametrize("bench_name", ["gzip", "gcc", "gap", "perlbmk",
+                                            "mcf", "vortex"])
+    def test_block_equals_scalar_on_suite(self, bench_name):
+        # The site draw is a modulo over the parent's population, whose
+        # size and PC layout differ per benchmark.
+        from repro.workloads.generator import BranchBlock
+        spec = get_benchmark(bench_name)
+        scalar_wp = WrongPathGenerator(WorkloadGenerator(spec, seed=4), seed=8)
+        block_wp = WrongPathGenerator(WorkloadGenerator(spec, seed=4), seed=8)
+        block = BranchBlock(32)
+        seq = 0
+        for n in (1, 32, 7, 1, 1, 19, 32):
+            block_wp.next_branch_block(block, n)
+            scalar = [scalar_wp.next_branch(seq + i) for i in range(n)]
+            seq += n
+            _assert_block_equals_instructions(block, scalar)
             assert scalar_wp._rng._state == block_wp._rng._state
 
 

@@ -23,6 +23,14 @@ class TestPhaseSpec:
         assert phase.hard_fraction is None
         assert phase.hard_taken_bias is None
 
+    @pytest.mark.parametrize("field", ["hard_fraction", "hard_taken_bias"])
+    def test_rejects_out_of_range_override(self, field):
+        for value in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=field):
+                PhaseSpec(length_instructions=100, **{field: value})
+        for value in (0.0, 1.0):
+            PhaseSpec(length_instructions=100, **{field: value})
+
 
 class TestMemorySpec:
     def test_rejects_bad_probabilities(self):
@@ -74,6 +82,18 @@ class TestBenchmarkSpec:
     def test_easy_bias_range_validation(self):
         with pytest.raises(ValueError):
             BenchmarkSpec(name="bad", easy_bias_range=(0.2, 0.9))
+
+    def test_rejects_loop_trip_range_below_two_for_every_seed(self):
+        # Loop sites draw their trip counts from the range per seed, so
+        # the range itself must be rejected: no seed may build a
+        # generator from it.
+        from repro.workloads.generator import WorkloadGenerator
+        for seed in range(1, 41):
+            with pytest.raises(ValueError, match="loop_trip_range"):
+                WorkloadGenerator(
+                    BenchmarkSpec(name="bad", loop_trip_range=(1, 64)),
+                    seed=seed)
+        BenchmarkSpec(name="ok", loop_trip_range=(2, 64))
 
     def test_rejects_invalid_indirect_targets(self):
         with pytest.raises(ValueError):
