@@ -5,11 +5,9 @@ of the multi-predictor fig8/fig9 configuration captures the actual
 run-event stream (every ``record_runs`` batch the session delivers), then
 the same stream is timed twice against the same observer set — once on
 the batched ``record_runs``/``record_folded`` path and once through a
-shim that forces the pre-batching per-event call sequence.  The shim
-delegates ``record``/``record_run`` to the real observer but deliberately
-does not override ``record_runs``, so batched deliveries fall back to the
-:class:`~repro.pipeline.core.InstanceObserver` default loop — exactly the
-per-run calls the engine made before delivery was batched.
+shim that splits every batch into one-event batches — the delivery the
+cycle model makes, one ``record_runs`` call per run event on the same
+observer code underneath.
 
 Both variants consume identical streams, so their statistics must agree
 bit for bit (asserted below); the wall-clock ratio is the win, and it is
@@ -36,7 +34,7 @@ from conftest import best_of_interleaved, write_measured, write_result
 
 BENCHMARKS = ("gzip", "gcc")
 
-#: The batched delivery path must beat the per-event call sequence by a
+#: The batched delivery path must beat one-event batches by a
 #: clear margin on the observer-heavy configuration (observed: ~1.6-2x on
 #: the 1-CPU dev container); the floor only catches regressions that
 #: erase the batching win.
@@ -59,29 +57,27 @@ class _StreamCapture(InstanceObserver):
     def __init__(self) -> None:
         self.batches = []
 
-    def record_run(self, kind, on_goodpath, cycle, count):
-        self.batches.append([kind, on_goodpath, cycle, count])
-
     def record_runs(self, events):
         self.batches.append(list(events))
 
 
 class _PerEventShim(InstanceObserver):
-    """Forces the pre-batching per-event delivery onto a real observer.
+    """Delivers each event of a batch to a real observer as its own batch.
 
-    Inherits the default ``record_runs`` (a loop over ``record_run``), so
-    a batched delivery degenerates into exactly the call sequence the
-    unbatched engine made — same observer code underneath, same values.
+    The one-event batches reuse one 4-slot list, as the cycle model's
+    delivery does — same observer code underneath, same values.
     """
 
     def __init__(self, inner: InstanceObserver) -> None:
         self._inner = inner
+        self._event = [None, True, 0, 1]
 
-    def record(self, kind, on_goodpath, cycle):
-        self._inner.record(kind, on_goodpath, cycle)
-
-    def record_run(self, kind, on_goodpath, cycle, count):
-        self._inner.record_run(kind, on_goodpath, cycle, count)
+    def record_runs(self, events):
+        record_runs = self._inner.record_runs
+        event = self._event
+        for i in range(0, len(events), 4):
+            event[:] = events[i:i + 4]
+            record_runs(event)
 
 
 def _capture_stream(spec, instructions):

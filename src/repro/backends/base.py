@@ -5,9 +5,9 @@ predictor-level statistics the experiments consume.  All backends share a
 single contract:
 
 * :meth:`SimulationBackend.build` wires a workload, a machine
-  configuration and the instrumentation (path confidence predictor,
-  gating policy, instance observers) into a stateful
-  :class:`SimulationSession`;
+  configuration and the instrumentation (path confidence predictor and
+  gating policy) into a stateful :class:`SimulationSession`;
+* :meth:`SimulationSession.add_observer` attaches an instance observer;
 * :meth:`SimulationSession.run` advances the session until a cumulative
   good-path instruction budget has retired and returns the
   :class:`~repro.pipeline.core.CoreStats` record;
@@ -43,7 +43,7 @@ select a backend by the string that also rides in
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.pathconf.base import PathConfidencePredictor
@@ -84,11 +84,12 @@ class Instrumentation:
     ``gating_policy`` is only honoured by backends with
     ``supports_gating`` (both shipped backends); passing one to a
     backend without that capability is an error, not a silent no-op.
+    Instance observers attach to the built session through
+    :meth:`SimulationSession.add_observer`.
     """
 
     path_confidence: PathConfidencePredictor
     gating_policy: Optional[GatingPolicy] = None
-    observers: Tuple[InstanceObserver, ...] = field(default_factory=tuple)
 
 
 class SimulationSession(abc.ABC):

@@ -100,6 +100,4 @@ class CycleBackend(SimulationBackend):
                            if instrument.gating_policy is not None
                            else NoGating()),
         )
-        for observer in instrument.observers:
-            core.add_observer(observer)
         return CycleSession(core)

@@ -1665,10 +1665,10 @@ class FusedTraceSession(TraceSession):
     """
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
-                 observers, resolve_window: int, mispredict_window: int,
+                 resolve_window: int, mispredict_window: int,
                  members: dict, block_size: Optional[int] = None,
                  gating_policy: Optional[GatingPolicy] = None) -> None:
-        super().__init__(fetch_engine, config, observers, resolve_window,
+        super().__init__(fetch_engine, config, resolve_window,
                          mispredict_window, block_size=block_size,
                          gating_policy=gating_policy)
         gate = None

@@ -76,7 +76,7 @@ re-log pass that reports a change, and a phase roll force the buffer out
 through :meth:`~repro.pipeline.core.InstanceObserver.record_runs`, while
 non-conditional resolutions and quiet ticks merely close events into it.
 An observer therefore reads predictor state once per delivered batch,
-and reads exactly the values the per-event calls would have read —
+and reads exactly the values one-event batches would have read —
 delivery happens strictly before the next state change.
 
 The same two calibrated windows double as a *timing estimator*: the
@@ -112,7 +112,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, List, Optional
 
 from repro.backends.base import (
     Instrumentation,
@@ -197,8 +197,7 @@ class TraceSession(SimulationSession):
     """
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
-                 observers, resolve_window: int,
-                 mispredict_window: int,
+                 resolve_window: int, mispredict_window: int,
                  block_size: Optional[int] = None,
                  gating_policy: Optional[GatingPolicy] = None) -> None:
         if resolve_window < 1:
@@ -212,7 +211,7 @@ class TraceSession(SimulationSession):
         self.fetch_engine = fetch_engine
         self.config = config
         self.stats = CoreStats()
-        self.observers = list(observers)
+        self.observers: List[InstanceObserver] = []
         self.resolve_window = resolve_window
         self.mispredict_window = mispredict_window
         self.block_size = block_size
@@ -729,8 +728,8 @@ class TraceSession(SimulationSession):
 
         Legal at any point up to (and including) the moment predictor
         state next changes: no state change happened since the events
-        were closed, so the observers read exactly the values the
-        per-event calls would have read.
+        were closed, so the observers read exactly the values one-event
+        batches would have read.
         """
         events = self._events
         if events:
@@ -833,11 +832,10 @@ class TraceBackend(SimulationBackend):
             gating = None
         if members is not None and (
                 gating is None or _fused_gate(gating, members) is not None):
-            return FusedTraceSession(fetch_engine, config,
-                                     instrument.observers, resolve_window,
+            return FusedTraceSession(fetch_engine, config, resolve_window,
                                      mispredict_window, members,
                                      block_size=self.block_size,
                                      gating_policy=gating)
-        return TraceSession(fetch_engine, config, instrument.observers,
-                            resolve_window, mispredict_window,
-                            block_size=self.block_size, gating_policy=gating)
+        return TraceSession(fetch_engine, config, resolve_window,
+                            mispredict_window, block_size=self.block_size,
+                            gating_policy=gating)

@@ -2,23 +2,17 @@
 
 This package collects the small, widely reused building blocks:
 
-* :mod:`repro.common.counters` — saturating counters, shift registers and
-  the paired correct/mispredict counters used by the Mispredict Rate Table.
+* :mod:`repro.common.counters` — the paired correct/mispredict counters
+  used by the Mispredict Rate Table.
 * :mod:`repro.common.logcircuit` — Mitchell's binary-logarithm approximation
   and the encoded-probability arithmetic PaCo is built on.
-* :mod:`repro.common.stats` — reliability diagrams, RMS error and the other
+* :mod:`repro.common.stats` — reliability diagrams and their RMS error, the
   probabilistic-forecast statistics used by the evaluation.
 * :mod:`repro.common.rng` — deterministic, named random streams so that every
   experiment is reproducible bit-for-bit.
 """
 
-from repro.common.counters import (
-    SaturatingCounter,
-    UpDownCounter,
-    ShiftRegister,
-    HistoryRegister,
-    HalvingRateCounter,
-)
+from repro.common.counters import HalvingRateCounter
 from repro.common.logcircuit import (
     MitchellLogCircuit,
     encode_probability,
@@ -27,19 +21,10 @@ from repro.common.logcircuit import (
     ENCODED_PROBABILITY_SCALE,
     ENCODED_PROBABILITY_MAX,
 )
-from repro.common.stats import (
-    ReliabilityDiagram,
-    RunningMean,
-    rms_error,
-    weighted_rms_error,
-)
+from repro.common.stats import ReliabilityDiagram
 from repro.common.rng import DeterministicRng, RngPool
 
 __all__ = [
-    "SaturatingCounter",
-    "UpDownCounter",
-    "ShiftRegister",
-    "HistoryRegister",
     "HalvingRateCounter",
     "MitchellLogCircuit",
     "encode_probability",
@@ -48,9 +33,6 @@ __all__ = [
     "ENCODED_PROBABILITY_SCALE",
     "ENCODED_PROBABILITY_MAX",
     "ReliabilityDiagram",
-    "RunningMean",
-    "rms_error",
-    "weighted_rms_error",
     "DeterministicRng",
     "RngPool",
 ]

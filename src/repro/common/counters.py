@@ -1,155 +1,15 @@
-"""Small hardware-style counters and registers.
+"""The paired correct/mispredict counters of the Mispredict Rate Table.
 
-Everything in this module models a piece of state that a hardware
-implementation of PaCo (or of the predictors it is compared against) would
-keep in flip-flops: saturating counters, shift registers, branch-history
-registers and the paired correct/mispredict counters of the Mispredict Rate
-Table.  The classes are intentionally tiny and allocation-free on the hot
-path so the timing simulator can update millions of them per run.
+Each MRT bucket keeps two small hardware counters that a hardware
+implementation of PaCo would hold in flip-flops.  They halve together on
+overflow, so the measured mispredict rate survives while recent behaviour
+dominates.  The branch history register the predictors use is
+:class:`~repro.branch_predictor.history.GlobalHistory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class SaturatingCounter:
-    """An n-bit saturating up/down counter.
-
-    The canonical use in this reproduction is the 4-bit miss distance counter
-    (MDC) of the JRS confidence predictor: ``increment`` on a correct branch
-    prediction, ``reset`` on a misprediction.
-
-    Parameters
-    ----------
-    bits:
-        Width of the counter in bits.  The counter saturates at
-        ``2**bits - 1`` and at ``0``.
-    initial:
-        Initial counter value (defaults to 0).
-    """
-
-    __slots__ = ("bits", "max_value", "value")
-
-    def __init__(self, bits: int, initial: int = 0) -> None:
-        if bits <= 0:
-            raise ValueError(f"counter width must be positive, got {bits}")
-        self.bits = bits
-        self.max_value = (1 << bits) - 1
-        if not 0 <= initial <= self.max_value:
-            raise ValueError(
-                f"initial value {initial} out of range for {bits}-bit counter"
-            )
-        self.value = initial
-
-    def increment(self, amount: int = 1) -> int:
-        """Increment, saturating at the maximum value.  Returns the new value."""
-        self.value = min(self.value + amount, self.max_value)
-        return self.value
-
-    def decrement(self, amount: int = 1) -> int:
-        """Decrement, saturating at zero.  Returns the new value."""
-        self.value = max(self.value - amount, 0)
-        return self.value
-
-    def reset(self, value: int = 0) -> None:
-        """Reset the counter (to zero unless another in-range value is given)."""
-        if not 0 <= value <= self.max_value:
-            raise ValueError(f"reset value {value} out of range")
-        self.value = value
-
-    @property
-    def is_saturated(self) -> bool:
-        return self.value == self.max_value
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return f"SaturatingCounter(bits={self.bits}, value={self.value})"
-
-
-class UpDownCounter:
-    """An unsigned counter with a fixed maximum, used for occupancy tracking.
-
-    The conventional threshold-and-count path confidence predictor is exactly
-    one of these: it is incremented when a low-confidence branch is fetched
-    and decremented when one resolves.
-    """
-
-    __slots__ = ("max_value", "value")
-
-    def __init__(self, max_value: int, initial: int = 0) -> None:
-        if max_value <= 0:
-            raise ValueError("max_value must be positive")
-        if not 0 <= initial <= max_value:
-            raise ValueError("initial value out of range")
-        self.max_value = max_value
-        self.value = initial
-
-    def increment(self, amount: int = 1) -> int:
-        self.value = min(self.value + amount, self.max_value)
-        return self.value
-
-    def decrement(self, amount: int = 1) -> int:
-        self.value = max(self.value - amount, 0)
-        return self.value
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-
-class ShiftRegister:
-    """A fixed-width shift register of single bits.
-
-    PaCo's log circuit uses a 10-bit shift register to scan the MRT counter
-    values; branch predictors use the same structure for local histories.
-    Bit 0 is the most recently shifted-in bit.
-    """
-
-    __slots__ = ("bits", "mask", "value")
-
-    def __init__(self, bits: int, initial: int = 0) -> None:
-        if bits <= 0:
-            raise ValueError("shift register width must be positive")
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-        self.value = initial & self.mask
-
-    def shift_in(self, bit: int) -> int:
-        """Shift a single bit in at the least-significant end."""
-        self.value = ((self.value << 1) | (1 if bit else 0)) & self.mask
-        return self.value
-
-    def load(self, value: int) -> None:
-        """Parallel-load the register."""
-        self.value = value & self.mask
-
-    def bit(self, index: int) -> int:
-        """Return bit ``index`` (0 = least significant / most recent)."""
-        if not 0 <= index < self.bits:
-            raise IndexError(f"bit index {index} out of range for {self.bits} bits")
-        return (self.value >> index) & 1
-
-    def __int__(self) -> int:
-        return self.value
-
-
-class HistoryRegister(ShiftRegister):
-    """A global branch history register.
-
-    Identical to :class:`ShiftRegister` but exposes the XOR-fold used when
-    hashing the history together with a branch PC into predictor tables
-    (gshare indexing and the JRS confidence table index).
-    """
-
-    def fold_with(self, pc: int, table_bits: int) -> int:
-        """Return ``(pc >> 2) ^ history`` folded down to ``table_bits`` bits."""
-        mask = (1 << table_bits) - 1
-        return ((pc >> 2) ^ self.value) & mask
 
 
 @dataclass

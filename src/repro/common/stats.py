@@ -13,50 +13,8 @@ occupancy) is the headline accuracy number (Table 7: 0.0377 mean).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-
-class RunningMean:
-    """Numerically stable running mean/variance accumulator."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningMean") -> None:
-        """Fold another accumulator into this one."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean = (self.count * self.mean + other.count * other.mean) / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 
 @dataclass
@@ -130,35 +88,6 @@ class ReliabilityDiagram:
             bucket.goodpath_instances += weight
             self.total_goodpath += weight
         self.total_instances += weight
-
-    def record_many(self, predicted: float, events: Sequence) -> None:
-        """Record a batch of run events that share one predicted probability.
-
-        ``events`` is the trace backend's flat run-event buffer — stride-4
-        ``(kind, on_goodpath, cycle, count)`` groups.  The bin is resolved
-        once for the whole batch; the integer totals fold exactly, while
-        ``predicted_sum`` accumulates one ``predicted * count`` term per
-        event in order, which keeps the float bit-identical to the
-        equivalent sequence of :meth:`record` calls.
-        """
-        if not 0.0 <= predicted <= 1.0:
-            predicted = min(max(predicted, 0.0), 1.0)
-        bucket = self.bins[min(int(predicted * self.num_bins),
-                               self.num_bins - 1)]
-        instances = 0
-        goodpath = 0
-        predicted_sum = bucket.predicted_sum
-        for i in range(3, len(events), 4):
-            weight = events[i]
-            instances += weight
-            predicted_sum += predicted * weight
-            if events[i - 2]:
-                goodpath += weight
-        bucket.instances += instances
-        bucket.predicted_sum = predicted_sum
-        bucket.goodpath_instances += goodpath
-        self.total_goodpath += goodpath
-        self.total_instances += instances
 
     def record_folded(self, predicted: float, weights: Sequence,
                       instances: int, goodpath: int) -> None:
@@ -243,35 +172,3 @@ class ReliabilityDiagram:
             )
         return "\n".join(lines)
 
-
-def rms_error(predicted: Sequence[float], observed: Sequence[float]) -> float:
-    """Unweighted RMS error between two equal-length sequences."""
-    if len(predicted) != len(observed):
-        raise ValueError("sequences must have equal length")
-    if not predicted:
-        return 0.0
-    acc = 0.0
-    for p, o in zip(predicted, observed):
-        acc += (p - o) ** 2
-    return math.sqrt(acc / len(predicted))
-
-
-def weighted_rms_error(points: Iterable[Tuple[float, float, float]]) -> float:
-    """RMS error over (predicted, observed, weight) triples."""
-    acc = 0.0
-    total = 0.0
-    for predicted, observed, weight in points:
-        acc += weight * (predicted - observed) ** 2
-        total += weight
-    if total == 0.0:
-        return 0.0
-    return math.sqrt(acc / total)
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean, used for the HMWIPC SMT metric."""
-    if not values:
-        raise ValueError("harmonic mean of empty sequence")
-    if any(v <= 0.0 for v in values):
-        raise ValueError("harmonic mean requires positive values")
-    return len(values) / sum(1.0 / v for v in values)

@@ -17,7 +17,6 @@ hardware mechanism lives here:
 """
 
 from repro.eval.observers import (
-    PathConfidenceObserver,
     MultiPredictorObserver,
     CounterGoodpathObserver,
     PhaseAwareCounterObserver,
@@ -37,7 +36,6 @@ from repro.eval.harness import (
 from repro.eval.reports import format_table
 
 __all__ = [
-    "PathConfidenceObserver",
     "MultiPredictorObserver",
     "CounterGoodpathObserver",
     "PhaseAwareCounterObserver",

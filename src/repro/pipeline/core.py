@@ -21,6 +21,7 @@ and a misprediction penalty of at least the paper's 10 cycles.
 
 from __future__ import annotations
 
+import abc
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
@@ -60,48 +61,31 @@ class SimulationTruncated(RuntimeError):
         self.max_cycles = max_cycles
 
 
-class InstanceObserver:
+class InstanceObserver(abc.ABC):
     """Callback hook for path-confidence "instances".
 
     The paper defines an instance as any event that can change the path
     confidence estimate: fetching an instruction or executing one.  The
     evaluation harness registers an observer and, at every instance, records
     the predictors' current estimates together with whether the front end is
-    actually on the good path.
+    actually on the good path.  A run of identical instances is one weighted
+    observation, so a single instance is a run of length 1.
     """
 
-    def record(self, kind: str, on_goodpath: bool, cycle: int) -> None:
-        """Called once per instance.  ``kind`` is ``"fetch"`` or ``"execute"``."""
-        raise NotImplementedError
-
-    def record_run(self, kind: str, on_goodpath: bool, cycle: int,
-                   count: int) -> None:
-        """Record ``count`` instances that share one observable state.
-
-        The trace backend batches runs of instances between which no
-        predictor state changed; aggregate observers override this with a
-        weighted update.  The default replays :meth:`record` ``count``
-        times, so order-insensitive observers stay correct either way.
-        """
-        for _ in range(count):
-            self.record(kind, on_goodpath, cycle)
-
+    @abc.abstractmethod
     def record_runs(self, events: list) -> None:
-        """Record a batch of runs accumulated across one constant-state span.
+        """Record a batch of instance runs that share one predictor state.
 
         ``events`` is a flat stride-4 list of ``(kind, on_goodpath,
-        cycle, count)`` groups, in recording order.  The trace backend
-        buffers run events across spans where no predictor state changes
-        and delivers them here just before the next state change, so an
-        observer may read predictor state once for the whole batch.
-        The default replays :meth:`record_run` per event, preserving the
-        exact call sequence unbatched observers always saw.  The buffer
-        is reused by the caller — observers must not keep a reference.
+        cycle, count)`` groups, in recording order; ``kind`` is
+        ``"fetch"`` or ``"execute"``.  The trace backend buffers run
+        events across spans where no predictor state changes and
+        delivers them just before the next state change, so an observer
+        may read predictor state once for the whole batch.  The cycle
+        model delivers every instance as a one-event batch with count 1.
+        The buffer is reused by the caller — observers must not keep a
+        reference.
         """
-        record_run = self.record_run
-        for i in range(0, len(events), 4):
-            record_run(events[i], events[i + 1], events[i + 2],
-                       events[i + 3])
 
 
 @dataclass
@@ -162,6 +146,9 @@ class OutOfOrderCore:
 
         self.stats = CoreStats()
         self.observers: List[InstanceObserver] = []
+        #: The one-event batch every instance is delivered as; reused,
+        #: since observers must not keep the buffer.
+        self._event: list = [None, True, 0, 1]
 
         self._rob: Deque[Instruction] = deque()
         self._scheduler: List[Instruction] = []
@@ -365,6 +352,9 @@ class OutOfOrderCore:
     def _record_instance(self, kind: str, cycle: int) -> None:
         if not self.observers:
             return
-        on_goodpath = self.fetch_engine.fetching_goodpath
+        event = self._event
+        event[0] = kind
+        event[1] = self.fetch_engine.fetching_goodpath
+        event[2] = cycle
         for observer in self.observers:
-            observer.record(kind, on_goodpath, cycle)
+            observer.record_runs(event)

@@ -39,6 +39,7 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends import trace as trace_backend
+from repro.backends.cycle import CycleSession
 from repro.backends.fused import (
     FusedTraceSession,
     _build_replay_source,
@@ -91,22 +92,19 @@ class _CountingObserver(InstanceObserver):
         self.instances = 0
         self.goodpath = 0
 
-    def record(self, kind, on_goodpath, cycle):
-        self.record_run(kind, on_goodpath, cycle, 1)
-
-    def record_run(self, kind, on_goodpath, cycle, count):
-        self.instances += count
-        if on_goodpath:
-            self.goodpath += count
+    def record_runs(self, events):
+        for i in range(0, len(events), 4):
+            self.instances += events[i + 3]
+            if events[i + 1]:
+                self.goodpath += events[i + 3]
 
 
 class _StreamObserver(InstanceObserver):
     """Captures the flattened run-event stream.
 
-    Deliberately overrides only :meth:`record_run`: batched delivery goes
-    through the default ``record_runs`` loop, so the captured stream is
-    exactly the per-event call sequence — same events, same values, same
-    order — that the unbatched replay delivered.  Comparing streams (not
+    Every delivered batch is split back into its events, so the captured
+    stream is the sequence of one-event batches — same events, same
+    values, same order — whatever the batching.  Comparing streams (not
     just final statistics) pins the event *boundaries*, which is where
     batching bugs would hide.
     """
@@ -114,11 +112,9 @@ class _StreamObserver(InstanceObserver):
     def __init__(self):
         self.events = []
 
-    def record(self, kind, on_goodpath, cycle):
-        self.record_run(kind, on_goodpath, cycle, 1)
-
-    def record_run(self, kind, on_goodpath, cycle, count):
-        self.events.append((kind, on_goodpath, cycle, count))
+    def record_runs(self, events):
+        for i in range(0, len(events), 4):
+            self.events.append(tuple(events[i:i + 4]))
 
 
 class _ScalarTraceBackend(TraceBackend):
@@ -137,8 +133,8 @@ class _ScalarTraceBackend(TraceBackend):
         gating = instrument.gating_policy
         if isinstance(gating, NoGating):
             gating = None
-        return TraceSession(fetch_engine, config, instrument.observers,
-                            *windows, block_size=self.block_size,
+        return TraceSession(fetch_engine, config, *windows,
+                            block_size=self.block_size,
                             gating_policy=gating)
 
 
@@ -264,6 +260,94 @@ class TestSessionContract:
         session = build_session(phased_spec, PaCoPredictor(),
                                 config=small_machine, backend="trace")
         assert session.generator.spec is phased_spec
+
+
+class _FetchTally(InstanceObserver):
+    """Sums fetch instances; a run of count n is n instances."""
+
+    def __init__(self):
+        self.fetches = 0
+
+    def record_runs(self, events):
+        for i in range(0, len(events), 4):
+            if events[i] == "fetch":
+                self.fetches += events[i + 3]
+
+
+#: Session kind -> (backend factory, the session type it must build).
+_ATTACH_SESSIONS = {
+    "cycle": (CycleBackend, CycleSession),
+    "fused": (lambda: TraceBackend(block_size=17), FusedTraceSession),
+    "scalar": (lambda: _ScalarTraceBackend(block_size=17), TraceSession),
+}
+
+
+class TestObserverAttach:
+    """``add_observer`` is the one attach route, on every session kind.
+
+    Every fetched instruction is one fetch instance, so an observer
+    attached before the first ``run`` sees exactly the fetched totals,
+    and one attached between legs (the harness's warm-up pattern) sees
+    exactly the second leg's — nothing recorded before it was attached
+    leaks into it, and nothing after is lost.
+    """
+
+    @staticmethod
+    def _session(spec, machine, kind, predictor, gated):
+        if predictor == "paco":
+            path_confidence = PaCoPredictor(relog_period_cycles=2_000)
+            gating = (PaCoGating(path_confidence,
+                                 target_goodpath_probability=0.3)
+                      if gated else None)
+        else:
+            path_confidence = ThresholdAndCountPredictor(threshold=3)
+            gating = (CountGating(path_confidence, gate_count=2)
+                      if gated else None)
+        backend, session_type = _ATTACH_SESSIONS[kind]
+        session = backend().build(
+            Workload(spec=spec, seed=4), machine,
+            Instrumentation(path_confidence=path_confidence,
+                            gating_policy=gating))
+        assert type(session) is session_type
+        return session
+
+    @staticmethod
+    def _fetched(stats):
+        return stats.goodpath_fetched + stats.badpath_fetched
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+    @pytest.mark.parametrize("predictor", ["paco", "count"])
+    @pytest.mark.parametrize("kind", sorted(_ATTACH_SESSIONS))
+    def test_observer_sees_every_fetch(self, tiny_spec, small_machine, kind,
+                                       predictor, gated):
+        session = self._session(tiny_spec, small_machine, kind, predictor,
+                                gated)
+        tally = _FetchTally()
+        session.add_observer(tally)
+        stats = session.run(max_instructions=3_000)
+        assert tally.fetches == self._fetched(stats) > 0
+        assert (stats.gated_cycles > 0) is gated
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+    @pytest.mark.parametrize("predictor", ["paco", "count"])
+    @pytest.mark.parametrize("kind", sorted(_ATTACH_SESSIONS))
+    def test_late_observer_sees_only_later_fetches(self, tiny_spec,
+                                                   small_machine, kind,
+                                                   predictor, gated):
+        session = self._session(tiny_spec, small_machine, kind, predictor,
+                                gated)
+        early = _FetchTally()
+        session.add_observer(early)
+        warm = self._fetched(session.run(max_instructions=1_500))
+        late = _FetchTally()
+        session.add_observer(late)
+        total = self._fetched(session.run(max_instructions=3_000))
+        assert early.fetches == total
+        assert late.fetches == total - warm > 0
+
+    def test_instrumentation_carries_no_observers(self):
+        with pytest.raises(TypeError, match="observers"):
+            Instrumentation(path_confidence=PaCoPredictor(), observers=())
 
 
 # ---------------------------------------------------------------------- #
@@ -683,8 +767,8 @@ class TestBatchedObserverStream:
         session = backend_cls(block_size=block_size).build(
             Workload(spec=spec, seed=seed), machine,
             Instrumentation(path_confidence=path_confidence,
-                            gating_policy=gating,
-                            observers=(observer,)))
+                            gating_policy=gating))
+        session.add_observer(observer)
         stats = session.run(max_instructions=instructions)
         return observer.events, stats
 
@@ -772,9 +856,9 @@ class TestFusedScalarParity:
             observer = _StreamObserver()
             session = backend_cls(block_size=block_size).build(
                 Workload(spec=spec, seed=5), machine,
-                Instrumentation(path_confidence=path_confidence,
-                                observers=(observer,)))
+                Instrumentation(path_confidence=path_confidence))
             assert type(session) is session_cls
+            session.add_observer(observer)
             stats = session.run(max_instructions=instructions)
             runs[session_cls] = (observer.events, stats)
         return runs[FusedTraceSession], runs[TraceSession]
@@ -835,8 +919,8 @@ class TestFusedScalarParity:
             observer = _StreamObserver()
             session = backend_cls(block_size=block_size).build(
                 Workload(spec=spec, seed=5), small_machine,
-                Instrumentation(path_confidence=path_confidence,
-                                observers=(observer,)))
+                Instrumentation(path_confidence=path_confidence))
+            session.add_observer(observer)
             stats = session.run(max_instructions=3_000)
             runs.append((session, observer.events, stats))
         (fused, fused_events, fused_stats), (scalar, scalar_events,
@@ -980,8 +1064,9 @@ class TestFusedGatedParity:
         session = backend_cls(block_size=block_size).build(
             Workload(spec=spec, seed=5), machine,
             Instrumentation(path_confidence=path_confidence,
-                            gating_policy=policy,
-                            observers=(observer,) if observe else ()))
+                            gating_policy=policy))
+        if observe:
+            session.add_observer(observer)
         session.run(max_instructions=instructions // 4)
         stats = session.run(max_instructions=instructions)
         return session, observer.events, stats
@@ -1057,10 +1142,10 @@ class TestVecTraceStreamParity:
             Workload(spec=tiny_spec, seed=5), small_machine,
             Instrumentation(path_confidence=path_confidence,
                             gating_policy=CountGating(path_confidence,
-                                                      gate_count=2),
-                            observers=(observer,)))
+                                                      gate_count=2)))
         assert type(session) is FusedTraceSession
         assert session.gating_policy is not None
+        session.add_observer(observer)
         stats = session.run(max_instructions=4_000)
         assert stats == reference[1]
         assert observer.events == reference[0]
@@ -1229,7 +1314,7 @@ class TestFusedSessionRouting:
                                           small_machine, instrument)
         with pytest.raises(ValueError, match="TraceSession"):
             FusedTraceSession(
-                fetch_engine, small_machine, (), 16, 8,
+                fetch_engine, small_machine, 16, 8,
                 {"paco": path_confidence},
                 gating_policy=ProbabilityGating(path_confidence, 0.5))
 

@@ -2,137 +2,7 @@
 
 import pytest
 
-from repro.common.counters import (
-    HalvingRateCounter,
-    HistoryRegister,
-    SaturatingCounter,
-    ShiftRegister,
-    UpDownCounter,
-)
-
-
-class TestSaturatingCounter:
-    def test_starts_at_initial_value(self):
-        assert SaturatingCounter(4, initial=5).value == 5
-
-    def test_increments_until_saturation(self):
-        counter = SaturatingCounter(2)
-        for _ in range(10):
-            counter.increment()
-        assert counter.value == 3
-        assert counter.is_saturated
-
-    def test_decrement_saturates_at_zero(self):
-        counter = SaturatingCounter(3, initial=1)
-        counter.decrement()
-        counter.decrement()
-        assert counter.value == 0
-
-    def test_reset_returns_to_zero(self):
-        counter = SaturatingCounter(4, initial=9)
-        counter.reset()
-        assert counter.value == 0
-
-    def test_reset_to_specific_value(self):
-        counter = SaturatingCounter(4)
-        counter.reset(7)
-        assert counter.value == 7
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(0)
-
-    def test_rejects_out_of_range_initial(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(2, initial=4)
-
-    def test_rejects_out_of_range_reset(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(2).reset(9)
-
-    def test_int_conversion(self):
-        assert int(SaturatingCounter(4, initial=6)) == 6
-
-    def test_increment_by_amount_saturates(self):
-        counter = SaturatingCounter(3, initial=5)
-        counter.increment(10)
-        assert counter.value == 7
-
-
-class TestUpDownCounter:
-    def test_increment_and_decrement(self):
-        counter = UpDownCounter(max_value=8)
-        counter.increment()
-        counter.increment()
-        counter.decrement()
-        assert counter.value == 1
-
-    def test_decrement_floors_at_zero(self):
-        counter = UpDownCounter(max_value=4)
-        counter.decrement()
-        assert counter.value == 0
-
-    def test_increment_caps_at_max(self):
-        counter = UpDownCounter(max_value=2)
-        for _ in range(5):
-            counter.increment()
-        assert counter.value == 2
-
-    def test_rejects_nonpositive_max(self):
-        with pytest.raises(ValueError):
-            UpDownCounter(max_value=0)
-
-    def test_reset(self):
-        counter = UpDownCounter(max_value=4, initial=3)
-        counter.reset()
-        assert counter.value == 0
-
-
-class TestShiftRegister:
-    def test_shift_in_builds_value(self):
-        reg = ShiftRegister(4)
-        reg.shift_in(1)
-        reg.shift_in(0)
-        reg.shift_in(1)
-        assert reg.value == 0b101
-
-    def test_width_truncation(self):
-        reg = ShiftRegister(3)
-        for _ in range(5):
-            reg.shift_in(1)
-        assert reg.value == 0b111
-
-    def test_bit_access(self):
-        reg = ShiftRegister(4, initial=0b1010)
-        assert reg.bit(0) == 0
-        assert reg.bit(1) == 1
-        assert reg.bit(3) == 1
-
-    def test_bit_out_of_range(self):
-        with pytest.raises(IndexError):
-            ShiftRegister(4).bit(4)
-
-    def test_load_masks_to_width(self):
-        reg = ShiftRegister(4)
-        reg.load(0xFF)
-        assert reg.value == 0xF
-
-    def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            ShiftRegister(0)
-
-
-class TestHistoryRegister:
-    def test_fold_with_combines_pc_and_history(self):
-        history = HistoryRegister(8, initial=0b1100_0011)
-        index = history.fold_with(pc=0x400100, table_bits=10)
-        assert 0 <= index < (1 << 10)
-        assert index == (((0x400100 >> 2) ^ 0b1100_0011) & ((1 << 10) - 1))
-
-    def test_fold_changes_with_history(self):
-        a = HistoryRegister(8, initial=0)
-        b = HistoryRegister(8, initial=0xFF)
-        assert a.fold_with(0x1000, 8) != b.fold_with(0x1000, 8)
+from repro.common.counters import HalvingRateCounter, RateSnapshot
 
 
 class TestHalvingRateCounter:
@@ -198,3 +68,17 @@ class TestHalvingRateCounter:
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError):
             HalvingRateCounter(correct_bits=0)
+
+
+class TestRateSnapshot:
+    def test_empty_snapshot_rate_is_half(self):
+        snapshot = RateSnapshot(correct=0, mispredicted=0)
+        assert snapshot.total == 0
+        assert snapshot.correct_rate == 0.5
+        assert snapshot.mispredict_rate == 0.5
+
+    def test_rates_follow_the_counts(self):
+        snapshot = RateSnapshot(correct=6, mispredicted=2)
+        assert snapshot.total == 8
+        assert snapshot.correct_rate == pytest.approx(0.75)
+        assert snapshot.mispredict_rate == pytest.approx(0.25)

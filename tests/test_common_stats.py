@@ -1,56 +1,8 @@
 """Unit tests for repro.common.stats."""
 
-import math
-
 import pytest
 
-from repro.common.stats import (
-    ReliabilityDiagram,
-    RunningMean,
-    harmonic_mean,
-    rms_error,
-    weighted_rms_error,
-)
-
-
-class TestRunningMean:
-    def test_mean_of_values(self):
-        acc = RunningMean()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            acc.add(v)
-        assert acc.mean == pytest.approx(2.5)
-
-    def test_variance_and_std(self):
-        acc = RunningMean()
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            acc.add(v)
-        assert acc.variance == pytest.approx(4.0)
-        assert acc.std == pytest.approx(2.0)
-
-    def test_variance_of_single_value_is_zero(self):
-        acc = RunningMean()
-        acc.add(3.0)
-        assert acc.variance == 0.0
-
-    def test_merge_matches_combined_stream(self):
-        a, b, combined = RunningMean(), RunningMean(), RunningMean()
-        for v in [1.0, 2.0, 3.0]:
-            a.add(v)
-            combined.add(v)
-        for v in [10.0, 20.0]:
-            b.add(v)
-            combined.add(v)
-        a.merge(b)
-        assert a.count == combined.count
-        assert a.mean == pytest.approx(combined.mean)
-        assert a.variance == pytest.approx(combined.variance)
-
-    def test_merge_into_empty(self):
-        a, b = RunningMean(), RunningMean()
-        b.add(5.0)
-        a.merge(b)
-        assert a.mean == pytest.approx(5.0)
-        assert a.count == 1
+from repro.common.stats import ReliabilityDiagram
 
 
 class TestReliabilityDiagram:
@@ -118,66 +70,37 @@ class TestReliabilityDiagram:
         with pytest.raises(ValueError):
             ReliabilityDiagram(num_bins=0)
 
-    def test_record_many_bit_identical_to_record_sequence(self):
-        """record_many over a run-event buffer must leave the diagram in
-        exactly the state the equivalent record() calls do — including
-        predicted_sum, which must accumulate per event in order so the
-        float is bit-identical, not merely close."""
+    def test_record_folded_bit_identical_to_record_sequence(self):
+        """A pre-folded batch must leave the diagram in exactly the state
+        the equivalent record() calls do — including predicted_sum, which
+        accumulates per event in order so the float is bit-identical, not
+        merely close.  Out-of-range predictions clamp the same way."""
         events = [
             "fetch", True, 10, 3,
             "execute", True, 10, 1,
             "fetch", False, 12, 7,
             "execute", False, 13, 2,
         ]
+        weights = events[3::4]
+        instances = sum(weights)
+        goodpath = sum(events[i + 3] for i in range(0, len(events), 4)
+                       if events[i + 1])
         for predicted in (0.0, 0.314159, 0.730001, 1.0, 1.3, -0.2):
-            batched = ReliabilityDiagram(num_bins=100)
-            batched.record_many(predicted, events)
+            folded = ReliabilityDiagram(num_bins=100)
+            folded.record_folded(predicted, weights, instances, goodpath)
             reference = ReliabilityDiagram(num_bins=100)
             for i in range(0, len(events), 4):
                 reference.record(predicted, events[i + 1],
                                  weight=events[i + 3])
-            assert batched.total_instances == reference.total_instances
-            assert batched.total_goodpath == reference.total_goodpath
-            for mine, theirs in zip(batched.bins, reference.bins):
+            assert folded.total_instances == reference.total_instances
+            assert folded.total_goodpath == reference.total_goodpath
+            for mine, theirs in zip(folded.bins, reference.bins):
                 assert mine.instances == theirs.instances
                 assert mine.goodpath_instances == theirs.goodpath_instances
                 assert mine.predicted_sum == theirs.predicted_sum
 
-    def test_record_many_empty_batch_is_noop(self):
+    def test_record_folded_empty_batch_is_noop(self):
         diagram = ReliabilityDiagram(num_bins=10)
-        diagram.record_many(0.5, [])
+        diagram.record_folded(0.5, [], 0, 0)
         assert diagram.total_instances == 0
-
-
-class TestErrorFunctions:
-    def test_rms_error_basic(self):
-        assert rms_error([1.0, 0.0], [0.0, 0.0]) == pytest.approx(math.sqrt(0.5))
-
-    def test_rms_error_empty(self):
-        assert rms_error([], []) == 0.0
-
-    def test_rms_error_length_mismatch(self):
-        with pytest.raises(ValueError):
-            rms_error([1.0], [1.0, 2.0])
-
-    def test_weighted_rms_error(self):
-        points = [(0.5, 0.5, 10.0), (0.9, 0.7, 10.0)]
-        assert weighted_rms_error(points) == pytest.approx(
-            math.sqrt(0.5 * 0.2 ** 2)
-        )
-
-    def test_weighted_rms_error_empty(self):
-        assert weighted_rms_error([]) == 0.0
-
-
-class TestHarmonicMean:
-    def test_matches_definition(self):
-        assert harmonic_mean([1.0, 2.0]) == pytest.approx(4.0 / 3.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([1.0, 0.0])
+        assert all(b.predicted_sum == 0.0 for b in diagram.bins)

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.common.stats import ReliabilityDiagram
 from repro.eval.metrics import hmwipc, weighted_ipc
 from repro.eval.observers import (
     CounterGoodpathObserver,
     MultiPredictorObserver,
-    PathConfidenceObserver,
     PhaseAwareCounterObserver,
 )
 from repro.eval.profiling import MDCProfiler
@@ -27,28 +27,9 @@ class _FakeGenerator:
         self.current_phase_label = "p0"
 
 
-class TestPathConfidenceObserver:
-    def test_records_instances_into_diagram(self):
-        paco = PaCoPredictor()
-        observer = PathConfidenceObserver(paco)
-        observer.record("fetch", on_goodpath=True, cycle=0)
-        paco.on_branch_fetch(_info(0))
-        observer.record("execute", on_goodpath=False, cycle=1)
-        assert observer.diagram.total_instances == 2
-
-    def test_kind_filter(self):
-        observer = PathConfidenceObserver(PaCoPredictor(), kinds=("fetch",))
-        observer.record("execute", True, 0)
-        assert observer.diagram.total_instances == 0
-        observer.record("fetch", True, 0)
-        assert observer.diagram.total_instances == 1
-
-    def test_rms_error_property(self):
-        paco = PaCoPredictor()
-        observer = PathConfidenceObserver(paco)
-        for _ in range(50):
-            observer.record("fetch", True, 0)
-        assert observer.rms_error == pytest.approx(0.0, abs=0.01)
+def _instance(observer, kind, on_goodpath, cycle):
+    """Deliver one instance the way the cycle model does: a one-event batch."""
+    observer.record_runs([kind, on_goodpath, cycle, 1])
 
 
 class TestMultiPredictorObserver:
@@ -56,7 +37,7 @@ class TestMultiPredictorObserver:
         paco = PaCoPredictor()
         static = StaticMRTPredictor()
         observer = MultiPredictorObserver([paco, static])
-        observer.record("fetch", True, 0)
+        _instance(observer, "fetch", True, 0)
         assert set(observer.diagrams) == {"paco", "static-mrt"}
         assert observer.diagrams["paco"].total_instances == 1
         assert set(observer.rms_errors()) == {"paco", "static-mrt"}
@@ -67,15 +48,60 @@ class TestMultiPredictorObserver:
         with pytest.raises(ValueError, match="'paco'"):
             MultiPredictorObserver([PaCoPredictor(), PaCoPredictor()])
 
+    def test_records_every_kind_at_the_current_probability(self):
+        paco = PaCoPredictor()
+        observer = MultiPredictorObserver([paco])
+        diagram = observer.diagrams["paco"]
+        _instance(observer, "fetch", True, 0)
+        before = paco.goodpath_probability()
+        paco.on_branch_fetch(_info(0))
+        after = paco.goodpath_probability()
+        assert after < before
+        _instance(observer, "execute", False, 1)
+        assert diagram.total_instances == 2
+        assert diagram.total_goodpath == 1
+        assert sum(b.predicted_sum for b in diagram.bins) == before + after
+
+    def test_run_counts_weight_the_diagram(self):
+        observer = MultiPredictorObserver([PaCoPredictor()])
+        observer.record_runs(["fetch", True, 0, 7, "execute", False, 0, 3])
+        diagram = observer.diagrams["paco"]
+        assert diagram.total_instances == 10
+        assert diagram.total_goodpath == 7
+
+    def test_single_predictor_diagram_equals_direct_recording(self):
+        """``MultiPredictorObserver([p])`` builds the diagram of ``p``
+        alone: the weighted ``record`` of ``p``'s probability per run."""
+        paco = PaCoPredictor()
+        observer = MultiPredictorObserver([paco])
+        reference = ReliabilityDiagram()
+        for mdc, on_goodpath, count in ((0, True, 3), (5, False, 2),
+                                        (9, True, 1), (2, False, 4)):
+            paco.on_branch_fetch(_info(mdc))
+            observer.record_runs(["execute", on_goodpath, 0, count])
+            reference.record(paco.goodpath_probability(), on_goodpath,
+                             weight=count)
+        diagram = observer.diagrams["paco"]
+        assert ([(b.instances, b.goodpath_instances, b.predicted_sum)
+                 for b in diagram.bins]
+                == [(b.instances, b.goodpath_instances, b.predicted_sum)
+                    for b in reference.bins])
+
+    def test_constant_good_path_has_near_zero_rms(self):
+        observer = MultiPredictorObserver([PaCoPredictor()])
+        for cycle in range(50):
+            _instance(observer, "fetch", True, cycle)
+        assert observer.rms_errors()["paco"] == pytest.approx(0.0, abs=0.01)
+
 
 class TestCounterGoodpathObserver:
     def test_counts_by_counter_value(self):
         predictor = ThresholdAndCountPredictor(threshold=3)
         observer = CounterGoodpathObserver(predictor, max_count=8)
-        observer.record("fetch", True, 0)              # count 0
+        _instance(observer, "fetch", True, 0)          # count 0
         predictor.on_branch_fetch(_info(0))
-        observer.record("fetch", True, 1)              # count 1
-        observer.record("fetch", False, 2)             # count 1
+        _instance(observer, "fetch", True, 1)          # count 1
+        _instance(observer, "fetch", False, 2)         # count 1
         assert observer.occupancy(0) == 1
         assert observer.occupancy(1) == 2
         assert observer.goodpath_probability(1) == pytest.approx(0.5)
@@ -85,7 +111,7 @@ class TestCounterGoodpathObserver:
         observer = CounterGoodpathObserver(predictor, max_count=2)
         for _ in range(5):
             predictor.on_branch_fetch(_info(0))
-        observer.record("fetch", True, 0)
+        _instance(observer, "fetch", True, 0)
         assert observer.occupancy(2) == 1
 
     @pytest.mark.parametrize("count", [-1, 5])
@@ -106,9 +132,9 @@ class TestPhaseAwareCounterObserver:
         predictor = ThresholdAndCountPredictor(threshold=3)
         generator = _FakeGenerator()
         observer = PhaseAwareCounterObserver(predictor, generator, max_count=4)
-        observer.record("fetch", True, 0)
+        _instance(observer, "fetch", True, 0)
         generator.current_phase_label = "p1"
-        observer.record("fetch", False, 1)
+        _instance(observer, "fetch", False, 1)
         assert set(observer.phases()) == {"p0", "p1"}
         assert observer.goodpath_probability("p0", 0) == 1.0
         assert observer.goodpath_probability("p1", 0) == 0.0
@@ -128,7 +154,7 @@ class TestPhaseAwareCounterObserver:
     def test_out_of_range_queries_raise(self, count):
         observer = PhaseAwareCounterObserver(ThresholdAndCountPredictor(),
                                              _FakeGenerator(), max_count=4)
-        observer.record("fetch", True, 0)
+        _instance(observer, "fetch", True, 0)
         with pytest.raises(ValueError):
             observer.goodpath_probability("p0", count)
         with pytest.raises(ValueError):
@@ -136,11 +162,11 @@ class TestPhaseAwareCounterObserver:
 
 
 class TestRecordRunsBatching:
-    """Batched event delivery must equal the per-event record_run calls.
+    """A batch must leave an observer as its events delivered one by one.
 
     ``events`` is the trace backend's flat stride-4 buffer; every
-    observer's record_runs must leave it in the same state as looping
-    record_run over the groups (the InstanceObserver default).
+    observer's ``record_runs`` must leave it in the same state as the
+    one-event batches the cycle model delivers.
     """
 
     EVENTS = [
@@ -153,31 +179,7 @@ class TestRecordRunsBatching:
     def _loop(self, observer):
         events = self.EVENTS
         for i in range(0, len(events), 4):
-            observer.record_run(events[i], events[i + 1], events[i + 2],
-                                events[i + 3])
-
-    def test_path_confidence_observer(self):
-        batched = PathConfidenceObserver(PaCoPredictor())
-        batched.record_runs(self.EVENTS)
-        reference = PathConfidenceObserver(PaCoPredictor())
-        self._loop(reference)
-        assert (batched.diagram.total_instances
-                == reference.diagram.total_instances == 10)
-        assert (batched.diagram.total_goodpath
-                == reference.diagram.total_goodpath == 6)
-        for mine, theirs in zip(batched.diagram.bins, reference.diagram.bins):
-            assert mine.instances == theirs.instances
-            assert mine.predicted_sum == theirs.predicted_sum
-
-    def test_path_confidence_observer_kind_filter(self):
-        batched = PathConfidenceObserver(PaCoPredictor(), kinds=("fetch",))
-        batched.record_runs(self.EVENTS)
-        reference = PathConfidenceObserver(PaCoPredictor(), kinds=("fetch",))
-        self._loop(reference)
-        assert (batched.diagram.total_instances
-                == reference.diagram.total_instances == 7)
-        assert (batched.diagram.total_goodpath
-                == reference.diagram.total_goodpath == 4)
+            observer.record_runs(events[i:i + 4])
 
     def test_multi_predictor_observer(self):
         def build():
@@ -187,8 +189,14 @@ class TestRecordRunsBatching:
         batched.record_runs(self.EVENTS)
         self._loop(reference)
         for name in ("paco", "static-mrt"):
-            assert (batched.diagrams[name].total_instances
-                    == reference.diagrams[name].total_instances == 10)
+            mine = batched.diagrams[name]
+            theirs = reference.diagrams[name]
+            assert mine.total_instances == theirs.total_instances == 10
+            assert mine.total_goodpath == theirs.total_goodpath == 6
+            for a, b in zip(mine.bins, theirs.bins):
+                assert a.instances == b.instances
+                assert a.goodpath_instances == b.goodpath_instances
+                assert a.predicted_sum == b.predicted_sum
 
     def test_counter_observer(self):
         predictor = ThresholdAndCountPredictor(threshold=3)
@@ -213,6 +221,43 @@ class TestRecordRunsBatching:
         assert batched.occupancy("p0", 0) == reference.occupancy("p0", 0) == 10
         assert (batched.goodpath_probability("p0", 0)
                 == reference.goodpath_probability("p0", 0))
+
+
+#: Counter observer kind -> (build from predictor and max_count, occupancy).
+_COUNTER_OBSERVERS = {
+    "counter": (
+        lambda predictor, max_count: CounterGoodpathObserver(
+            predictor, max_count=max_count),
+        lambda observer, count: observer.occupancy(count)),
+    "phase-aware": (
+        lambda predictor, max_count: PhaseAwareCounterObserver(
+            predictor, _FakeGenerator(), max_count=max_count),
+        lambda observer, count: observer.occupancy("p0", count)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COUNTER_OBSERVERS))
+class TestCounterObserverMaxCount:
+    """A negative ``max_count`` is rejected when the observer is built,
+    not by an ``IndexError`` at its first delivery mid-run; counts above
+    a valid one (0 included) clamp into the top bucket."""
+
+    @pytest.mark.parametrize("max_count", [-1, -16])
+    def test_negative_max_count_rejected(self, kind, max_count):
+        build, _ = _COUNTER_OBSERVERS[kind]
+        with pytest.raises(ValueError, match="max_count"):
+            build(ThresholdAndCountPredictor(), max_count)
+
+    @pytest.mark.parametrize("max_count", [0, 2])
+    def test_counts_above_max_count_clamp_into_top_bucket(self, kind,
+                                                          max_count):
+        build, occupancy = _COUNTER_OBSERVERS[kind]
+        predictor = ThresholdAndCountPredictor(threshold=3)
+        observer = build(predictor, max_count)
+        for _ in range(5):
+            predictor.on_branch_fetch(_info(0))
+        _instance(observer, "fetch", True, 0)
+        assert occupancy(observer, max_count) == 1
 
 
 class TestMDCProfiler:

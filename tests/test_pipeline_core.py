@@ -15,13 +15,14 @@ class _CountingObserver(InstanceObserver):
         self.execute_instances = 0
         self.goodpath_instances = 0
 
-    def record(self, kind, on_goodpath, cycle):
-        if kind == "fetch":
-            self.fetch_instances += 1
-        else:
-            self.execute_instances += 1
-        if on_goodpath:
-            self.goodpath_instances += 1
+    def record_runs(self, events):
+        for i in range(0, len(events), 4):
+            if events[i] == "fetch":
+                self.fetch_instances += events[i + 3]
+            else:
+                self.execute_instances += events[i + 3]
+            if events[i + 1]:
+                self.goodpath_instances += events[i + 3]
 
 
 def _run_core(spec, machine, predictor=None, instructions=4000, gating=None,
@@ -137,31 +138,34 @@ class TestCoreObservers:
         total = observer.fetch_instances + observer.execute_instances
         assert observer.goodpath_instances / total > 0.5
 
-    def test_record_runs_default_replays_record_run_per_event(self):
-        """An observer overriding only record_run must see, from one
-        batched record_runs delivery, exactly the per-event calls the
-        unbatched trace replay made — same arguments, same order."""
-        from repro.pipeline.core import InstanceObserver
-
-        calls = []
-
-        class Recorder(InstanceObserver):
-            def record_run(self, kind, on_goodpath, cycle, count):
-                calls.append((kind, on_goodpath, cycle, count))
-
-        events = ["fetch", True, 3, 5, "execute", False, 4, 2]
-        Recorder().record_runs(events)
-        assert calls == [("fetch", True, 3, 5), ("execute", False, 4, 2)]
-
-    def test_record_runs_default_falls_back_to_record(self):
-        calls = []
+    def test_cycle_model_delivers_one_event_batches(self, tiny_spec,
+                                                   small_machine):
+        """Every instance reaches the observer as its own ``record_runs``
+        batch: one ``(kind, on_goodpath, cycle, 1)`` group, cycles in
+        order."""
+        core, _, _ = build_single_core(
+            tiny_spec, PaCoPredictor(relog_period_cycles=5_000),
+            config=small_machine)
+        batches = []
 
         class Recorder(InstanceObserver):
-            def record(self, kind, on_goodpath, cycle):
-                calls.append((kind, on_goodpath, cycle))
+            def record_runs(self, events):
+                batches.append(list(events))
 
-        Recorder().record_runs(["fetch", True, 7, 3])
-        assert calls == [("fetch", True, 7)] * 3
+        core.add_observer(Recorder())
+        core.run(max_instructions=500)
+        assert batches
+        assert all(len(batch) == 4 and batch[3] == 1 for batch in batches)
+        assert {batch[0] for batch in batches} == {"fetch", "execute"}
+        cycles = [batch[2] for batch in batches]
+        assert cycles == sorted(cycles)
+
+    def test_observer_without_record_runs_cannot_be_built(self):
+        class Incomplete(InstanceObserver):
+            pass
+
+        with pytest.raises(TypeError, match="record_runs"):
+            Incomplete()
 
 
 class TestCoreGating:

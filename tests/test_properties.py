@@ -2,10 +2,11 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.counters import HalvingRateCounter, SaturatingCounter, ShiftRegister
+from repro.common.counters import HalvingRateCounter
 from repro.common.logcircuit import (
     ENCODED_PROBABILITY_MAX,
     MitchellLogCircuit,
@@ -14,8 +15,14 @@ from repro.common.logcircuit import (
 )
 from repro.common.rng import DeterministicRng
 from repro.common.stats import ReliabilityDiagram
+from repro.eval.observers import (
+    CounterGoodpathObserver,
+    MultiPredictorObserver,
+    PhaseAwareCounterObserver,
+)
 from repro.pathconf.base import BranchFetchInfo
 from repro.pathconf.paco import PaCoPredictor
+from repro.pathconf.static_mrt import StaticMRTPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 
 
@@ -25,28 +32,6 @@ def _info(mdc):
 
 
 class TestCounterProperties:
-    @given(bits=st.integers(min_value=1, max_value=12),
-           operations=st.lists(st.sampled_from(["inc", "dec", "reset"]),
-                               max_size=200))
-    def test_saturating_counter_stays_in_range(self, bits, operations):
-        counter = SaturatingCounter(bits)
-        for op in operations:
-            if op == "inc":
-                counter.increment()
-            elif op == "dec":
-                counter.decrement()
-            else:
-                counter.reset()
-            assert 0 <= counter.value <= counter.max_value
-
-    @given(bits=st.integers(min_value=1, max_value=16),
-           pushes=st.lists(st.booleans(), max_size=100))
-    def test_shift_register_stays_in_range(self, bits, pushes):
-        register = ShiftRegister(bits)
-        for bit in pushes:
-            register.shift_in(bit)
-            assert 0 <= register.value < (1 << bits)
-
     @given(outcomes=st.lists(st.booleans(), min_size=1, max_size=3000))
     def test_halving_counter_rate_stays_in_unit_interval(self, outcomes):
         counter = HalvingRateCounter()
@@ -55,6 +40,18 @@ class TestCounterProperties:
             assert 0.0 <= counter.mispredict_rate <= 1.0
             assert counter.correct <= (1 << counter.correct_bits) - 1
             assert counter.mispredicted <= (1 << counter.mispredict_bits) - 1
+
+    @given(outcomes=st.lists(st.booleans(), max_size=3000))
+    def test_halving_counter_snapshot_matches_live_state(self, outcomes):
+        counter = HalvingRateCounter(correct_bits=5, mispredict_bits=3)
+        for outcome in outcomes:
+            counter.record(outcome)
+        snapshot = counter.snapshot()
+        assert (snapshot.correct, snapshot.mispredicted) == (
+            counter.correct, counter.mispredicted)
+        assert snapshot.total == counter.total
+        assert snapshot.correct_rate == counter.correct_rate
+        assert snapshot.mispredict_rate == counter.mispredict_rate
 
 
 class TestEncodingProperties:
@@ -123,6 +120,49 @@ class TestReliabilityDiagramProperties:
         assert 0.0 <= diagram.rms_error() <= 1.0
         assert sum(count for _, count in diagram.histogram()) == len(samples)
 
+    @given(predicted=st.floats(min_value=-0.5, max_value=1.5),
+           runs=st.lists(st.tuples(st.booleans(),
+                                   st.integers(min_value=1, max_value=500)),
+                         max_size=40))
+    def test_record_folded_equals_record_sequence(self, predicted, runs):
+        """The folded batch update is bit-identical to one weighted
+        ``record`` per run, including the ordered ``predicted_sum``."""
+        folded = ReliabilityDiagram(num_bins=50)
+        folded.record_folded(predicted, [w for _, w in runs],
+                             sum(w for _, w in runs),
+                             sum(w for g, w in runs if g))
+        reference = ReliabilityDiagram(num_bins=50)
+        for on_goodpath, weight in runs:
+            reference.record(predicted, on_goodpath, weight=weight)
+        assert ([(b.instances, b.goodpath_instances, b.predicted_sum)
+                 for b in folded.bins]
+                == [(b.instances, b.goodpath_instances, b.predicted_sum)
+                    for b in reference.bins])
+        assert folded.total_instances == reference.total_instances
+        assert folded.total_goodpath == reference.total_goodpath
+
+    @given(first=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                    st.booleans()), max_size=100),
+           second=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                     st.booleans()), max_size=100))
+    def test_merge_equals_one_diagram_over_both_streams(self, first, second):
+        mine = ReliabilityDiagram(num_bins=20)
+        theirs = ReliabilityDiagram(num_bins=20)
+        both = ReliabilityDiagram(num_bins=20)
+        for predicted, on_goodpath in first:
+            mine.record(predicted, on_goodpath)
+            both.record(predicted, on_goodpath)
+        for predicted, on_goodpath in second:
+            theirs.record(predicted, on_goodpath)
+            both.record(predicted, on_goodpath)
+        mine.merge(theirs)
+        assert mine.total_instances == both.total_instances
+        assert mine.total_goodpath == both.total_goodpath
+        for merged, direct in zip(mine.bins, both.bins):
+            assert merged.instances == direct.instances
+            assert merged.goodpath_instances == direct.goodpath_instances
+            assert merged.predicted_sum == pytest.approx(direct.predicted_sum)
+
 
 class TestPathConfidenceInvariants:
     @settings(max_examples=50, deadline=None)
@@ -170,6 +210,96 @@ class TestPathConfidenceInvariants:
             encoded = paco.mrt.encoded_probability(mdc)
             expected *= decode_probability(encoded)
             paco.on_branch_fetch(_info(mdc))
-        assert paco.goodpath_probability() == (
-            __import__("pytest").approx(expected, rel=1e-9)
-        )
+        assert paco.goodpath_probability() == pytest.approx(expected,
+                                                            rel=1e-9)
+
+
+class _Phase:
+    """The generator attribute a phase-aware observer reads."""
+
+    def __init__(self):
+        self.current_phase_label = None
+
+
+def _multi_setup():
+    predictors = [PaCoPredictor(), StaticMRTPredictor()]
+    observer = MultiPredictorObserver(predictors)
+
+    def state(observer):
+        return {name: ([(b.instances, b.goodpath_instances, b.predicted_sum)
+                        for b in diagram.bins],
+                       diagram.total_instances, diagram.total_goodpath)
+                for name, diagram in observer.diagrams.items()}
+    return observer, predictors, None, state
+
+
+def _counter_setup():
+    predictor = ThresholdAndCountPredictor(threshold=8)
+    observer = CounterGoodpathObserver(predictor, max_count=5)
+    return (observer, [predictor], None,
+            lambda o: (list(o.instances), list(o.goodpath_instances)))
+
+
+def _phase_setup():
+    predictor = ThresholdAndCountPredictor(threshold=8)
+    phase = _Phase()
+    observer = PhaseAwareCounterObserver(predictor, phase, max_count=5)
+    return (observer, [predictor], phase,
+            lambda o: ({k: list(v) for k, v in o._instances.items()},
+                       {k: list(v) for k, v in o._goodpath.items()}))
+
+
+#: One run event plus what happens just before it: ``False`` continues
+#: the batch, ``None`` cuts it, an MDC value cuts it and fetches a branch
+#: with that MDC (a predictor state change, and a phase roll).
+_EVENT = st.tuples(st.sampled_from(["fetch", "execute"]), st.booleans(),
+                   st.integers(min_value=0, max_value=10 ** 6),
+                   st.integers(min_value=1, max_value=200),
+                   st.one_of(st.just(False), st.none(),
+                             st.integers(min_value=0, max_value=15)))
+
+
+class TestObserverBatchingProperties:
+    """Any cut of an event stream into ``record_runs`` batches leaves an
+    observer exactly as one-event delivery does: every integer and every
+    ``predicted_sum`` float bit-identical.  Predictor state (and the phase
+    label) changes only between batches, as it does in the trace replay;
+    the one-event reference makes the same change at the same point."""
+
+    @pytest.mark.parametrize("setup", [_multi_setup, _counter_setup,
+                                       _phase_setup],
+                             ids=["multi", "counter", "phase-aware"])
+    @settings(max_examples=80, deadline=None)
+    @given(start=st.lists(st.integers(min_value=0, max_value=15),
+                          max_size=3),
+           events=st.lists(_EVENT, min_size=1, max_size=60))
+    def test_any_batching_equals_one_event_delivery(self, setup, start,
+                                                    events):
+        def drive(batched):
+            observer, predictors, phase, state = setup()
+            buffer = []       # reused across batches, like the replay's
+
+            def change(mdc):
+                for predictor in predictors:
+                    predictor.on_branch_fetch(_info(mdc))
+                if phase is not None:
+                    phase.current_phase_label = f"p{mdc % 3}"
+
+            def deliver():
+                if buffer:
+                    observer.record_runs(buffer)
+                    del buffer[:]
+            for mdc in start:
+                change(mdc)
+            for *event, before in events:
+                if before is not False:
+                    deliver()
+                    if before is not None:
+                        change(before)
+                buffer.extend(event)
+                if not batched:
+                    deliver()
+            deliver()
+            return state(observer)
+
+        assert drive(batched=True) == drive(batched=False)

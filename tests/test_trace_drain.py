@@ -34,11 +34,9 @@ class _StreamObserver(InstanceObserver):
     def __init__(self):
         self.events = []
 
-    def record(self, kind, on_goodpath, cycle):
-        self.record_run(kind, on_goodpath, cycle, 1)
-
-    def record_run(self, kind, on_goodpath, cycle, count):
-        self.events.append((kind, on_goodpath, cycle, count))
+    def record_runs(self, events):
+        for i in range(0, len(events), 4):
+            self.events.append(tuple(events[i:i + 4]))
 
 
 class _FakeRecord:
@@ -75,8 +73,8 @@ def _reference_drain(window, excess, cycle, run_fetch, run_execute,
     """The scalar drain semantics, slot by slot, as plain data.
 
     Returns the surviving window, the stat deltas, the resolve order and
-    the closed run events (the flattened stream an observer overriding
-    only ``record_run`` would capture, pending or delivered).
+    the closed run events (the flattened stream an observer captures
+    from its ``record_runs`` batches, pending or delivered).
     """
     window = list(window)
     stats = {name: 0 for name in _STAT_FIELDS}
@@ -135,7 +133,7 @@ class TestCompleteOldest:
             Workload(spec=tiny_spec, seed=1), small_machine,
             Instrumentation(path_confidence=PaCoPredictor()))
         observer = _StreamObserver()
-        session.observers = [observer]
+        session.add_observer(observer)
         session.fetch_engine = _StubEngine()
         return session, observer
 
@@ -262,8 +260,7 @@ class TestInlinedDrainsMatchWrapper:
     def _run(self, spec, machine, session_kind, seed=6, instructions=5_000):
         predictor = ThresholdAndCountPredictor(threshold=3)
         observer = _StreamObserver()
-        instrument = Instrumentation(path_confidence=predictor,
-                                     observers=(observer,))
+        instrument = Instrumentation(path_confidence=predictor)
         workload = Workload(spec=spec, seed=seed)
         if session_kind == "fused":
             session = TraceBackend().build(workload, machine, instrument)
@@ -273,9 +270,9 @@ class TestInlinedDrainsMatchWrapper:
                       if session_kind == "never-gated" else None)
             session = TraceSession(
                 build_fetch_engine(workload, machine, instrument), machine,
-                instrument.observers,
                 machine.width * machine.frontend_depth,
                 2 * machine.min_mispredict_penalty, gating_policy=gating)
+        session.add_observer(observer)
         stats = session.run(max_instructions=instructions)
         return observer.events, stats
 
