@@ -1,12 +1,13 @@
-"""The fused trace session: codegen-fused predictor loops on the trace replay.
+"""The fused trace session: a codegen-fused step on the trace replay.
 
 :class:`FusedTraceSession` is what :class:`~repro.backends.trace.TraceBackend`
 builds for every predictor stack :func:`_fused_plan` models, ungated or
 under a count or PaCo fetch gate (:func:`_fused_gate`).  It reuses every
 mechanism of the plain :class:`TraceSession` — block staging,
-closed-form gap drawing, the in-flight slot window, run-event batching —
-and replaces the per-branch python predictor work with step/episode
-loops generated per predictor-stack shape:
+closed-form gap drawing, the in-flight slot window, run-event batching,
+the carried wrong-path branch buffer — and replaces the per-branch
+python predictor work with one step function generated per
+predictor-stack shape:
 
 * per staged :class:`~repro.workloads.generator.BranchBlock`,
   :meth:`FusedTraceSession._stage` computes the speculative global
@@ -17,34 +18,38 @@ loops generated per predictor-stack shape:
   no misprediction intervenes the history at position ``i`` is a pure
   function of the history at the block start and the block's outcome
   column;
-* the generated loops read those columns and inline the table
+* the generated step reads those columns and inlines the table
   reads/updates, the path confidence predictor fan-out and the observer
   run batching — removing the per-branch ``predict_from_block`` /
-  ``resolve_record`` / composite call chain entirely;
+  ``resolve_record`` / composite call chain entirely.  Non-conditional
+  branches are predicted and resolved inline as well (BTB lookup and
+  insert, RAS push and pop, indirect-target predict and update);
+* a mispredicted good-path branch runs the wrong-path episode and its
+  tail (trigger resolve, squash, recovery, retire accounting, redirect
+  penalty, tick) inside the step, on the same hoisted locals and
+  deferred counters; only a trigger that leaves the history register
+  diverged from the staged column (a non-conditional one) re-stages the
+  affected span;
 * observer delivery is inlined too when the attached observers are the
   accuracy harness's kinds over the stack's own members: per block,
   :meth:`FusedTraceSession._delivery_plan` resolves the diagram and
   counter targets the generated delivery writes directly, and any other
   observer set delivers through ``record_runs``.
 
-Everything that is *not* the straight-line good path runs the scalar
-machinery on the shared state: phase-boundary branches step through
-:meth:`TraceSession._step_boundary_branch` (gate wait and wrong-path
-episode included), non-conditional branches predict through
-``FetchEngine.predict_from_block`` (RAS / indirect-target state stays
-live), and a misprediction episode that leaves the history register
-diverged re-stages the affected span.  Stacks the generated loops do not
-model — custom path confidence predictors, oracle tokens, JRS-less
-configurations — and gating policies they do not model
+Only phase-boundary branches run the scalar machinery on the shared
+state: they step through :meth:`TraceSession._step_boundary_branch`
+(gate wait and wrong-path episode included).  Stacks the generated step
+does not model — custom path confidence predictors, oracle tokens,
+JRS-less configurations — and gating policies it does not model
 (``ProbabilityGating``, policies over a predictor that is not the
 stack's own member) get the plain :class:`TraceSession` instead.
 
 The gate is the seventh stack-shape flag: none, count or paco.  A gated
 step inlines ``TraceSession._gated_wait`` before every gap+branch step,
 and a gated episode runs the plain episode's per-slot skeleton (gate
-check, then one gap draw and one generated branch) with the fused
-predicts and drains.  Ungated shapes generate exactly the source they
-did before the flag existed.
+check, then one gap draw and the next buffered wrong-path branch) with
+the fused predicts and drains.  Gated cycles over a run of non-branch
+slots batch, exactly (see :func:`_step_head`).
 
 The contract is bit-identity with :class:`TraceSession`, which stays as
 the reference: the run-event stream, every statistic and every trained
@@ -81,22 +86,24 @@ from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.gating import CountGating, GatingPolicy, PaCoGating
-from repro.workloads.generator import BranchBlock
 
 
 # --------------------------------------------------------------------- #
 # Fused-loop codegen.
 #
-# The hot loops are assembled from module-level source fragments and
-# compiled once per predictor-stack shape (which built-in path confidence
+# The step is assembled from module-level source fragments and compiled
+# once per predictor-stack shape (which built-in path confidence
 # predictors are attached, whether any cycle-periodic work exists, and
 # which fetch gate, if any, is in the loop).  Every fragment is written
 # at zero indentation and placed with ``_indent``.
 #
 # Fragment vocabulary: ``record``/``entry`` (the BranchRecord being
-# fetched / resolved), ``mdc`` (its JRS value), ``i`` (block position,
-# good path only), ``pc_bits``/``h`` (wrong-path scalar index inputs),
-# plus the deferred counters declared by the setup fragments.  Deferred
+# fetched / resolved), ``trigger`` (an episode's mispredicted good-path
+# branch), ``mdc`` (its JRS value), ``i`` (block position, good path
+# only), ``pc_bits``/``h`` (wrong-path scalar index inputs; ``h`` is the
+# history register for an episode's extent), plus the deferred counters
+# declared by the prologue and setup fragments, added to their owners
+# once when the step returns.  Deferred
 # counters are purely additive statistics nothing reads mid-run; every
 # value an observer can read at a delivery point (path confidence
 # registers, the low-confidence count, the MRT counters and encoded
@@ -135,6 +142,10 @@ events = self._events
 path_confidence = engine.path_confidence
 resolve_window = self.resolve_window
 kind_conditional = BranchKind.CONDITIONAL
+kind_call = BranchKind.CALL
+kind_return = BranchKind.RETURN
+kind_indirect = BranchKind.INDIRECT
+kind_indirect_call = BranchKind.INDIRECT_CALL
 frontend = engine.frontend
 confidence = engine.confidence
 state = engine.state_engine
@@ -145,14 +156,27 @@ btb_sets = btb._sets
 btb_set_mask = btb._set_mask
 btb_ways = btb.ways
 btb_set_cls = _BTBSet
+ras = state._ras
+ras_stack = ras._stack
+ras_depth = ras.depth
+indirect = state._indirect
+ind_table = indirect._table
+ind_mask = indirect._mask
+ind_hmask = indirect._history_mask if indirect.use_history else 0
 gshare_table = state._gshare_table
 gshare_threshold = state._gshare_threshold
 gshare_max = state._gshare_max
+gshare_hmask = state._gshare_hist_mask
+gshare_mask_v = state._gshare_mask
 bimodal_table = state._bimodal_table
 bimodal_threshold = state._bimodal_threshold
 bimodal_max = state._bimodal_max
+bimodal_mask_v = state._bimodal_mask
 chooser = state._chooser
+chooser_hmask = state._chooser_hist_mask
+chooser_mask_v = state._chooser_mask
 jrs_table = state._jrs_table
+jrs_hmask = state._jrs_hist_mask
 jrs_mask_v = state._jrs_mask
 jrs_max = state._jrs_max
 jrs_shift = state._jrs_enhanced_shift
@@ -160,6 +184,19 @@ jrs_enh_bit = (1 << jrs_shift) if jrs_shift >= 0 else 0
 record_cls = BranchRecord
 record_new = BranchRecord.__new__
 thread_id = engine.generator.thread_id
+frontend_depth = self.config.frontend_depth
+redirect_penalty = self.config.redirect_penalty
+mispredict_window = self.mispredict_window
+log_one_minus_p = self._log_one_minus_p
+wp_rng = self._wp_gap_rng
+next_wp_block = engine.wrongpath_generator.next_branch_block
+wp_block = self._wp_block
+wp_cap = wp_block.capacity
+wp_pc = wp_block.pc
+wp_taken = wp_block.taken
+wp_target = wp_block.target
+wp_sid = wp_block.static_branch_id
+wp_pos = self._wp_pos
 eng_branches = 0
 eng_cond = 0
 fe_total = 0
@@ -168,25 +205,15 @@ fe_misp = 0
 fe_cond_misp = 0
 jrs_lookups = 0
 jrs_updates = 0
+jrs_resets = 0
 btb_lookups = 0
 btb_hits = 0
 btb_evictions = 0
-'''
-
-#: Scalar index masks, needed only by the wrong-path episode (the good
-#: path reads its indices from the precomputed columns).
-_REPLAY_MASKS = '''\
-gshare_hmask = state._gshare_hist_mask
-gshare_mask_v = state._gshare_mask
-bimodal_mask_v = state._bimodal_mask
-chooser_hmask = state._chooser_hist_mask
-chooser_mask_v = state._chooser_mask
-jrs_hmask = state._jrs_hist_mask
-'''
-
-_PBM_MASKS = '''\
-pbm_hmask = pbm._history_mask
-pbm_mask_v = pbm._mask
+ras_pushes = 0
+ras_pops = 0
+ras_underflows = 0
+ind_lookups = 0
+ind_hits = 0
 '''
 
 # ----- per-member setup / fetch / resolve / squash / sync fragments --- #
@@ -220,6 +247,8 @@ pbm_correct = pbm._correct
 pbm_total = pbm._total
 pbm_memo = self._pbm_memo
 pbm_encode = pbm._encoded_for
+pbm_hmask = pbm._history_mask
+pbm_mask_v = pbm._mask
 pbm_outstanding = 0
 '''
 
@@ -286,10 +315,20 @@ _PROF_FETCH = '''\
 record.profile_bucket = mdc if mdc < prof_num_max else prof_num_max
 '''
 
-# Resolve fragments run only for *good-path* records, which are never
-# mispredicted in the fused drains (a mispredicted good-path branch
-# triggers an episode instead of entering the window), so the MRT record
-# is always was_correct=True and the profiler always counts correct.
+# Resolve fragments run for good-path records in the drains, which are
+# never mispredicted (a mispredicted good-path branch triggers an episode
+# instead of entering the window), so the MRT record is always
+# was_correct=True and the profiler always counts correct.  The episode
+# tail resolves its mispredicted trigger with the ``_MISP`` variants.
+_PACO_REMOVE = '''\
+enc = entry.encoded_added
+if enc is not None:
+    entry.encoded_added = None
+    reg = paco.path_confidence_register - enc
+    paco.path_confidence_register = reg if reg > 0 else 0
+    paco_outstanding -= 1
+'''
+
 _PACO_RESOLVE = '''\
 paco_resolved += 1
 counter = mrt_counters[entry.mdc_value]
@@ -300,13 +339,19 @@ if cc >= counter._correct_max:
 else:
     counter.correct = cc + 1
 mrt_samples += 1
-enc = entry.encoded_added
-if enc is not None:
-    entry.encoded_added = None
-    reg = paco.path_confidence_register - enc
-    paco.path_confidence_register = reg if reg > 0 else 0
-    paco_outstanding -= 1
-'''
+''' + _PACO_REMOVE
+
+_PACO_RESOLVE_MISP = '''\
+paco_resolved += 1
+counter = mrt_counters[entry.mdc_value]
+cm = counter.mispredicted
+if cm >= counter._mispredict_max:
+    counter.correct >>= 1
+    counter.mispredicted = (cm >> 1) + 1
+else:
+    counter.mispredicted = cm + 1
+mrt_samples += 1
+''' + _PACO_REMOVE
 
 _STATIC_REMOVE = '''\
 enc = entry.static_encoded
@@ -332,6 +377,10 @@ pbm_total[pidx] += 1
 pbm_correct[pidx] += 1
 ''' + _PBM_REMOVE
 
+_PBM_RESOLVE_MISP = '''\
+pbm_total[entry.table_index] += 1
+''' + _PBM_REMOVE
+
 _TC_REMOVE = '''\
 counted = entry.counted
 if counted is not None:
@@ -348,20 +397,51 @@ if bucket is not None:
     prof_correct[bucket] += 1
 '''
 
-_PACO_SQUASH = '''\
-paco_squashed += 1
-enc = entry.encoded_added
-if enc is not None:
-    entry.encoded_added = None
-    reg = paco.path_confidence_register - enc
-    paco.path_confidence_register = reg if reg > 0 else 0
-    paco_outstanding -= 1
+_PROF_RESOLVE_MISP = '''\
+bucket = entry.profile_bucket
+if bucket is not None:
+    entry.profile_bucket = None
+    prof_mispredicted[bucket] += 1
 '''
+
+_PACO_SQUASH = "paco_squashed += 1\n" + _PACO_REMOVE
 
 _PROF_SQUASH = '''\
 entry.profile_bucket = None
 '''
 
+#: Each member's fragments: (setup, good-path fetch, wrong-path fetch,
+#: resolve, mispredicted-trigger resolve, squash, sync).  The PaCo
+#: re-log hoist is added separately when the shape has cycle work.
+_MEMBERS = {
+    "paco": (_PACO_SETUP, _PACO_FETCH, _PACO_FETCH, _PACO_RESOLVE,
+             _PACO_RESOLVE_MISP, _PACO_SQUASH, '''\
+paco.fetched_branches += paco_fetched
+paco.resolved_branches += paco_resolved
+paco.squashed_branches += paco_squashed
+paco._outstanding += paco_outstanding
+mrt.samples_recorded += mrt_samples
+'''),
+    "static": (_STATIC_SETUP, _STATIC_FETCH, _STATIC_FETCH, _STATIC_REMOVE,
+               _STATIC_REMOVE, _STATIC_REMOVE, '''\
+smrt._outstanding += smrt_outstanding
+'''),
+    "pbm": (_PBM_SETUP, _PBM_FETCH_GOOD, _PBM_FETCH_WP,
+            _PBM_RESOLVE, _PBM_RESOLVE_MISP, _PBM_REMOVE, '''\
+pbm._outstanding += pbm_outstanding
+'''),
+    "tc": (_TC_SETUP, _TC_FETCH, _TC_FETCH, _TC_REMOVE, _TC_REMOVE,
+           _TC_REMOVE, '''\
+tc.fetched_branches += tc_fetched
+tc.low_confidence_branches += tc_low
+tc._outstanding += tc_outstanding
+'''),
+    "profiler": (_PROF_SETUP, _PROF_FETCH, _PROF_FETCH, _PROF_RESOLVE,
+                 _PROF_RESOLVE_MISP, _PROF_SQUASH, ""),
+}
+
+#: The deferred counters, added to their owners once when the generated
+#: step returns.  Nothing reads them mid-run.
 _SYNC_BASE = '''\
 engine.branches_fetched += eng_branches
 engine.conditional_branches_fetched += eng_cond
@@ -371,62 +451,62 @@ frontend.total_mispredictions += fe_misp
 frontend.conditional_mispredictions += fe_cond_misp
 confidence.lookups += jrs_lookups
 confidence.updates += jrs_updates
+confidence.resets += jrs_resets
 btb.lookups += btb_lookups
 btb.hits += btb_hits
 btb.evictions += btb_evictions
-eng_branches = 0
-eng_cond = 0
-fe_total = 0
-fe_cond = 0
-fe_misp = 0
-fe_cond_misp = 0
-jrs_lookups = 0
-jrs_updates = 0
-btb_lookups = 0
-btb_hits = 0
-btb_evictions = 0
-'''
-
-_PACO_SYNC = '''\
-paco.fetched_branches += paco_fetched
-paco.resolved_branches += paco_resolved
-paco.squashed_branches += paco_squashed
-paco._outstanding += paco_outstanding
-mrt.samples_recorded += mrt_samples
-paco_fetched = 0
-paco_resolved = 0
-paco_squashed = 0
-paco_outstanding = 0
-mrt_samples = 0
-'''
-
-_STATIC_SYNC = '''\
-smrt._outstanding += smrt_outstanding
-smrt_outstanding = 0
-'''
-
-_PBM_SYNC = '''\
-pbm._outstanding += pbm_outstanding
-pbm_outstanding = 0
-'''
-
-_TC_SYNC = '''\
-tc.fetched_branches += tc_fetched
-tc.low_confidence_branches += tc_low
-tc._outstanding += tc_outstanding
-tc_fetched = 0
-tc_low = 0
-tc_outstanding = 0
+ras.pushes += ras_pushes
+ras.pops += ras_pops
+ras.underflows += ras_underflows
+indirect.lookups += ind_lookups
+indirect.hits += ind_hits
 '''
 
 
-# ----- shared drain / training blocks --------------------------------- #
+# ----- BTB, training and resolve blocks ------------------------------- #
 
-#: Conditional-branch training on a good-path record (never mispredicted
-#: in the fused drains): the inlined body of
-#: ``PredictorStateEngine.resolve_record`` minus the repair/reset paths
-#: that a misprediction would take.  Uses ``entry`` and ``actual``.
-_TRAIN_COND = '''\
+#: ``BranchTargetBuffer.predict_target`` for the tag ``tag``, into
+#: ``btb_target``.
+_BTB_LOOKUP = '''\
+btb_lookups += 1
+bset = btb_sets[tag & btb_set_mask]
+btb_target = None
+if bset is not None:
+    bentries = bset.entries
+    for position, way in enumerate(bentries):
+        if way[0] == tag:
+            if position:
+                bentries.insert(0, bentries.pop(position))
+            btb_hits += 1
+            btb_target = way[1]
+            break
+'''
+
+#: ``BranchTargetBuffer.update`` of the tag ``tag`` to ``btarget``.
+_BTB_INSERT = '''\
+bset = btb_sets[tag & btb_set_mask]
+if bset is None:
+    bset = btb_set_cls(btb_ways)
+    btb_sets[tag & btb_set_mask] = bset
+bentries = bset.entries
+for position, way in enumerate(bentries):
+    if way[0] == tag:
+        way[1] = btarget
+        if position:
+            bentries.insert(0, bentries.pop(position))
+        break
+else:
+    if len(bentries) >= btb_ways:
+        bentries.pop()
+        btb_evictions += 1
+    bentries.insert(0, [tag, btarget])
+'''
+
+#: Conditional-branch training of the tournament tables on a good-path
+#: record: the inlined body of ``PredictorStateEngine.resolve_record`` up
+#: to the JRS update.  Uses ``entry`` and ``actual``.  The BTB update
+#: (taken branches only) is the resolving site's :data:`_BTB_TRAIN`.
+_TRAIN_TABLES = '''\
 gshare_correct = entry.gshare_taken == actual
 if gshare_correct != (entry.bimodal_taken == actual):
     index = entry.chooser_index
@@ -450,31 +530,48 @@ if actual:
         bimodal_table[index] = value + 1
 elif value > 0:
     bimodal_table[index] = value - 1
-if actual:
-    # btb.update inlined (one call per retired taken conditional).
-    tag = entry.pc >> 2
-    bset = btb_sets[tag & btb_set_mask]
-    if bset is None:
-        bset = btb_set_cls(btb_ways)
-        btb_sets[tag & btb_set_mask] = bset
-    bentries = bset.entries
-    for position, way in enumerate(bentries):
-        if way[0] == tag:
-            way[1] = entry.out_target
-            if position:
-                bentries.insert(0, bentries.pop(position))
-            break
-    else:
-        if len(bentries) >= btb_ways:
-            bentries.pop()
-            btb_evictions += 1
-        bentries.insert(0, [tag, entry.out_target])
+btarget = entry.out_target if actual else None
 jrs_updates += 1
+'''
+
+#: A correctly predicted conditional: its MDC counts up.
+_TRAIN_COND = _TRAIN_TABLES + '''\
 index = entry.mdc_index
 value = jrs_table[index]
 if value < jrs_max:
     jrs_table[index] = value + 1
 '''
+
+#: The mispredicted episode trigger: its MDC resets.
+_TRAIN_COND_MISP = _TRAIN_TABLES + '''\
+jrs_resets += 1
+jrs_table[entry.mdc_index] = 0
+'''
+
+#: A good-path non-conditional branch resolving (``FetchEngine.
+#: resolve_record`` inlined): jumps and calls train the BTB (through the
+#: site's :data:`_BTB_TRAIN`), indirect branches the indirect-target
+#: table and the BTB, returns nothing.  Wrong-path branches are all
+#: conditional, so every non-conditional record in the window trains.
+_RESOLVE_OTHER = '''\
+entry.resolved = True
+ekind = entry.kind
+if ekind is kind_return:
+    btarget = None
+else:
+    btarget = entry.out_target
+    if ekind is kind_indirect or ekind is kind_indirect_call:
+        ind_table[((entry.pc >> 2) ^ (entry.history & ind_hmask))
+                  & ind_mask] = btarget
+'''
+
+#: The BTB update a resolving record's training left in ``btarget``
+#: (None: no update).  Architectural targets are never None, and the BTB
+#: is independent of the JRS and path confidence updates it follows.
+_BTB_TRAIN = '''\
+if btarget is not None:
+    tag = entry.pc >> 2
+''' + _indent(_BTB_INSERT, 1)
 
 
 def _good_drain(resolve_members: str, targets=None) -> str:
@@ -482,12 +579,11 @@ def _good_drain(resolve_members: str, targets=None) -> str:
 
     Simplified relative to the trace backend's general drain by two
     window invariants that hold throughout the fused good-path loop: the
-    window contains only positive gap runs (wrong-path tails are fully
-    popped by ``_finish_wrongpath``) and only never-mispredicted
-    good-path records (a mispredicted good-path branch takes the episode
-    path instead of entering the window), so the negative-gap arm, the
-    mispredict-retire counters and the ``run_goodpath`` recomputation
-    all drop out.
+    window contains only positive gap runs (the episode tail squashes
+    every wrong-path entry) and only never-mispredicted good-path records
+    (a mispredicted good-path branch takes the episode path instead of
+    entering the window), so the negative-gap arm, the mispredict-retire
+    counters and the ``run_goodpath`` recomputation all drop out.
     """
     return '''\
 entry = window[0]
@@ -509,7 +605,7 @@ else:
     if has_observers:
 ''' + _indent(_runs_delivery("entry.path_token is not None",
                           targets), 2) \
-    + '''\
+        + '''\
     run_fetch = 0
     run_execute = 0
     if entry.is_conditional:
@@ -518,7 +614,7 @@ else:
 ''' + _indent(_TRAIN_COND, 2) + _indent(resolve_members, 2) + '''\
         cond_retired += 1
     else:
-        engine.resolve_record(entry)
+''' + _indent(_RESOLVE_OTHER, 2) + _indent(_BTB_TRAIN, 1) + '''\
     good_executed += 1
     retired += 1
     branches_retired += 1
@@ -533,7 +629,7 @@ def _episode_drain(resolve_members: str, squash_members: str,
     The general form: gap runs can be positive (pre-trigger good-path
     slots) or negative, and record entries can be good-path (resolve and
     train) or wrong-path (squash; a wrong-path mispredict repairs the
-    *deferred* history local ``h``, exactly the live-register repair the
+    episode's history local ``h``, exactly the live-register repair the
     scalar engine performs).  ``run_goodpath`` stays False for the whole
     episode, and good-path records are never mispredicted (window
     invariant), so those recomputations drop out here too.
@@ -562,7 +658,7 @@ else:
     if has_observers:
 ''' + _indent(_runs_delivery("entry.path_token is not None",
                           targets), 2) \
-    + '''\
+        + '''\
     run_fetch = 0
     run_execute = 0
     if entry.is_conditional:
@@ -571,12 +667,13 @@ else:
         if entry.on_goodpath:
 ''' + _indent(_TRAIN_COND, 3) + _indent(resolve_members, 3) + '''\
         else:
+            btarget = None
             if entry.mispredicted:
                 h = (((entry.history & hist_mask) << 1)
                      | (1 if actual else 0)) & hist_mask
 ''' + _indent(squash_members, 3) + '''\
     else:
-        engine.resolve_record(entry)
+''' + _indent(_RESOLVE_OTHER, 2) + _indent(_BTB_TRAIN, 1) + '''\
     if entry.on_goodpath:
         good_executed += 1
         retired += 1
@@ -589,6 +686,15 @@ else:
 '''
 
 
+#: The delivery half of the cycle tick: buffered events flush before the
+#: tick could change state.
+_TICK_DELIVER = '''\
+if has_observers and events:
+    for observer in observers:
+        observer.record_runs(events)
+    del events[:]
+'''
+
 #: The per-branch cycle tick, specialized to the one cycle-periodic
 #: machine the fused plan admits (PaCo's re-log pass): buffered events
 #: always flush pre-tick exactly as the scalar tick does, but the
@@ -597,11 +703,7 @@ else:
 #: comparison on hoisted locals, which is what makes the fused loop's
 #: tick nearly free.  When the pass runs, it returns True by
 #: construction, so the open run closes unconditionally.
-_TICK = '''\
-if has_observers and events:
-    for observer in observers:
-        observer.record_runs(events)
-    del events[:]
+_TICK = _TICK_DELIVER + '''\
 if cycle - mrt_last >= mrt_period:
     path_confidence.on_cycle(cycle)
     if has_observers:
@@ -634,26 +736,92 @@ _GATES = {
              "paco.path_confidence_register > gate_bound"),
 }
 
+#: Caps a batch of gated cycles before the next re-log pass falls due:
+#: the cycle that runs it is stepped on its own.
+_RELOG_LIMIT = '''\
+limit = mrt_last + mrt_period - cycle - 1
+if batch > limit:
+    batch = limit
+'''
 
-def _good_gate_wait(gate_expr: str, resolve_members: str,
-                    cycle_work: bool) -> str:
-    """``TraceSession._gated_wait`` before a good-path step (zero indent).
 
-    Each gated cycle completes one slot through the good-path drain (the
-    window invariants hold while fetch is stalled) and ticks; the budget
-    and cycle limit are re-checked before the step fetches, as the
-    scalar step does.
+#: One good-path gap: fetched and appended to the window's last good
+#: run (zero indent).
+_GOOD_GAP = '''\
+gap = gaps[gap_pos]
+gap_pos += 1
+if gap:
+    good_fetched += gap
+    cycle += gap
+    run_fetch += gap
+    if window and type(window[-1]) is int and window[-1] > 0:
+        window[-1] += gap
+    else:
+        window.append(gap)
+    inflight += gap
+'''
+
+
+def _step_head(gate_expr: Optional[str], drain: str,
+               cycle_work: bool) -> str:
+    """The good-path step up to the predict (indent 2 of the step loop).
+
+    Ungated: the gap, then the drain loop.  Gated, the step opens with
+    ``TraceSession._gated_wait`` on the same drain: each gated cycle
+    completes one slot and ticks, and once the gate opens the budget and
+    cycle limit are re-checked before the gap, as the scalar step does
+    (a stop leaves ``predicted`` False).  A run of non-branch slots at
+    the head of the window drains in one batch of gated cycles: nothing
+    the gate reads changes until a record resolves, so the gate stays
+    closed for the whole run.  A batch stops short of a due re-log pass.
     """
-    return (f"if {gate_expr}:\n"
-            f"    while {gate_expr} and window:\n"
-            "        gated_cycles += 1\n"
-            "        cycle += 1\n"
-            "        excess = 1\n"
-            + _indent(_good_drain(resolve_members), 2)
-            + (_indent(_TICK, 2) if cycle_work else "")
-            + "    if (retired_base + retired >= max_instructions\n"
-            "            or cycle >= max_cycles):\n"
-            "        break\n")
+    if gate_expr is None:
+        return (_indent(_GOOD_GAP, 2) + '''\
+        predicted = False
+        while True:
+            if inflight > resolve_window:
+                excess = inflight - resolve_window
+                while excess > 0:
+''' + _indent(drain, 5))
+    return ('''\
+        waiting = True
+        predicted = False
+        while True:
+            if waiting:
+''' + f"                if {gate_expr} and window:\n" + '''\
+                    batch = window[0]
+                    if type(batch) is int:
+''' + (_indent(_RELOG_LIMIT, 6) if cycle_work else "") + '''\
+                        if batch > 0:
+                            gated_cycles += batch
+                            cycle += batch
+                            good_executed += batch
+                            retired += batch
+                            run_execute += batch
+                            inflight -= batch
+                            if batch < window[0]:
+                                window[0] -= batch
+                            else:
+                                window.popleft()
+''' + (_indent(_TICK_DELIVER, 7) if cycle_work else "") + '''\
+                            continue
+                    gated_cycles += 1
+                    cycle += 1
+                    excess = 1
+                else:
+                    waiting = False
+                    if (retired_base + retired >= max_instructions
+                            or cycle >= max_cycles):
+                        break
+''' + _indent(_GOOD_GAP, 5) + '''\
+                    excess = inflight - resolve_window
+            else:
+                excess = inflight - resolve_window
+            while excess > 0:
+''' + _indent(drain, 4) + '''\
+            if waiting:
+''' + _indent(_TICK if cycle_work else "continue\n", 4)
+            + ("                continue\n" if cycle_work else ""))
 
 
 # ----- inline observer delivery ---------------------------------------- #
@@ -869,10 +1037,9 @@ def _inline_deliveries(source: str, targets) -> str:
 #: precomputed columns (the inlined body of ``predict_columns`` +
 #: ``predict_from_block`` for the conditional/good-path case).  The
 #: speculative history push is deferred — ``col_f`` already encodes it
-#: for every later position — and materialized into the live register
-#: only when a misprediction hands control to the scalar episode
-#: machinery.  ``%(fetch_members)s`` receives the path confidence
-#: fan-out; ``%(episode)s`` the sync/replay/re-stage block.
+#: for every later position — and materialized into the episode's
+#: history local only when the branch mispredicts.  ``%(fetch_members)s``
+#: receives the path confidence fan-out.
 _PREDICT_GOOD = '''\
 hist = col_f[i]
 pc = block_pc[i]
@@ -880,19 +1047,8 @@ gshare_taken = gshare_table[col_g[i]] >= gshare_threshold
 bimodal_taken = bimodal_table[col_b[i]] >= bimodal_threshold
 chose_gshare = chooser[col_c[i]] >= 2
 taken = gshare_taken if chose_gshare else bimodal_taken
-btb_lookups += 1
 tag = pc >> 2
-bset = btb_sets[tag & btb_set_mask]
-btb_target = None
-if bset is not None:
-    bentries = bset.entries
-    for position, way in enumerate(bentries):
-        if way[0] == tag:
-            if position:
-                bentries.insert(0, bentries.pop(position))
-            btb_hits += 1
-            btb_target = way[1]
-            break
+''' + _BTB_LOOKUP + '''\
 %(record_init)srecord.target = btb_target if taken else None
 record.btb_hit = btb_target is not None
 record.gshare_taken = gshare_taken
@@ -924,27 +1080,80 @@ record.out_taken = actual
 record.out_target = block_target[i]
 record.on_goodpath = True
 record.seq = seq
-i += 1
-good_fetched += 1
-cycle += 1
-run_fetch += 1
-if mispredicted:
-    # The wrong-path switch (predict_from_block, inlined), plus the
-    # speculative push the scalar predict made unconditionally: the
-    # episode machinery reads the live register.
-    engine.on_wrong_path = True
-    engine._pending_mispredict_seq = seq
-    history.value = ((hist << 1) | (1 if taken else 0)) & hist_mask
-%(episode)srun_goodpath = True
-window.append(record)
-inflight += 1
 '''
 
-#: Wrong-path conditional predict inside the fused episode: scalar index
-#: arithmetic from the deferred history local ``h`` (bit-identical to the
-#: live-register reads the scalar episode performs).
+#: Good-path non-conditional predict (the non-conditional arm of
+#: ``predict_columns`` + ``predict_from_block``): a return pops the RAS,
+#: an indirect branch reads the indirect-target table and falls back to
+#: the BTB, jumps and calls read the BTB, and calls push their return
+#: address.  The record carries the slots the drains and the episode
+#: tail read; it never gets a path token.
+_PREDICT_OTHER = '''\
+hist = col_f[i]
+pc = block_pc[i]
+if kind is kind_return:
+    ras_pops += 1
+    if ras_stack:
+        predicted_target = ras_stack.pop()
+    else:
+        ras_underflows += 1
+        predicted_target = None
+else:
+    predicted_target = None
+    if kind is kind_indirect or kind is kind_indirect_call:
+        ind_lookups += 1
+        predicted_target = ind_table.get(((pc >> 2) ^ (hist & ind_hmask))
+                                         & ind_mask)
+        if predicted_target is not None:
+            ind_hits += 1
+    if predicted_target is None:
+        tag = pc >> 2
+''' + _indent(_BTB_LOOKUP, 2) + '''\
+        predicted_target = btb_target
+    if kind is kind_call or kind is kind_indirect_call:
+        ras_pushes += 1
+        if len(ras_stack) >= ras_depth:
+            del ras_stack[0]
+        ras_stack.append(pc + 4)
+actual_target = block_target[i]
+mispredicted = predicted_target != actual_target
+record = record_new(record_cls)
+record.pc = pc
+record.mdc_value = 0
+record.predicted_taken = True
+record.taken = True
+record.history = hist
+record.static_branch_id = block_sid[i]
+record.thread_id = thread_id
+record.target = predicted_target
+record.btb_hit = predicted_target is not None
+record.mispredicted = mispredicted
+record.path_token = None
+record.resolved = False
+record.is_conditional = False
+record.kind = kind
+record.out_taken = block_taken[i]
+record.out_target = actual_target
+record.on_goodpath = True
+record.seq = seq
+eng_branches += 1
+fe_total += 1
+if mispredicted:
+    fe_misp += 1
+'''
+
+#: Wrong-path conditional predict inside the episode: the next branch of
+#: the session's carried wrong-path buffer (refilled a whole buffer at a
+#: time), with scalar index arithmetic from the episode's history local
+#: ``h`` (bit-identical to the live-register reads the scalar episode
+#: performs).
 _PREDICT_WP = '''\
-pc = wp_pc[g]
+if wp_pos >= wp_cap:
+    next_wp_block(wp_block, wp_cap)
+    wp_pos = 0
+wp_i = wp_pos
+wp_pos += 1
+pc = wp_pc[wp_i]
 pc_bits = pc >> 2
 gidx = (pc_bits ^ (h & gshare_hmask)) & gshare_mask_v
 gshare_taken = gshare_table[gidx] >= gshare_threshold
@@ -953,18 +1162,8 @@ bimodal_taken = bimodal_table[bidx] >= bimodal_threshold
 cidx = (pc_bits ^ (h & chooser_hmask)) & chooser_mask_v
 chose_gshare = chooser[cidx] >= 2
 taken = gshare_taken if chose_gshare else bimodal_taken
-btb_lookups += 1
-bset = btb_sets[pc_bits & btb_set_mask]
-btb_target = None
-if bset is not None:
-    bentries = bset.entries
-    for position, way in enumerate(bentries):
-        if way[0] == pc_bits:
-            if position:
-                bentries.insert(0, bentries.pop(position))
-            btb_hits += 1
-            btb_target = way[1]
-            break
+tag = pc_bits
+''' + _BTB_LOOKUP + '''\
 %(record_init)srecord.target = btb_target if taken else None
 record.btb_hit = btb_target is not None
 record.gshare_taken = gshare_taken
@@ -984,7 +1183,7 @@ eng_branches += 1
 eng_cond += 1
 fe_total += 1
 fe_cond += 1
-actual = wp_taken[g]
+actual = wp_taken[wp_i]
 mispredicted = taken != actual
 record.mispredicted = mispredicted
 if mispredicted:
@@ -993,7 +1192,7 @@ if mispredicted:
 record.path_token = record
 %(fetch_members)srecord.kind = kind_conditional
 record.out_taken = actual
-record.out_target = wp_target[g]
+record.out_target = wp_target[wp_i]
 record.on_goodpath = False
 record.seq = seq
 h = ((h << 1) | (1 if taken else 0)) & hist_mask
@@ -1045,110 +1244,294 @@ def _record_init(history_expr: str, sid_expr: str, has_paco: bool,
     return "\n".join(lines) + "\n"
 
 
+# ----- the wrong-path episode ------------------------------------------- #
+
+#: Episode entry: the trigger leaves the window path, and the history
+#: local ``h`` takes the live register's value after its predict (a
+#: conditional pushed its predicted direction, a non-conditional left
+#: the register alone).
+_EPISODE_HEAD = '''\
+run_goodpath = False
+trigger = record
+if kind is kind_conditional:
+    h = ((hist << 1) | (1 if taken else 0)) & hist_mask
+else:
+    h = hist
+'''
+
+#: The ungated episode body: every gap of the ``mispredict_window``
+#: budget from one ``geometric_episode`` call, then one (gap, branch)
+#: step per gap.  The budget is always spent exactly, so every slot
+#: counts as fetched for the issue estimate.
+_EPISODE = '''\
+n_gaps, n_branches = wp_episode(log_one_minus_p, wp_gaps, mispredict_window)
+for g in range(n_gaps):
+    gap = wp_gaps[g]
+    if gap:
+        bad_fetched += gap
+        cycle += gap
+        run_fetch += gap
+        if window and type(window[-1]) is int and window[-1] < 0:
+            window[-1] -= gap
+        else:
+            window.append(-gap)
+        inflight += gap
+    fetched_branch = False
+    while True:
+        if inflight > resolve_window:
+            excess = inflight - resolve_window
+            while excess > 0:
+%(drain)s\
+        if fetched_branch or g >= n_branches:
+            break
+        fetched_branch = True
+        if has_observers:
+%(deliver)s\
+        run_fetch = 0
+        run_execute = 0
+        seq = next_seq
+        next_seq += 1
+%(predict)s\
+    if g >= n_branches:
+        break
+%(tick)s\
+issued = mispredict_window
+'''
+
+#: The gated episode body: the per-slot loop of
+#: ``TraceSession._replay_wrongpath``.  The budget counts cycles; a
+#: gated slot completes the oldest in-flight slot (if any) and ticks,
+#: otherwise exactly one gap is drawn — ``geometric_block(..., 1)`` with
+#: the xorshift inlined on a local copy of the stream state — clamped to
+#: the remaining budget.  The gap stream may not be pre-drawn: a gated
+#: slot or a clamped gap ends the draws wherever the scalar loop would
+#: have stopped.  Gated slots over a non-branch run at the window head
+#: (or over an empty window) batch: nothing the gate reads changes until
+#: a record resolves.  A batch stops at the remaining budget and short
+#: of a due re-log pass.
+_GATED_EPISODE = '''\
+wp_start = bad_fetched
+remaining = mispredict_window
+while remaining:
+    if %(gate)s:
+        batch = remaining
+        if window:
+            entry = window[0]
+            if type(entry) is int:
+                size = entry if entry > 0 else -entry
+                if size < batch:
+                    batch = size
+            else:
+                batch = 0
+%(relog_limit)s\
+        if batch > 0:
+            gated_cycles += batch
+            cycle += batch
+            remaining -= batch
+            if window:
+                if entry > 0:
+                    good_executed += batch
+                    retired += batch
+                else:
+                    bad_executed += batch
+                run_execute += batch
+                inflight -= batch
+                if batch < size:
+                    window[0] = entry - batch if entry > 0 else entry + batch
+                else:
+                    window.popleft()
+%(batch_tick)s\
+            continue
+        gated_cycles += 1
+        cycle += 1
+        remaining -= 1
+        fetched_branch = True
+        excess = 1 if window else 0
+    else:
+        if log_one_minus_p is None:
+            gap = 0
+        else:
+            wp_state ^= (wp_state >> 12)
+            wp_state ^= (wp_state << 25) & mask64
+            wp_state ^= (wp_state >> 27)
+            u = (((wp_state * 0x2545F4914F6CDD1D) & mask64) >> 11) \\
+                / 9007199254740992.0
+            gap = int(log(u) / log_one_minus_p) if u > 0.0 else 0
+            if gap > remaining:
+                gap = remaining
+        if gap:
+            bad_fetched += gap
+            cycle += gap
+            run_fetch += gap
+            if window and type(window[-1]) is int and window[-1] < 0:
+                window[-1] -= gap
+            else:
+                window.append(-gap)
+            inflight += gap
+            remaining -= gap
+        fetched_branch = False
+        excess = inflight - resolve_window
+    while True:
+        while excess > 0:
+%(drain)s\
+        if fetched_branch or not remaining:
+            break
+        fetched_branch = True
+        if has_observers:
+%(deliver)s\
+        run_fetch = 0
+        run_execute = 0
+        seq = next_seq
+        next_seq += 1
+%(predict)s\
+        remaining -= 1
+        excess = inflight - resolve_window
+    if not fetched_branch:
+        break
+%(tick)s\
+issued = bad_fetched - wp_start
+'''
+
+#: The episode tail (``TraceSession._finish_wrongpath``, inlined):
+#: account the wrong-path slots estimated to have issued, close and
+#: deliver the open runs through the generic ``_flush_runs``, resolve the
+#: trigger (history repair, training, MDC reset, the members' resolve),
+#: squash every younger wrong-path entry, retire the trigger, and charge
+#: the redirect penalty before the tick.
+_TAIL = '''\
+issued -= frontend_depth
+if issued > 0:
+    bad_executed += issued
+if has_observers:
+    self._cycle = cycle
+    self._run_fetch = run_fetch
+    self._run_execute = run_execute
+    self._run_goodpath = run_goodpath
+    self._flush_runs()
+run_fetch = 0
+run_execute = 0
+flushes += 1
+entry = trigger
+entry.resolved = True
+if entry.is_conditional:
+    actual = entry.out_taken
+    h = (((entry.history & hist_mask) << 1) | (1 if actual else 0)) \\
+        & hist_mask
+%(train)s\
+%(resolve_misp)s\
+    cond_retired += 1
+    cond_misp_retired += 1
+else:
+%(resolve_other)s\
+%(btb_train)s\
+while window:
+    entry = window[-1]
+    if type(entry) is int:
+        if entry > 0:
+            break
+        window.pop()
+        inflight += entry
+    elif entry.on_goodpath:
+        break
+    else:
+        window.pop()
+        inflight -= 1
+        entry.resolved = True
+%(squash)s\
+good_executed += 1
+retired += 1
+branches_retired += 1
+misp_retired += 1
+run_goodpath = True
+run_execute += 1
+stall_cycles += redirect_penalty
+cycle += redirect_penalty
+%(tick)s'''
+
+
 def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
                        has_tc: bool, has_prof: bool, cycle_work: bool,
                        gate: Optional[str] = None) -> str:
     """Assemble the fused ``_fused_step_block`` source for one stack shape.
 
     ``gate`` (a :data:`_GATES` key, or None for the ungated shapes) adds
-    the inlined ``TraceSession._gated_wait`` before every step.
+    the inlined ``TraceSession._gated_wait`` before every step and swaps
+    the gated per-slot episode in for the pre-drawn one.
     """
     targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
-    setup = ""
-    fetch_members = ""
-    resolve_members = ""
-    sync = _SYNC_BASE
-    if has_paco:
-        setup += _PACO_SETUP
-        if cycle_work:
-            setup += _PACO_SETUP_CYCLE
-        fetch_members += _PACO_FETCH
-        resolve_members += _PACO_RESOLVE
-        sync += _PACO_SYNC
-    if has_static:
-        setup += _STATIC_SETUP
-        fetch_members += _STATIC_FETCH
-        resolve_members += _STATIC_REMOVE
-        sync += _STATIC_SYNC
-    if has_pbm:
-        setup += _PBM_SETUP + _PBM_MASKS
-        fetch_members += _PBM_FETCH_GOOD
-        resolve_members += _PBM_RESOLVE
-        sync += _PBM_SYNC
-    if has_tc:
-        setup += _TC_SETUP
-        fetch_members += _TC_FETCH
-        resolve_members += _TC_REMOVE
-        sync += _TC_SYNC
-    if has_prof:
-        setup += _PROF_SETUP
-        fetch_members += _PROF_FETCH
-        resolve_members += _PROF_RESOLVE
+    present = {"paco": has_paco, "static": has_static, "pbm": has_pbm,
+               "tc": has_tc, "profiler": has_prof}
+    parts = [_MEMBERS[key] for key, flag in present.items() if flag]
+    setup = "".join(part[0] for part in parts)
+    if has_paco and cycle_work:
+        setup += _PACO_SETUP_CYCLE
+    fetch_good = "".join(part[1] for part in parts)
+    fetch_wp = "".join(part[2] for part in parts)
+    resolve_members = "".join(part[3] for part in parts)
+    resolve_misp = "".join(part[4] for part in parts)
+    squash_members = "".join(part[5] for part in parts)
+    sync = _SYNC_BASE + "".join(part[6] for part in parts)
+    record_flags = (has_paco, has_static, has_pbm, has_tc, has_prof)
+    tick = _TICK if cycle_work else ""
 
     stat_sync = '''\
 stats.goodpath_fetched += good_fetched
 engine.goodpath_fetched += good_fetched
+stats.badpath_fetched += bad_fetched
+engine.badpath_fetched += bad_fetched
 stats.goodpath_executed += good_executed
 stats.badpath_executed += bad_executed
 stats.retired_instructions += retired
 stats.branches_retired += branches_retired
+stats.branch_mispredicts_retired += misp_retired
 stats.conditional_branches_retired += cond_retired
+stats.conditional_mispredicts_retired += cond_misp_retired
+stats.flushes += flushes
+stats.fetch_stall_cycles += stall_cycles
 '''
-    stat_reset = '''\
-good_fetched = good_executed = bad_executed = retired = 0
-branches_retired = cond_retired = 0
+    drain = _episode_drain(resolve_members, squash_members, targets)
+    episode_parts = {
+        "drain": _indent(drain, 4),
+        "deliver": _indent(_runs_delivery("", targets), 3),
+        "predict": _indent(_PREDICT_WP % {
+            "fetch_members": fetch_wp,
+            "record_init": _record_init("h", "wp_sid[wp_i]", *record_flags),
+        }, 2),
+        "tick": _indent(tick, 1),
+    }
+    gate_expr = None
+    if gate is None:
+        setup += '''\
+wp_episode = wp_rng.geometric_episode
+wp_gaps = self._wp_gap_buf
 '''
-    gate_wait = ""
-    if gate is not None:
-        setup += _GATES[gate][0] + "gated_cycles = 0\n"
+        episode = _EPISODE % episode_parts
+        wp_sync = ""
+    else:
+        bound, gate_expr = _GATES[gate]
+        setup += bound + '''\
+gated_cycles = 0
+log = math.log
+mask64 = _MASK64
+wp_state = wp_rng._state
+'''
         stat_sync += "stats.gated_cycles += gated_cycles\n"
-        stat_reset += "gated_cycles = 0\n"
-        gate_wait = _good_gate_wait(_GATES[gate][1], resolve_members,
-                                    cycle_work)
-    # Take the (rare) misprediction episode through the fused episode
-    # method: materialize every deferred delta, replay, then — only when
-    # the repaired history diverged from the staged F column — splice the
-    # short divergent span back in.  A mispredicted conditional trigger
-    # repairs history to ``(record.history << 1) | actual``, which is
-    # exactly what staging (actual outcomes) computed, so the staged tail
-    # stays valid; only non-conditional triggers (whose resolve never
-    # repairs history, leaving the wrong-path speculative bits live)
-    # actually diverge, and their divergence shifts out of the history
-    # window after ``history_bits`` conditional outcomes.  The splice
-    # mutates the hoisted column lists in place, so no reloads.
-    restage = '''\
-if history.value != col_f[i]:
-    self._stage(i, repair=True)
-'''
-    if has_paco and cycle_work:
-        restage += "mrt_last = mrt._last_relog_cycle\n"
-    episode = ('''\
-run_goodpath = False
-self._next_seq = next_seq
-self._cycle = cycle
-self._inflight = inflight
-self._run_fetch = run_fetch
-self._run_execute = run_execute
-self._run_goodpath = run_goodpath
-''' + stat_sync + stat_reset + sync + '''\
-self._fused_replay(self, record)
-next_seq = self._next_seq
-cycle = self._cycle
-inflight = self._inflight
-run_fetch = self._run_fetch
-run_execute = self._run_execute
-run_goodpath = self._run_goodpath
-retired_base = stats.retired_instructions
-''' + restage + '''\
-took_episode = True
-break
-''')
-
+        episode = _GATED_EPISODE % dict(
+            episode_parts, gate=gate_expr, drain=_indent(drain, 3),
+            relog_limit=_indent(_RELOG_LIMIT, 2) if cycle_work else "",
+            batch_tick=_indent(_TICK_DELIVER, 3) if cycle_work else "")
+        wp_sync = "wp_rng._state = wp_state\n"
+    tail = _TAIL % {
+        "train": _indent(_TRAIN_COND_MISP, 1),
+        "resolve_misp": _indent(resolve_misp, 1),
+        "resolve_other": _indent(_RESOLVE_OTHER, 1),
+        "btb_train": _BTB_TRAIN,
+        "squash": _indent(squash_members, 2),
+        "tick": tick,
+    }
     predict_good = _PREDICT_GOOD % {
-        "fetch_members": fetch_members,
-        "episode": _indent(episode, 1),
-        "record_init": _record_init("hist", "block_sid[i]", has_paco,
-                                    has_static, has_pbm, has_tc, has_prof),
+        "fetch_members": fetch_good,
+        "record_init": _record_init("hist", "block_sid[i]", *record_flags),
     }
     hoists = '''\
 block = self._block
@@ -1180,11 +1563,16 @@ run_execute = self._run_execute
 run_goodpath = self._run_goodpath
 retired_base = stats.retired_instructions
 good_fetched = 0
+bad_fetched = 0
 good_executed = 0
 bad_executed = 0
 retired = 0
 branches_retired = 0
+misp_retired = 0
 cond_retired = 0
+cond_misp_retired = 0
+flushes = 0
+stall_cycles = 0
 '''
 
     source = ('''\
@@ -1192,38 +1580,20 @@ def _fused_step_block(self, max_instructions, max_cycles):
     """Fused-predictor twin of ``TraceSession._step_block``.
 
     Same control skeleton (gap accounting, the double-drain loop, the
-    per-branch tick), with conditional predict/resolve inlined against
-    the precomputed columns and the simplified good-path drain (see
-    ``_good_drain``).  Mispredicted good-path branches never retire
-    here — they hand off to the episode immediately — so the
-    mispredict-retired stat deltas are identically zero and drop out
-    of the sync lists.
+    per-branch tick), with every good-path predict and resolve inlined
+    against the precomputed columns and the simplified good-path drain
+    (see ``_good_drain``).  A mispredicted good-path branch never enters
+    the window: it runs the wrong-path episode and its tail right here,
+    on the same locals and deferred counters, with the history register
+    deferred to the local ``h`` for the episode's extent.
     """
 '''
               + _indent(_PROLOGUE + setup + hoists, 1) + '''
     while i < stop:
         if retired_base + retired >= max_instructions or cycle >= max_cycles:
             break
-''' + _indent(gate_wait, 2) + '''\
-        gap = gaps[gap_pos]
-        gap_pos += 1
-        if gap:
-            good_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] > 0:
-                window[-1] += gap
-            else:
-                window.append(gap)
-            inflight += gap
-        took_episode = False
-        predicted = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-'''
-              + _indent(_good_drain(resolve_members, targets), 5) + '''\
+''' + _step_head(gate_expr, _good_drain(resolve_members, targets),
+                 cycle_work) + '''\
             if predicted:
                 break
             predicted = True
@@ -1239,25 +1609,31 @@ def _fused_step_block(self, max_instructions, max_cycles):
 '''
               + _indent(predict_good, 4) + '''\
             else:
-                # Non-conditional branches predict through the live
-                # scalar engine (RAS / indirect-target state): restore
-                # the deferred history register first.
-                history.value = col_f[i]
-                record = engine.predict_from_block(block, i, seq)
-                i += 1
-                good_fetched += 1
-                cycle += 1
-                run_fetch += 1
-                if engine.on_wrong_path:
 '''
-              + _indent(episode, 5) + '''\
-                run_goodpath = True
-                window.append(record)
-                inflight += 1
-        if took_episode:
+              + _indent(_PREDICT_OTHER, 4) + '''\
+            i += 1
+            good_fetched += 1
+            cycle += 1
+            run_fetch += 1
+            if mispredicted:
+                break
+            run_goodpath = True
+            window.append(record)
+            inflight += 1
+''' + ("        if not predicted:\n            break\n" if gate else "") + '''\
+        if mispredicted:
+'''
+              + _indent(_EPISODE_HEAD + episode + tail, 3) + '''\
+            # A conditional trigger repairs history to exactly what
+            # staging (actual outcomes) computed; a non-conditional one
+            # leaves the wrong-path bits in, and that span re-stages.
+            # The splice mutates the hoisted column lists in place.
+            if h != col_f[i]:
+                history.value = h
+                self._stage(i, repair=True)
             continue
 '''
-              + (_indent(_TICK, 2) if cycle_work else "") + '''
+              + _indent(tick, 2) + '''
     self._branch_pos = i
     self._gap_pos = gap_pos
     self._next_seq = next_seq
@@ -1266,275 +1642,10 @@ def _fused_step_block(self, max_instructions, max_cycles):
     self._run_fetch = run_fetch
     self._run_execute = run_execute
     self._run_goodpath = run_goodpath
+    self._wp_pos = wp_pos
     history.value = col_f[i]
 '''
-              + _indent(stat_sync + sync, 1))
-    if targets is not None:
-        source = _inline_deliveries(source, targets)
-    return source
-
-
-#: The episode's loop-local run state and stat deltas (indent 1).
-_EPISODE_LOCALS = '''\
-    h = history.value
-    next_seq = self._next_seq
-    cycle = self._cycle
-    inflight = self._inflight
-    run_fetch = self._run_fetch
-    run_execute = self._run_execute
-    run_goodpath = self._run_goodpath
-    bad_fetched = 0
-    good_executed = 0
-    bad_executed = 0
-    retired = 0
-    branches_retired = 0
-    cond_retired = 0
-'''
-
-#: The ungated episode body: every gap of the ``mispredict_window``
-#: budget from one ``geometric_episode`` call and every branch from one
-#: ``next_branch_block`` call, then one (gap, branch) step per gap.
-_EPISODE = '''\
-    wp_gaps = self._wp_gap_buf
-    n_gaps, n_branches = self._wp_gap_rng.geometric_episode(
-        self._log_one_minus_p, wp_gaps, self.mispredict_window)
-    wp_block = self._wp_episode_block
-    if n_branches:
-        engine.wrongpath_generator.next_branch_block(wp_block, n_branches)
-    wp_pc = wp_block.pc
-    wp_taken = wp_block.taken
-    wp_target = wp_block.target
-    wp_sid = wp_block.static_branch_id
-''' + _EPISODE_LOCALS + '''
-    for g in range(n_gaps):
-        gap = wp_gaps[g]
-        if gap:
-            bad_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] < 0:
-                window[-1] -= gap
-            else:
-                window.append(-gap)
-            inflight += gap
-        fetched_branch = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-%(drain)s\
-            if fetched_branch or g >= n_branches:
-                break
-            fetched_branch = True
-            if has_observers:
-%(deliver)s\
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
-%(predict)s\
-        if g >= n_branches:
-            break
-%(tick)s'''
-
-#: The gated episode body: the per-slot loop of
-#: ``TraceSession._replay_wrongpath``.  The budget counts cycles; a
-#: gated slot completes the oldest in-flight slot (if any) and ticks,
-#: otherwise exactly one gap is drawn — ``geometric_block(..., 1)`` with
-#: the xorshift inlined on a local copy of the stream state — clamped to
-#: the remaining budget, and exactly one branch is generated.  Neither
-#: stream may be pre-drawn: a gated slot or a clamped gap ends the
-#: draws wherever the scalar loop would have stopped.
-_GATED_EPISODE = '''\
-    log = math.log
-    log_one_minus_p = self._log_one_minus_p
-    mask64 = _MASK64
-    wp_rng = self._wp_gap_rng
-    wp_state = wp_rng._state
-    next_wp_branch = engine.wrongpath_generator.next_branch_block
-    wp_block = self._wp_block
-    wp_pc = wp_block.pc
-    wp_taken = wp_block.taken
-    wp_target = wp_block.target
-    wp_sid = wp_block.static_branch_id
-    g = 0
-''' + _EPISODE_LOCALS + '''\
-    gated_cycles = 0
-    remaining = self.mispredict_window
-
-    while remaining:
-        if %(gate)s:
-            gated_cycles += 1
-            cycle += 1
-            if window:
-                excess = 1
-%(gated_drain)s\
-%(gated_tick)s\
-            remaining -= 1
-            continue
-        if log_one_minus_p is None:
-            gap = 0
-        else:
-            wp_state ^= (wp_state >> 12)
-            wp_state ^= (wp_state << 25) & mask64
-            wp_state ^= (wp_state >> 27)
-            u = (((wp_state * 0x2545F4914F6CDD1D) & mask64) >> 11) \\
-                / 9007199254740992.0
-            gap = int(log(u) / log_one_minus_p) if u > 0.0 else 0
-            if gap > remaining:
-                gap = remaining
-        if gap:
-            bad_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] < 0:
-                window[-1] -= gap
-            else:
-                window.append(-gap)
-            inflight += gap
-            remaining -= gap
-        fetched_branch = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-%(drain)s\
-            if fetched_branch or not remaining:
-                break
-            fetched_branch = True
-            if has_observers:
-%(deliver)s\
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
-            next_wp_branch(wp_block, 1)
-%(predict)s\
-            remaining -= 1
-        if not fetched_branch:
-            break
-%(tick)s'''
-
-
-def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
-                         has_tc: bool, has_prof: bool, cycle_work: bool,
-                         gate: Optional[str] = None) -> str:
-    """Assemble the fused ``_fused_replay_wrongpath`` source for one shape.
-
-    Ungated shapes pre-draw the whole episode; a ``gate`` swaps in the
-    per-slot skeleton of ``TraceSession._replay_wrongpath`` (see
-    :data:`_GATED_EPISODE`).
-    """
-    targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
-    setup = _REPLAY_MASKS
-    fetch_members = ""
-    resolve_members = ""
-    squash_members = ""
-    sync = _SYNC_BASE
-    if has_paco:
-        setup += _PACO_SETUP
-        if cycle_work:
-            setup += _PACO_SETUP_CYCLE
-        fetch_members += _PACO_FETCH
-        resolve_members += _PACO_RESOLVE
-        squash_members += _PACO_SQUASH
-        sync += _PACO_SYNC
-    if has_static:
-        setup += _STATIC_SETUP
-        fetch_members += _STATIC_FETCH
-        resolve_members += _STATIC_REMOVE
-        squash_members += _STATIC_REMOVE
-        sync += _STATIC_SYNC
-    if has_pbm:
-        setup += _PBM_SETUP + _PBM_MASKS
-        fetch_members += _PBM_FETCH_WP
-        resolve_members += _PBM_RESOLVE
-        squash_members += _PBM_REMOVE
-        sync += _PBM_SYNC
-    if has_tc:
-        setup += _TC_SETUP
-        fetch_members += _TC_FETCH
-        resolve_members += _TC_REMOVE
-        squash_members += _TC_REMOVE
-        sync += _TC_SYNC
-    if has_prof:
-        setup += _PROF_SETUP
-        fetch_members += _PROF_FETCH
-        resolve_members += _PROF_RESOLVE
-        squash_members += _PROF_SQUASH
-    if targets is not None:
-        setup += _PLAN_HOISTS
-
-    predict_wp = _PREDICT_WP % {
-        "fetch_members": fetch_members,
-        "record_init": _record_init("h", "wp_sid[g]", has_paco, has_static,
-                                    has_pbm, has_tc, has_prof),
-    }
-    drain = _episode_drain(resolve_members, squash_members, targets)
-    parts = {
-        "drain": _indent(drain, 5),
-        "deliver": _indent(_runs_delivery("", targets), 4),
-        "predict": _indent(predict_wp, 3),
-        "tick": _indent(_TICK, 2) if cycle_work else "",
-    }
-    if gate is None:
-        docstring = '''\
-    """Fused-predictor twin of ``TraceSession._replay_wrongpath``.
-
-    Same episode skeleton, with the wrong-path predicts inlined and the
-    history register deferred to the local ``h`` for the episode's
-    extent (wrong-path mispredict repairs write ``h``, exactly the
-    live-register repairs the scalar engine performs; the register is
-    restored before ``_finish_wrongpath`` takes the scalar path).
-    """
-'''
-        body = _EPISODE % parts
-        gate_sync = ""
-        issued = "self.mispredict_window"
-    else:
-        bound, gate_expr = _GATES[gate]
-        setup += bound
-        docstring = '''\
-    """Fused-predictor twin of ``TraceSession._replay_wrongpath``.
-
-    The ungated fused episode's predicts, drains and deferred history
-    local ``h``, on the gated session's per-slot skeleton: the gate is
-    checked before every slot, a gated slot spends episode budget on
-    one drained slot, and each fetched branch draws its own gap.
-    """
-'''
-        body = _GATED_EPISODE % dict(
-            parts, gate=gate_expr,
-            gated_drain=_indent(drain, 4),
-            gated_tick=_indent(_TICK, 3) if cycle_work else "")
-        gate_sync = '''\
-    wp_rng._state = wp_state
-    stats.gated_cycles += gated_cycles
-'''
-        issued = "bad_fetched"
-
-    source = ("def _fused_replay_wrongpath(self, trigger):\n" + docstring
-              + _indent(_PROLOGUE + setup, 1) + body + '''
-    self._next_seq = next_seq
-    self._cycle = cycle
-    self._inflight = inflight
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    history.value = h
-''' + gate_sync + '''\
-    stats.badpath_fetched += bad_fetched
-    engine.badpath_fetched += bad_fetched
-    stats.goodpath_executed += good_executed
-    stats.badpath_executed += bad_executed
-    stats.retired_instructions += retired
-    stats.branches_retired += branches_retired
-    stats.conditional_branches_retired += cond_retired
-'''
-              + _indent(sync, 1) + f'''\
-    self._finish_wrongpath(
-        trigger, {issued} - self.config.frontend_depth)
-''')
+              + _indent(wp_sync + stat_sync + sync, 1))
     if targets is not None:
         source = _inline_deliveries(source, targets)
     return source
@@ -1544,25 +1655,21 @@ _FUSED_CACHE: dict = {}
 
 
 def _fused_methods(flags):
-    """Compile (or fetch cached) fused step/replay methods for one shape.
+    """Compile (or fetch cached) the fused step method for one shape.
 
     ``flags`` is the six member/cycle-work booleans plus the gate kind
     (None when ungated); gated shapes carry the kind in their tag.
     """
-    methods = _FUSED_CACHE.get(flags)
-    if methods is None:
+    method = _FUSED_CACHE.get(flags)
+    if method is None:
         *bits, gate = flags
         tag = "".join("1" if flag else "0" for flag in bits)
         if gate is not None:
             tag += "-" + gate
-        methods = (
-            _compile_method("_fused_step_block", _build_step_source(*flags),
-                            globals(), tag),
-            _compile_method("_fused_replay_wrongpath",
-                            _build_replay_source(*flags), globals(), tag),
-        )
-        _FUSED_CACHE[flags] = methods
-    return methods
+        method = _compile_method("_fused_step_block",
+                                 _build_step_source(*flags), globals(), tag)
+        _FUSED_CACHE[flags] = method
+    return method
 
 
 # --------------------------------------------------------------------- #
@@ -1655,13 +1762,12 @@ class FusedTraceSession(TraceSession):
     """A trace replay with staged index columns and fused predictor loops.
 
     Construction requires a *member map* from :func:`_fused_plan`; the
-    session compiles (or reuses) the fused step/episode methods for that
-    stack shape and keeps the staged index columns (``_col_*``) aligned
-    with the live block buffer.  A ``gating_policy`` must be one
-    :func:`_fused_gate` models; the generated loops then carry the gate.
-    Every fallback path — phase boundaries, non-conditional predicts, the
-    episode tail — runs the inherited plain machinery on the same shared
-    state.
+    session compiles (or reuses) the fused step method for that stack
+    shape and keeps the staged index columns (``_col_*``) aligned with
+    the live block buffer.  A ``gating_policy`` must be one
+    :func:`_fused_gate` models; the generated step then carries the gate.
+    Phase-boundary branches, the one fallback path, run the inherited
+    plain machinery on the same shared state.
     """
 
     def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
@@ -1678,9 +1784,8 @@ class FusedTraceSession(TraceSession):
                 raise ValueError(
                     f"the fused loops do not model {gating_policy.name};"
                     " build TraceSession")
-        # The ungated episode draws every gap and branch up front.
+        # The ungated episode draws every gap up front.
         self._wp_gap_buf = [0] * mispredict_window
-        self._wp_episode_block = BranchBlock(mispredict_window)
         self._paco = members.get("paco")
         self._static = members.get("static")
         self._pbm = members.get("pbm")
@@ -1701,7 +1806,7 @@ class FusedTraceSession(TraceSession):
         flags = (self._paco is not None, self._static is not None,
                  self._pbm is not None, self._tc is not None,
                  self._profiler is not None, self._cycle_work_possible, gate)
-        self._fused_step, self._fused_replay = _fused_methods(flags)
+        self._fused_step = _fused_methods(flags)
         # One slot per block position (``col_f`` one more: the history
         # after the last branch), rewritten in place by ``_stage``.
         size = self.block_size

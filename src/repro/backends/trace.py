@@ -30,12 +30,15 @@ Per block (:data:`DEFAULT_TRACE_BLOCK` branches):
   in-flight window holding the
   :class:`~repro.branch_predictor.engine.BranchRecord` itself.
 
-A wrong-path episode draws one gap and one branch per slot (a gate may
-stall any slot); the fused session draws a whole ungated episode in one
-:meth:`~repro.common.rng.DeterministicRng.geometric_episode` call and one
+A wrong-path episode draws one gap per slot (a gate may stall any slot)
+and reads its branches from a wrong-path buffer the session carries
+across episodes, refilled by
 :meth:`~repro.workloads.generator.WrongPathGenerator.next_branch_block`
-call.  The gap and content streams are independent, so either way each
-stream is consumed in the same order, bit for bit.
+:data:`WRONGPATH_STAGE` branches at a time; the fused session draws a
+whole ungated episode's gaps in one
+:meth:`~repro.common.rng.DeterministicRng.geometric_episode` call.  The
+gap and content streams are independent, so either way each stream is
+consumed in the same order, bit for bit.
 
 Blocking changes *when* values are computed, never *which*: every stream
 is consumed in the same per-branch order as the scalar path, phased
@@ -93,9 +96,9 @@ interleaved trace sessions lives in :mod:`repro.backends.smt_trace`.
 
 For the predictor stacks the campaigns run, :class:`TraceBackend` builds
 :class:`~repro.backends.fused.FusedTraceSession`, which replaces this
-module's per-branch predictor calls with generated loops over staged
+module's per-branch predictor calls with a generated step over staged
 table-index columns; under a count or PaCo gate over the stack's own
-member (every fig10 gating job) those loops carry the gate.  The plain
+member (every fig10 gating job) that step carries the gate.  The plain
 :class:`TraceSession` here is the fallback for every other stack and
 policy and the reference the fused session is pinned against.
 
@@ -137,6 +140,12 @@ from repro.workloads.generator import BranchBlock
 #: ``tests/test_backends.py``) — so it rides in neither Job identities
 #: nor result-cache keys.
 DEFAULT_TRACE_BLOCK = 256
+
+#: Wrong-path branches staged per refill of a session's wrong-path
+#: buffer.  The buffer carries over between episodes: wrong-path branches
+#: draw three ``main``-stream values each from a fixed site set, so
+#: staging ahead draws exactly what per-branch draws would.
+WRONGPATH_STAGE = 256
 
 
 def _has_cycle_work(path_confidence) -> bool:
@@ -237,10 +246,13 @@ class TraceSession(SimulationSession):
         # drawn block-at-a-time and consumed in lockstep; a phase
         # boundary splits a block (``_refill_block`` returns 0 and the
         # boundary branch is stepped slot-by-slot instead).  The
-        # wrong-path episode draws one gap and one branch per slot.
+        # wrong-path episode draws one gap per slot and reads its
+        # branches from the carried wrong-path buffer (spent at
+        # ``_wp_pos == capacity``).
         self._block = BranchBlock(block_size)
         self._boundary_block = BranchBlock(1)
-        self._wp_block = BranchBlock(1)
+        self._wp_block = BranchBlock(WRONGPATH_STAGE)
+        self._wp_pos = WRONGPATH_STAGE
         self._gap_buf = [0] * block_size
         self._gap_pos = 0
         self._gap_len = 0
@@ -466,10 +478,11 @@ class TraceSession(SimulationSession):
         the mispredicted branch resolves ``mispredict_window`` cycles
         after fetch whether or not the front end kept fetching, so a
         gated cycle consumes episode budget without fetching a wrong-path
-        slot.  Each fetched slot draws its own gap and branch, since the
-        gate interleaves with the draws; the gap and branch-content
-        streams are independent, so the values are the ones an
-        episode-at-a-time draw produces.  Resolution and recovery are
+        slot.  Each fetched slot draws its own gap, since the gate
+        interleaves with the draws, and takes the next branch of the
+        carried wrong-path buffer; the gap and branch-content streams are
+        independent, so the values are the ones an episode-at-a-time
+        draw produces.  Resolution and recovery are
         :meth:`_finish_wrongpath`.
         """
         engine = self.fetch_engine
@@ -500,8 +513,12 @@ class TraceSession(SimulationSession):
             self._flush_runs()
             seq = self._next_seq
             self._next_seq = seq + 1
-            wrongpath.next_branch_block(wp_block, 1)
-            wp_record = engine.predict_from_block(wp_block, 0, seq,
+            pos = self._wp_pos
+            if pos >= wp_block.capacity:
+                wrongpath.next_branch_block(wp_block, wp_block.capacity)
+                pos = 0
+            self._wp_pos = pos + 1
+            wp_record = engine.predict_from_block(wp_block, pos, seq,
                                                   on_goodpath=False)
             engine.badpath_fetched += 1
             stats.badpath_fetched += 1
@@ -674,9 +691,8 @@ class TraceSession(SimulationSession):
         Mirrors the cycle core's recovery order — account the
         ``issued`` wrong-path slots estimated to have left the front
         end, resolve (train/repair), squash everything younger, redirect
-        fetch, then record the execute instance.  Shared by
-        :meth:`_replay_wrongpath` and the fused session's generated
-        episodes.
+        fetch, then record the execute instance.  The scalar session's
+        only; the fused session generates the same tail inline.
         """
         engine = self.fetch_engine
         stats = self.stats

@@ -229,6 +229,48 @@ class DeterministicRng:
             partial.append(acc)
         return partial, acc
 
+    # ------------------------------------------------------------------ #
+    # integer thresholds
+    #
+    # A uniform is ``(x >> 11) / 2**53`` of the raw 64-bit output ``x``
+    # (``(state * 0x2545F4914F6CDD1D) & _MASK64``).  Every comparison the
+    # generators make on it — ``u < p`` and ``u * total < c`` — holds for
+    # a prefix of ``x`` values, so it equals ``x < T`` for one integer
+    # ``T`` found once; the hot loops then skip the shift, the divide and
+    # the multiply.  Pinned by ``tests/test_properties.py``.
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def probability_threshold(probability: float) -> int:
+        """``T`` with ``x < T`` exactly when ``(x >> 11) / 2**53 < probability``.
+
+        ``x >> 11`` is an integer and ``probability * 2**53`` is exact, so
+        the bound is its ceiling, shifted back into raw-output units.
+        """
+        return math.ceil(probability * 9007199254740992.0) << 11
+
+    @staticmethod
+    def cumulative_thresholds(cumulative: Sequence[float],
+                              total: float) -> list:
+        """``T_j`` with ``x < T_j`` exactly when the draw's
+        ``((x >> 11) / 2**53) * total < cumulative[j]``.
+
+        The rounded product is monotone in ``x >> 11``, so each bound is
+        the first 53-bit value that fails the float test, found by
+        bisection; ``2**53`` (every draw passes) maps to ``2**64``.
+        """
+        thresholds = []
+        for acc in cumulative:
+            low, high = 0, 1 << 53
+            while low < high:
+                mid = (low + high) >> 1
+                if (mid / 9007199254740992.0) * total < acc:
+                    low = mid + 1
+                else:
+                    high = mid
+            thresholds.append(low << 11)
+        return thresholds
+
 
 class RngPool:
     """A pool of independent named random streams sharing one master seed."""

@@ -13,15 +13,9 @@ from repro.confidence.jrs import (
     ConfidenceLookup,
     MDC_BITS_DEFAULT,
 )
-from repro.confidence.perceptron import (
-    PerceptronConfidenceEstimator,
-    PerceptronConfidenceLookup,
-)
 
 __all__ = [
     "JRSConfidencePredictor",
     "ConfidenceLookup",
     "MDC_BITS_DEFAULT",
-    "PerceptronConfidenceEstimator",
-    "PerceptronConfidenceLookup",
 ]

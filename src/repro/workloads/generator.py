@@ -61,20 +61,27 @@ _CODE_BASE = 0x0040_0000
 _INDIRECT_TARGET_BASE = 0x0080_0000
 _WRONGPATH_CODE_BASE = 0x00C0_0000
 
+#: Wrong-path branches are taken with this probability, and the block
+#: writer compares raw draws against its integer threshold.
+_WRONGPATH_TAKEN_PROBABILITY = 0.55
+_WRONGPATH_TAKEN_THRESHOLD = DeterministicRng.probability_threshold(
+    _WRONGPATH_TAKEN_PROBABILITY)
+
 
 class BranchBlock:
     """A reusable struct-of-arrays batch of generated branches.
 
     Parallel columns, one entry per branch: program counter, branch kind,
-    architectural direction, architectural target, static branch id
-    (``None`` for non-conditional branches) and dependence distance.
+    architectural direction, architectural target and static branch id
+    (``None`` for non-conditional branches).  Nothing that consumes a
+    block models operand dependences, so no dependence distance is drawn.
     ``count`` is the number of valid entries; the columns are preallocated
     to ``capacity`` and overwritten in place so a hot loop reuses one
     block instead of allocating per-branch objects.
     """
 
     __slots__ = ("capacity", "count", "pc", "kind", "taken", "target",
-                 "static_branch_id", "dep_distance")
+                 "static_branch_id")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -86,13 +93,19 @@ class BranchBlock:
         self.taken = [False] * capacity
         self.target = [0] * capacity
         self.static_branch_id: List[Optional[int]] = [None] * capacity
-        self.dep_distance = [0] * capacity
 
 
 class _ConditionalSite:
-    """One static conditional branch together with its behaviour model."""
+    """One static conditional branch together with its behaviour model.
 
-    __slots__ = ("static", "behavior", "klass", "bias")
+    ``threshold`` is the integer form of a :class:`BiasedRandomBranch`'s
+    taken-probability (see
+    :meth:`~repro.common.rng.DeterministicRng.probability_threshold`), so
+    the block generator draws its outcome as one integer compare; None for
+    every other behaviour.
+    """
+
+    __slots__ = ("static", "behavior", "klass", "bias", "threshold")
 
     def __init__(self, static: StaticBranch, behavior: BranchBehavior,
                  klass: str, bias: float = 0.5) -> None:
@@ -100,6 +113,9 @@ class _ConditionalSite:
         self.behavior = behavior
         self.klass = klass
         self.bias = bias
+        self.threshold = (
+            DeterministicRng.probability_threshold(behavior.taken_probability)
+            if type(behavior) is BiasedRandomBranch else None)
 
 
 class WorkloadGenerator:
@@ -161,9 +177,11 @@ class WorkloadGenerator:
         self._kind_cum, self._kind_total = DeterministicRng.cumulative_weights(
             self._kind_weights)
         self._kind_codes = [_KIND_CODES[name] for name in self._kind_names]
+        self._kind_thresholds = DeterministicRng.cumulative_thresholds(
+            self._kind_cum, self._kind_total)
         #: Site-selection entries ``(classes, cumulative, total,
-        #: site_lists)`` keyed by the phase's effective hard fraction (a
-        #: small, finite set per benchmark).
+        #: site_lists, thresholds)`` keyed by the phase's effective hard
+        #: fraction (a small, finite set per benchmark).
         self._site_choice_cache: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -247,6 +265,8 @@ class WorkloadGenerator:
         self._indirect_site_weights = [0.70, 0.14, 0.10, 0.06]
         self._indirect_cum, self._indirect_total = (
             DeterministicRng.cumulative_weights(self._indirect_site_weights))
+        self._indirect_thresholds = DeterministicRng.cumulative_thresholds(
+            self._indirect_cum, self._indirect_total)
 
     # ------------------------------------------------------------------ #
     # phase handling
@@ -317,8 +337,8 @@ class WorkloadGenerator:
         ``instruction-mix``, ``memory`` and (for non-branches)
         ``dependences`` streams are never touched.
 
-        Used by the trace-replay backend, which models non-branch
-        instructions as arithmetic gaps (:meth:`advance_instructions`).
+        The one-branch reference the tests pin :meth:`next_branch_block`
+        against; the trace backend itself only generates blocks.
         """
         self.instructions_generated += 1
         if self._has_phases:
@@ -364,22 +384,26 @@ class WorkloadGenerator:
         exists so call sites read like their scalar counterparts.
 
         Bit-identical to ``n`` successive :meth:`next_branch` calls with
-        sequence numbers ``seq .. seq + n - 1``: the same draws leave the
-        same streams in the same order (``site-selection`` and
-        ``branch-outcomes`` interleave per branch *within* each stream,
-        never across streams), the phase schedule advances one slot per
-        branch, and the call stack sees the same pushes and pops — so the
-        RNG stream states afterwards are identical too
-        (``tests/test_workloads_generator.py`` pins all of this).  No
+        sequence numbers ``seq .. seq + n - 1`` in every column: the same
+        draws leave the same streams in the same order (``site-selection``
+        and ``branch-outcomes`` interleave per branch *within* each
+        stream, never across streams), the phase schedule advances one
+        slot per branch, and the call stack sees the same pushes and pops
+        — so those RNG stream states afterwards are identical too
+        (``tests/test_workloads_generator.py`` pins all of this).  The
+        one difference is the ``dependences`` stream: a block carries no
+        dependence distance, so it draws none.  No
         :class:`~repro.isa.instruction.Instruction` objects are
         materialized; the trace-replay backend consumes the columns
         directly.
 
         Site selection is batched per behaviour class: the per-phase
-        ``(classes, cumulative, total, site_lists)`` entry is hoisted out
-        of the loop (refreshed only at phase rolls), the dominant
-        biased-random outcome draw is inlined, and other behaviours draw
-        through their scalar ``next_outcome``.
+        site entry is hoisted out of the loop (refreshed only at phase
+        rolls), the dominant biased-random outcome draw is inlined, and
+        other behaviours draw through their scalar ``next_outcome``.
+        Weighted choices and biased outcomes compare the raw draw against
+        precomputed integer thresholds, which select exactly what the
+        float comparisons select.
         """
         if n < 1:
             raise ValueError("block size must be at least 1")
@@ -394,16 +418,13 @@ class WorkloadGenerator:
         out_taken = block.taken
         out_target = block.target
         out_sid = block.static_branch_id
-        out_dep = block.dep_distance
 
         spec = self.spec
         rng_branch = self._rng_branch
         sel_state = self._rng_select._state
-        dep_state = self._rng_dep._state
         br_state = rng_branch._state
 
-        kind_cum = self._kind_cum
-        kind_total = self._kind_total
+        kind_thresholds = self._kind_thresholds
         kind_codes = self._kind_codes
         num_kinds = len(kind_codes)
         uncond_pcs = self._uncond_pcs
@@ -413,9 +434,8 @@ class WorkloadGenerator:
         n_call = len(call_pcs)
         n_ret = len(return_pcs)
         indirect_sites = self._indirect_sites
-        indirect_cum = self._indirect_cum
-        indirect_total = self._indirect_total
-        num_indirect = len(indirect_cum)
+        indirect_thresholds = self._indirect_thresholds
+        num_indirect = len(indirect_thresholds)
         call_stack = self._call_stack
 
         has_phases = self._has_phases
@@ -435,9 +455,8 @@ class WorkloadGenerator:
             hard_fraction = spec.hard_fraction
             shift = 0.0
         entry = self._site_entry(hard_fraction)
-        entry_cum = entry[1]
-        entry_total = entry[2]
         entry_sites = entry[3]
+        entry_thresholds = entry[4]
 
         kind_cond = BranchKind.CONDITIONAL
         kind_uncond = BranchKind.UNCONDITIONAL
@@ -461,18 +480,17 @@ class WorkloadGenerator:
                     shift = ((phase.hard_taken_bias - base_bias)
                              if phase.hard_taken_bias is not None else 0.0)
                     entry = self._site_entry(hard_fraction)
-                    entry_cum = entry[1]
-                    entry_total = entry[2]
                     entry_sites = entry[3]
-            # Branch-kind selection (cumulative_choice inlined).
+                    entry_thresholds = entry[4]
+            # Branch-kind selection (cumulative_choice inlined, on the
+            # integer thresholds).
             sel_state ^= (sel_state >> 12)
             sel_state ^= (sel_state << 25) & _MASK64
             sel_state ^= (sel_state >> 27)
-            target_w = ((((sel_state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                        / 9007199254740992.0) * kind_total
+            draw = (sel_state * 0x2545F4914F6CDD1D) & _MASK64
             code = kind_codes[num_kinds - 1]
             for j in range(num_kinds):
-                if target_w < kind_cum[j]:
+                if draw < kind_thresholds[j]:
                     code = kind_codes[j]
                     break
             if code == 0:  # conditional
@@ -481,11 +499,10 @@ class WorkloadGenerator:
                 sel_state ^= (sel_state >> 12)
                 sel_state ^= (sel_state << 25) & _MASK64
                 sel_state ^= (sel_state >> 27)
-                target_w = ((((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
-                             >> 11) / 9007199254740992.0) * entry_total
+                draw = (sel_state * 0x2545F4914F6CDD1D) & _MASK64
                 sites = entry_sites[-1]
-                for j in range(len(entry_cum)):
-                    if target_w < entry_cum[j]:
+                for j in range(len(entry_thresholds)):
+                    if draw < entry_thresholds[j]:
                         sites = entry_sites[j]
                         break
                 # Site selection (choice inlined).
@@ -495,7 +512,6 @@ class WorkloadGenerator:
                 site = sites[((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
                              % len(sites)]
                 static = site.static
-                behavior = site.behavior
                 if shift and site.klass == _CLASS_HARD:
                     bias = site.bias + shift
                     if bias < 0.02:
@@ -507,19 +523,18 @@ class WorkloadGenerator:
                     br_state ^= (br_state >> 27)
                     taken = ((((br_state * 0x2545F4914F6CDD1D) & _MASK64)
                               >> 11) / 9007199254740992.0) < bias
-                elif type(behavior) is BiasedRandomBranch:
+                elif site.threshold is not None:
                     # The dominant populations (hard, pattern, leftover)
                     # are all biased-random: one Bernoulli, inlined.
                     br_state ^= (br_state >> 12)
                     br_state ^= (br_state << 25) & _MASK64
                     br_state ^= (br_state >> 27)
-                    taken = ((((br_state * 0x2545F4914F6CDD1D) & _MASK64)
-                              >> 11) / 9007199254740992.0) \
-                        < behavior.taken_probability
+                    taken = (((br_state * 0x2545F4914F6CDD1D) & _MASK64)
+                             < site.threshold)
                 else:
                     rng_branch._state = br_state
-                    taken = behavior.next_outcome(rng_branch,
-                                                  phase=phase_index)
+                    taken = site.behavior.next_outcome(rng_branch,
+                                                       phase=phase_index)
                     br_state = rng_branch._state
                 out_pc[i] = static.pc
                 out_kind[i] = kind_cond
@@ -566,11 +581,10 @@ class WorkloadGenerator:
                 sel_state ^= (sel_state >> 12)
                 sel_state ^= (sel_state << 25) & _MASK64
                 sel_state ^= (sel_state >> 27)
-                target_w = ((((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
-                             >> 11) / 9007199254740992.0) * indirect_total
+                draw = (sel_state * 0x2545F4914F6CDD1D) & _MASK64
                 pair = indirect_sites[-1]
                 for j in range(num_indirect):
-                    if target_w < indirect_cum[j]:
+                    if draw < indirect_thresholds[j]:
                         pair = indirect_sites[j]
                         break
                 pc, model = pair
@@ -586,23 +600,8 @@ class WorkloadGenerator:
                 out_taken[i] = True
                 out_target[i] = indirect_target
                 out_sid[i] = None
-            # Dependence distance (bernoulli(0.35) then randint(1, 12),
-            # both inlined from the dependences stream).
-            dep_state ^= (dep_state >> 12)
-            dep_state ^= (dep_state << 25) & _MASK64
-            dep_state ^= (dep_state >> 27)
-            if ((((dep_state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                    / 9007199254740992.0) < 0.35:
-                out_dep[i] = 0
-            else:
-                dep_state ^= (dep_state >> 12)
-                dep_state ^= (dep_state << 25) & _MASK64
-                dep_state ^= (dep_state >> 27)
-                out_dep[i] = 1 + ((dep_state * 0x2545F4914F6CDD1D)
-                                  & _MASK64) % 12
 
         self._rng_select._state = sel_state
-        self._rng_dep._state = dep_state
         rng_branch._state = br_state
         self.instructions_generated += n
         if has_phases:
@@ -662,9 +661,11 @@ class WorkloadGenerator:
     def _site_entry(self, hard_fraction: float) -> tuple:
         """The cached site-selection tables for one effective hard fraction.
 
-        ``(classes, cumulative, total, site_lists)`` — ``site_lists`` is
-        parallel to ``classes`` so the block generation loop indexes a
-        population without per-branch dict lookups.
+        ``(classes, cumulative, total, site_lists, thresholds)`` —
+        ``site_lists`` is parallel to ``classes`` so the block generation
+        loop indexes a population without per-branch dict lookups, and
+        ``thresholds`` are the integer forms of ``cumulative`` it compares
+        draws against.
         """
         entry = self._site_choice_cache.get(hard_fraction)
         if entry is None:
@@ -690,7 +691,8 @@ class WorkloadGenerator:
             cum, total = DeterministicRng.cumulative_weights(
                 [max(a[1], 1e-9) for a in available])
             entry = ([a[0] for a in available], cum, total,
-                     [self._sites_by_class[a[0]] for a in available])
+                     [self._sites_by_class[a[0]] for a in available],
+                     DeterministicRng.cumulative_thresholds(cum, total))
             self._site_choice_cache[hard_fraction] = entry
         return entry
 
@@ -795,7 +797,7 @@ class WrongPathGenerator:
     def _generate_branch(self, seq: int) -> Instruction:
         parent = self._parent
         site = self._rng.choice(parent._conditional_sites)
-        taken = self._rng.bernoulli(0.55)
+        taken = self._rng.bernoulli(_WRONGPATH_TAKEN_PROBABILITY)
         static = site.static
         pc = static.pc + 0x8  # a nearby, but distinct, wrong-path PC
         target = static.taken_target if taken else static.fallthrough
@@ -838,15 +840,17 @@ class WrongPathGenerator:
     def next_branch_block(self, block: BranchBlock, n: int) -> None:
         """Fill ``block[0:n]`` with the next ``n`` wrong-path branches.
 
-        Bit-identical to ``n`` successive :meth:`next_branch` calls
-        (same ``main``-stream draw order per branch: site choice,
-        direction, dependence distance) with the xorshift step inlined
-        once for the whole episode, and without materializing
-        :class:`~repro.isa.instruction.Instruction` objects.  The trace
-        backend's ungated wrong-path episode stages a whole episode's
-        branches through this in one call; the gated episode, which may
-        stop after any slot, draws one branch per call (``n == 1``).
-        Sets ``block.count``.
+        Bit-identical to ``n`` successive :meth:`next_branch` calls in
+        every column and in the ``main``-stream state afterwards: three
+        draws per branch, in order site choice, direction and dependence
+        distance.  The third draw only advances the stream — a block
+        carries no dependence distance — and the direction compares the
+        raw draw against the integer threshold of 0.55.  No
+        :class:`~repro.isa.instruction.Instruction` objects are
+        materialized.  The trace sessions stage wrong-path branches
+        through this into one buffer each, carried across episodes: the
+        draw order never depends on where an episode ends.  Sets
+        ``block.count``.
         """
         rng = self._rng
         sites = self._parent._conditional_sites
@@ -856,8 +860,8 @@ class WrongPathGenerator:
         takens = block.taken
         targets = block.target
         branch_ids = block.static_branch_id
-        deps = block.dep_distance
         kind_conditional = BranchKind.CONDITIONAL
+        taken_threshold = _WRONGPATH_TAKEN_THRESHOLD
         state = rng._state
         for i in range(n):
             state ^= (state >> 12)
@@ -867,8 +871,8 @@ class WrongPathGenerator:
             state ^= (state >> 12)
             state ^= (state << 25) & _MASK64
             state ^= (state >> 27)
-            taken = ((((state * 0x2545F4914F6CDD1D) & _MASK64) >> 11)
-                     / 9007199254740992.0) < 0.55
+            taken = ((state * 0x2545F4914F6CDD1D) & _MASK64) < taken_threshold
+            # The dependence-distance draw: advanced, never read.
             state ^= (state >> 12)
             state ^= (state << 25) & _MASK64
             state ^= (state >> 27)
@@ -878,7 +882,6 @@ class WrongPathGenerator:
             takens[i] = taken
             targets[i] = static.taken_target if taken else static.fallthrough
             branch_ids[i] = static.branch_id
-            deps[i] = ((state * 0x2545F4914F6CDD1D) & _MASK64) % 9
         rng._state = state
         block.count = n
 

@@ -1,12 +1,7 @@
-"""Tests for the extension features: perceptron confidence and selective throttling."""
+"""Tests for the selective-throttling extension."""
 
 import pytest
 
-from repro.common.rng import DeterministicRng
-from repro.confidence.perceptron import (
-    PerceptronConfidenceEstimator,
-    PerceptronConfidenceLookup,
-)
 from repro.pathconf.base import BranchFetchInfo
 from repro.pathconf.paco import PaCoPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
@@ -21,104 +16,6 @@ from repro.pipeline.throttling import (
 def _info(mdc_value):
     return BranchFetchInfo(pc=0x400000, mdc_value=mdc_value, mdc_index=0,
                            predicted_taken=True, history=0)
-
-
-class TestPerceptronConfidence:
-    def test_initial_output_is_neutral(self):
-        estimator = PerceptronConfidenceEstimator(index_bits=6)
-        lookup = estimator.lookup(0x400000, 0b1010, predicted_taken=True)
-        assert lookup.output == 0
-        assert 0 <= lookup.bucket < estimator.num_buckets
-
-    def test_consistent_branch_gains_confidence(self):
-        estimator = PerceptronConfidenceEstimator(index_bits=6, history_bits=8)
-        history = 0b1100_1010
-        initial = estimator.lookup(0x400000, history, predicted_taken=True).bucket
-        for _ in range(40):
-            lookup = estimator.lookup(0x400000, history, predicted_taken=True)
-            estimator.update(lookup, was_correct=True, actual_taken=True)
-        trained = estimator.lookup(0x400000, history, predicted_taken=True).bucket
-        assert trained > initial
-
-    def test_inconsistent_branch_is_less_confident_than_consistent_one(self):
-        rng = DeterministicRng(3)
-        history = 0b0101_0101
-
-        consistent = PerceptronConfidenceEstimator(index_bits=6, history_bits=8)
-        for _ in range(300):
-            lookup = consistent.lookup(0x400000, history, predicted_taken=True)
-            consistent.update(lookup, was_correct=True, actual_taken=True)
-
-        random_branch = PerceptronConfidenceEstimator(index_bits=6, history_bits=8)
-        for _ in range(300):
-            taken = rng.bernoulli(0.5)
-            # The direction prediction follows the perceptron's own sign, as
-            # it would when the estimator rides on a real predictor.
-            lookup = random_branch.lookup(0x400000, history,
-                                          predicted_taken=True)
-            predicted = lookup.output >= 0
-            random_branch.update(lookup, was_correct=(predicted == taken),
-                                 actual_taken=taken)
-
-        confident_bucket = consistent.lookup(0x400000, history, True).bucket
-        doubtful_lookup = random_branch.lookup(0x400000, history, True)
-        doubtful_bucket = max(doubtful_lookup.bucket,
-                              random_branch.lookup(0x400000, history,
-                                                   False).bucket)
-        assert confident_bucket > doubtful_bucket or doubtful_bucket < \
-            random_branch.num_buckets - 1
-
-    def test_bucket_usable_as_paco_stratifier(self):
-        """The quantised bucket can drive PaCo directly in place of the MDC."""
-        estimator = PerceptronConfidenceEstimator(index_bits=6)
-        paco = PaCoPredictor()
-        history = 0b1111_0000
-        for _ in range(30):
-            lookup = estimator.lookup(0x400000, history, predicted_taken=True)
-            estimator.update(lookup, was_correct=True, actual_taken=True)
-        lookup = estimator.lookup(0x400000, history, predicted_taken=True)
-        token = paco.on_branch_fetch(_info(lookup.bucket))
-        assert paco.outstanding_branches() == 1
-        paco.on_branch_resolve(token, mispredicted=False)
-        assert paco.path_confidence_register == 0
-
-    def test_weights_saturate(self):
-        estimator = PerceptronConfidenceEstimator(index_bits=4, history_bits=4,
-                                                  weight_limit=7)
-        history = 0b1111
-        for _ in range(200):
-            lookup = estimator.lookup(0x400000, history, predicted_taken=True)
-            estimator.update(lookup, was_correct=False, actual_taken=True)
-        assert all(abs(w) <= 7 for w in estimator.weights_for(estimator._index(0x400000)))
-
-    def test_disagreement_with_prediction_lowers_bucket(self):
-        estimator = PerceptronConfidenceEstimator(index_bits=6, history_bits=8)
-        history = 0b1010_1010
-        for _ in range(40):
-            lookup = estimator.lookup(0x400000, history, predicted_taken=True)
-            estimator.update(lookup, was_correct=True, actual_taken=True)
-        agreeing = estimator.lookup(0x400000, history, predicted_taken=True)
-        disagreeing = estimator.lookup(0x400000, history, predicted_taken=False)
-        assert disagreeing.bucket < agreeing.bucket
-
-    def test_lookup_threshold_helper(self):
-        lookup = PerceptronConfidenceLookup(index=0, history=0, output=5, bucket=12)
-        assert lookup.is_high_confidence(10)
-        assert not lookup.is_high_confidence(13)
-
-    def test_storage_and_stats(self):
-        estimator = PerceptronConfidenceEstimator(index_bits=6, history_bits=8)
-        assert estimator.storage_bits() > 0
-        estimator.lookup(0x400000, 0, True)
-        assert estimator.lookups == 1
-        estimator.reset()
-        assert estimator.lookups == 0
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            PerceptronConfidenceEstimator(index_bits=0)
-        with pytest.raises(ValueError):
-            PerceptronConfidenceEstimator(num_buckets=1)
 
 
 class TestThrottlingPolicies:

@@ -106,6 +106,73 @@ class TestRngProperties:
             assert 0.0 <= rng.random() < 1.0
 
 
+def _uniform(x):
+    """The uniform a draw's raw 64-bit output ``x`` stands for."""
+    return (x >> 11) / 9007199254740992.0
+
+
+#: Raw 64-bit draw outputs.
+_DRAWS = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+class TestIntegerThresholdProperties:
+    """``x < T`` on the raw draw selects exactly what the generators' float
+    comparisons selected: at the boundary (``T - 1`` passes, ``T`` fails)
+    and at random draws."""
+
+    @staticmethod
+    def _edges(threshold):
+        return [x for x in (threshold - 1, threshold)
+                if 0 <= x < (1 << 64)]
+
+    @settings(max_examples=300)
+    @given(probability=st.floats(min_value=-0.5, max_value=1.5,
+                                 allow_nan=False),
+           draws=st.lists(_DRAWS, max_size=20))
+    def test_probability_threshold_equals_float_compare(self, probability,
+                                                        draws):
+        threshold = DeterministicRng.probability_threshold(probability)
+        for x in self._edges(threshold) + draws:
+            assert (x < threshold) == (_uniform(x) < probability)
+
+    @settings(max_examples=300)
+    @given(weights=st.lists(st.floats(min_value=1e-9, max_value=1e6,
+                                      allow_nan=False),
+                            min_size=1, max_size=8),
+           draws=st.lists(_DRAWS, max_size=20))
+    def test_cumulative_thresholds_equal_float_compare(self, weights, draws):
+        cumulative, total = DeterministicRng.cumulative_weights(weights)
+        thresholds = DeterministicRng.cumulative_thresholds(cumulative,
+                                                            total)
+        for acc, threshold in zip(cumulative, thresholds):
+            for x in self._edges(threshold) + draws:
+                assert (x < threshold) == (_uniform(x) * total < acc)
+
+    @settings(max_examples=100)
+    @given(weights=st.lists(st.floats(min_value=1e-9, max_value=1e6,
+                                      allow_nan=False),
+                            min_size=1, max_size=8),
+           seed=st.integers(min_value=1, max_value=2 ** 63))
+    def test_threshold_choice_matches_cumulative_choice(self, weights, seed):
+        """The block generator's integer selection loop picks the item
+        ``cumulative_choice`` picks from the same stream state."""
+        cumulative, total = DeterministicRng.cumulative_weights(weights)
+        thresholds = DeterministicRng.cumulative_thresholds(cumulative,
+                                                            total)
+        items = list(range(len(weights)))
+        reference = DeterministicRng(seed)
+        raw = DeterministicRng(seed)
+        for _ in range(30):
+            expected = reference.cumulative_choice(items, cumulative, total)
+            x = raw.next_u64()
+            chosen = items[-1]
+            for item, threshold in zip(items, thresholds):
+                if x < threshold:
+                    chosen = item
+                    break
+            assert chosen == expected
+
+
 class TestReliabilityDiagramProperties:
     @given(samples=st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=1.0), st.booleans()),

@@ -245,9 +245,20 @@ class TestWrongPathGenerator:
 
 
 def _stream_states(generator):
+    """The stream states a branch block must leave as scalar calls do.
+
+    ``dependences`` is not among them: a block carries no dependence
+    distance, so block generation never draws from it (see
+    :func:`_assert_dependences_at_seed`)."""
     return {name: generator._pool.stream(name)._state
             for name in ("branch-outcomes", "site-selection",
-                         "instruction-mix", "memory", "dependences")}
+                         "instruction-mix", "memory")}
+
+
+def _assert_dependences_at_seed(generator, spec, seed):
+    fresh = WorkloadGenerator(spec, seed=seed)
+    assert (generator._pool.stream("dependences")._state
+            == fresh._pool.stream("dependences")._state)
 
 
 def _assert_block_equals_instructions(block, instructions):
@@ -258,12 +269,12 @@ def _assert_block_equals_instructions(block, instructions):
         assert block.taken[i] == instr.outcome.taken, i
         assert block.target[i] == instr.outcome.target, i
         assert block.static_branch_id[i] == instr.static_branch_id, i
-        assert block.dep_distance[i] == instr.dep_distance, i
 
 
 class TestNextBranchBlock:
     """next_branch_block(seq, n) must equal n scalar next_branch calls
-    field-for-field, including phase schedule and RNG stream states."""
+    column-for-column, including phase schedule and RNG stream states,
+    and must leave the ``dependences`` stream untouched."""
 
     @pytest.mark.parametrize("bench_name", ["gzip", "gcc", "gap", "perlbmk",
                                             "mcf", "vortex"])
@@ -276,6 +287,7 @@ class TestNextBranchBlock:
         block = block_gen.next_branch_block(0, n)
         _assert_block_equals_instructions(block, scalar)
         assert _stream_states(block_gen) == _stream_states(scalar_gen)
+        _assert_dependences_at_seed(block_gen, spec, 7)
         assert block_gen.instructions_generated == scalar_gen.instructions_generated
         assert block_gen._phase_index == scalar_gen._phase_index
         assert block_gen._phase_remaining == scalar_gen._phase_remaining
@@ -305,6 +317,8 @@ class TestNextBranchBlock:
         assert block_gen._phase_index == scalar_gen._phase_index
         assert block_gen._phase_remaining == scalar_gen._phase_remaining
         assert _stream_states(block_gen) == _stream_states(scalar_gen)
+        _assert_dependences_at_seed(block_gen, spec, 11)
+        assert list(block_gen._call_stack) == list(scalar_gen._call_stack)
 
     def test_blocks_interleave_with_scalar_calls(self, tiny_spec):
         scalar_gen = WorkloadGenerator(tiny_spec, seed=5)
@@ -321,23 +335,22 @@ class TestNextBranchBlock:
             block = mixed_gen.next_branch_block(seq, chunk)
             for i in range(chunk):
                 collected.append((block.pc[i], block.kind[i], block.taken[i],
-                                  block.target[i], block.static_branch_id[i],
-                                  block.dep_distance[i]))
+                                  block.target[i], block.static_branch_id[i]))
             seq += chunk
         flat_scalar = []
         for instr in scalar:
             flat_scalar.append((instr.pc, instr.branch_kind,
                                 instr.outcome.taken, instr.outcome.target,
-                                instr.static_branch_id, instr.dep_distance))
+                                instr.static_branch_id))
         flat_mixed = [
             entry if isinstance(entry, tuple)
             else (entry.pc, entry.branch_kind, entry.outcome.taken,
-                  entry.outcome.target, entry.static_branch_id,
-                  entry.dep_distance)
+                  entry.outcome.target, entry.static_branch_id)
             for entry in collected
         ]
         assert flat_mixed == flat_scalar
         assert _stream_states(mixed_gen) == _stream_states(scalar_gen)
+        assert list(mixed_gen._call_stack) == list(scalar_gen._call_stack)
 
     def test_block_object_is_reusable(self, tiny_spec):
         from repro.workloads.generator import BranchBlock
@@ -363,8 +376,8 @@ class TestNextBranchBlock:
 class TestWrongPathBlockWriter:
     """next_branch_block(block, n) must stage exactly the branches n
     successive scalar next_branch calls draw (same main-stream draws,
-    same order, same stream state afterwards), both at n == 1 (the
-    gated episode's per-slot draw) and at whole-episode sizes."""
+    same order, same stream state afterwards, the unread dependence
+    draw included), both at n == 1 and at buffer-sized batches."""
 
     @pytest.mark.parametrize("sizes", [(1,) * 300, (1, 2, 5, 17, 32, 3, 32)],
                              ids=["one-slot", "episodes"])
@@ -387,7 +400,6 @@ class TestWrongPathBlockWriter:
                 assert block.taken[i] == instr.outcome.taken
                 assert block.target[i] == instr.outcome.target
                 assert block.static_branch_id[i] == instr.static_branch_id
-                assert block.dep_distance[i] == instr.dep_distance
             assert scalar_wp._rng._state == block_wp._rng._state
 
     @pytest.mark.parametrize("bench_name", ["gzip", "gcc", "gap", "perlbmk",
