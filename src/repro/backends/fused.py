@@ -1,4 +1,4 @@
-"""The fused trace session: a codegen-fused step on the trace replay.
+"""The fused trace loops: codegen-fused steps on the trace replays.
 
 :class:`FusedTraceSession` is what :class:`~repro.backends.trace.TraceBackend`
 builds for every predictor stack :func:`_fused_plan` models, ungated or
@@ -51,20 +51,33 @@ check, then one gap draw and the next buffered wrong-path branch) with
 the fused predicts and drains.  Gated cycles over a run of non-branch
 slots batch, exactly (see :func:`_step_head`).
 
-The contract is bit-identity with :class:`TraceSession`, which stays as
-the reference: the run-event stream, every statistic and every trained
-table must match exactly (``tests/test_backends.py`` pins block sizes
-1/17/256/4096 for paco/counter and wrong-path-heavy configs, the
-whole ``AccuracyResult`` of every accuracy profile at the harness
-level, the reliability diagrams' float accumulators included, and the
-fused gate against the gated :class:`TraceSession` on tiny,
-wrong-path-heavy and phased specs).
+The same fragments also assemble the two-thread SMT loop,
+``_fused_smt_run``, which :meth:`TraceSMTCore.run
+<repro.backends.smt_trace.TraceSMTCore.run>` runs for every core the
+fig12 harness builds under ICOUNT, count or PaCo fetch arbitration
+(:func:`_smt_plan` admits two threads with one PaCo or one
+threshold-and-count predictor each).  Each thread's copy of a fragment
+is renamed with a ``t0_``/``t1_`` prefix, so every single-thread step
+source stays byte-identical (``tests/test_fused_sources.py``).  Its
+contract is bit-identity with ``TraceSMTCore._run_scalar``
+(``tests/test_smt_fused_parity.py``).  Every loop compiles lazily, at
+the first run of its shape.
+
+The session's contract is bit-identity with :class:`TraceSession`, which
+stays as the reference: the run-event stream, every statistic and every
+trained table must match exactly (``tests/test_backends.py`` pins block
+sizes 1/17/256/4096 for paco/counter and wrong-path-heavy configs, the
+whole ``AccuracyResult`` of every accuracy profile at the harness level,
+the reliability diagrams' float accumulators included, and the fused
+gate against the gated :class:`TraceSession` on tiny, wrong-path-heavy
+and phased specs).
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import re
 from typing import Optional
 
 from repro.backends.trace import TraceSession, _has_cycle_work
@@ -132,20 +145,9 @@ def _compile_method(name: str, source: str, scope: dict, tag: str = ""):
     return namespace[name]
 
 
-_PROLOGUE = '''\
-engine = self.fetch_engine
-stats = self.stats
-window = self._window
-observers = self.observers
-has_observers = bool(observers)
-events = self._events
-path_confidence = engine.path_confidence
-resolve_window = self.resolve_window
-kind_conditional = BranchKind.CONDITIONAL
-kind_call = BranchKind.CALL
-kind_return = BranchKind.RETURN
-kind_indirect = BranchKind.INDIRECT
-kind_indirect_call = BranchKind.INDIRECT_CALL
+#: The predictor stack's tables, masks and thresholds on locals, read
+#: from ``engine`` (the fetch engine).
+_PREDICTOR_HOISTS = '''\
 frontend = engine.frontend
 confidence = engine.confidence
 state = engine.state_engine
@@ -181,22 +183,10 @@ jrs_mask_v = state._jrs_mask
 jrs_max = state._jrs_max
 jrs_shift = state._jrs_enhanced_shift
 jrs_enh_bit = (1 << jrs_shift) if jrs_shift >= 0 else 0
-record_cls = BranchRecord
-record_new = BranchRecord.__new__
-thread_id = engine.generator.thread_id
-frontend_depth = self.config.frontend_depth
-redirect_penalty = self.config.redirect_penalty
-mispredict_window = self.mispredict_window
-log_one_minus_p = self._log_one_minus_p
-wp_rng = self._wp_gap_rng
-next_wp_block = engine.wrongpath_generator.next_branch_block
-wp_block = self._wp_block
-wp_cap = wp_block.capacity
-wp_pc = wp_block.pc
-wp_taken = wp_block.taken
-wp_target = wp_block.target
-wp_sid = wp_block.static_branch_id
-wp_pos = self._wp_pos
+'''
+
+#: The deferred predictor-stack counters (see :data:`_SYNC_BASE`).
+_DEFERRED_INIT = '''\
 eng_branches = 0
 eng_cond = 0
 fe_total = 0
@@ -215,6 +205,39 @@ ras_underflows = 0
 ind_lookups = 0
 ind_hits = 0
 '''
+
+_PROLOGUE = ('''\
+engine = self.fetch_engine
+stats = self.stats
+window = self._window
+observers = self.observers
+has_observers = bool(observers)
+events = self._events
+path_confidence = engine.path_confidence
+resolve_window = self.resolve_window
+kind_conditional = BranchKind.CONDITIONAL
+kind_call = BranchKind.CALL
+kind_return = BranchKind.RETURN
+kind_indirect = BranchKind.INDIRECT
+kind_indirect_call = BranchKind.INDIRECT_CALL
+''' + _PREDICTOR_HOISTS + '''\
+record_cls = BranchRecord
+record_new = BranchRecord.__new__
+thread_id = engine.generator.thread_id
+frontend_depth = self.config.frontend_depth
+redirect_penalty = self.config.redirect_penalty
+mispredict_window = self.mispredict_window
+log_one_minus_p = self._log_one_minus_p
+wp_rng = self._wp_gap_rng
+next_wp_block = engine.wrongpath_generator.next_branch_block
+wp_block = self._wp_block
+wp_cap = wp_block.capacity
+wp_pc = wp_block.pc
+wp_taken = wp_block.taken
+wp_target = wp_block.target
+wp_sid = wp_block.static_branch_id
+wp_pos = self._wp_pos
+''' + _DEFERRED_INIT)
 
 # ----- per-member setup / fetch / resolve / squash / sync fragments --- #
 
@@ -1953,3 +1976,565 @@ class FusedTraceSession(TraceSession):
         self._dv_plan = self._delivery_plan()
         self._fused_step(self, max_instructions, max_cycles)
 
+
+
+# --------------------------------------------------------------------- #
+# The two-thread SMT loop.
+#
+# ``TraceSMTCore.run``'s generated twin, one per (path confidence
+# member, arbitration) shape.  Each thread's predictor stack lives on its
+# own locals: the thread fragments below, and the single-thread
+# fragments they reuse, are written against unprefixed names, and
+# :func:`_per_thread` prefixes every name a thread's setup binds with
+# ``t0_`` or ``t1_``.  Good-path predicts, the drains' resolves and
+# squashes and PaCo's re-log check run inline.  The rare paths — a
+# wrong-path gap or branch, the due mispredict resolution — call the
+# thread's methods, which the scalar loop calls too: around each call
+# the locals the method reads or writes (the history register, the
+# in-flight count) are written back and reloaded, and before one that
+# can remove a branch from the member, the deferred outstanding count is
+# added to its owner (``_remove`` clamps it at zero).
+#
+# A thread's setup and sync run once per ``run()``, so they compile
+# apart, per member, as two small companions of the loop: the loop
+# unpacks the setup's values and passes its final ones to the sync.
+# That keeps the loop itself, the one large compile, to its hot paths.
+# --------------------------------------------------------------------- #
+
+#: One thread's hoists: its replay state, predictor stack, staged
+#: good-path buffers and deferred statistics (``thread`` is the
+#: :class:`~repro.backends.smt_trace.TraceSMTThread`).
+_SMT_SETUP = '''\
+engine = thread.fetch_engine
+stats = thread.stats
+window = thread.window
+inflight = thread.inflight
+next_seq = thread.next_seq
+stall = thread.fetch_stall_until
+pending_gap = thread.pending_gap
+wp_record = thread.wp_record
+wp_resolve_at = thread.wp_resolve_at
+''' + _PREDICTOR_HOISTS + '''\
+hist = history.value
+thread_id = engine.generator.thread_id
+generator = engine.generator
+phased = bool(generator.spec.phases)
+log_one_minus_p = thread.log_one_minus_p
+gap_buf = thread.gap_buf
+gap_cap = len(gap_buf)
+gap_pos = thread.gap_pos
+draw_gaps = thread.gap_rng.geometric_block
+block = thread.block
+block_cap = block.capacity
+block_pc = block.pc
+block_kinds = block.kind
+block_taken = block.taken
+block_target = block.target
+block_sid = block.static_branch_id
+block_pos = thread.block_pos
+next_block = generator.next_branch_block
+retired_own = 0
+good_fetched = 0
+bad_executed = 0
+branches_retired = 0
+granted = 0
+''' + _DEFERRED_INIT
+
+#: One thread's write-back: its replay state, its deferred statistics
+#: and the predictor stack's deferred counters (the member's follow).
+_SMT_SYNC = '''\
+thread.inflight = inflight
+thread.next_seq = next_seq
+thread.pending_gap = pending_gap
+thread.gap_pos = gap_pos
+thread.block_pos = block_pos
+history.value = hist
+stats.retired_instructions += retired_own
+stats.goodpath_fetched += good_fetched
+engine.goodpath_fetched += good_fetched
+stats.badpath_executed += bad_executed
+stats.branches_retired += branches_retired
+stats.fetch_cycles_granted += granted
+''' + _SYNC_BASE
+
+#: Adds a member's deferred outstanding count to its owner.
+_SMT_FLUSH = {
+    "paco": "paco._outstanding += paco_outstanding\npaco_outstanding = 0\n",
+    "tc": "tc._outstanding += tc_outstanding\ntc_outstanding = 0\n",
+}
+
+#: ``thread.on_cycle(cycle)`` for PaCo, called only when the re-log pass
+#: is due (``MispredictRateTable.maybe_relog``'s own test).
+_SMT_RELOG = '''\
+if cycle - mrt_last >= mrt_period:
+    paco.on_cycle(cycle)
+    mrt_last = mrt._last_relog_cycle
+'''
+
+#: The due mispredict resolution (``TraceSMTThread._resolve_due``).
+_SMT_DUE = '''\
+if wp_record is not None and cycle >= wp_resolve_at:
+    wp_record = None
+%(flush)s\
+    history.value = hist
+    thread.inflight = inflight
+    thread._resolve_due(cycle, redirect_penalty)
+    inflight = thread.inflight
+    hist = history.value
+    stall = thread.fetch_stall_until
+    retired += 1
+'''
+
+#: The granted thread's gap: a signed run of ``slots`` or ``slots - 1``
+#: slots clamped at the next pending resolution (``fetch_branch`` when a
+#: branch follows it).  An unphased generator's ``advance_instructions``
+#: is only the count.
+_SMT_GAP = '''\
+limit = next_due - cycle
+wrong_path = wp_record is not None
+if wrong_path:
+    thread.inflight = inflight
+    slots, fetch_branch = thread._wrongpath_gap(limit)
+    inflight = thread.inflight
+else:
+    gap = pending_gap
+    if not gap:
+        pos = gap_pos
+        if pos >= gap_cap:
+            draw_gaps(log_one_minus_p, gap_buf, gap_cap)
+            pos = 0
+        gap_pos = pos + 1
+        gap = gap_buf[pos]
+    if gap >= limit:
+        pending_gap = gap - limit
+        gap = slots = limit
+    else:
+        pending_gap = 0
+        slots = gap + 1
+        fetch_branch = True
+    if gap:
+        if phased:
+            remaining = gap
+            while remaining:
+                remaining -= generator.advance_instructions(remaining)
+        else:
+            generator.instructions_generated += gap
+        good_fetched += gap
+        if window and type(window[-1]) is int and window[-1] > 0:
+            window[-1] += gap
+        else:
+            window.append(gap)
+        inflight += gap
+granted += slots
+'''
+
+#: Good-path conditional predict (``predict_from_block`` inlined): the
+#: scalar-index predict of :data:`_PREDICT_WP` on the staged good-path
+#: block, with the thread's history local taking the speculative push.
+_SMT_PREDICT_COND = '''\
+pc = block_pc[i]
+pc_bits = pc >> 2
+gidx = (pc_bits ^ (hist & gshare_hmask)) & gshare_mask_v
+gshare_taken = gshare_table[gidx] >= gshare_threshold
+bidx = pc_bits & bimodal_mask_v
+bimodal_taken = bimodal_table[bidx] >= bimodal_threshold
+cidx = (pc_bits ^ (hist & chooser_hmask)) & chooser_mask_v
+chose_gshare = chooser[cidx] >= 2
+taken = gshare_taken if chose_gshare else bimodal_taken
+tag = pc_bits
+''' + _BTB_LOOKUP + '''\
+%(record_init)srecord.target = btb_target if taken else None
+record.btb_hit = btb_target is not None
+record.gshare_taken = gshare_taken
+record.gshare_index = gidx
+record.bimodal_taken = bimodal_taken
+record.bimodal_index = bidx
+record.chooser_index = cidx
+record.chose_gshare = chose_gshare
+ji = (pc_bits ^ (hist & jrs_hmask)) & jrs_mask_v
+if taken and jrs_enh_bit:
+    ji = (ji ^ jrs_enh_bit) & jrs_mask_v
+jrs_lookups += 1
+record.mdc_index = ji
+mdc = jrs_table[ji]
+record.mdc_value = mdc
+eng_branches += 1
+eng_cond += 1
+fe_total += 1
+fe_cond += 1
+actual = block_taken[i]
+mispredicted = taken != actual
+record.mispredicted = mispredicted
+if mispredicted:
+    fe_misp += 1
+    fe_cond_misp += 1
+record.path_token = record
+%(fetch_members)srecord.kind = kind_conditional
+record.out_taken = actual
+record.out_target = block_target[i]
+record.on_goodpath = True
+record.seq = seq
+hist = ((hist << 1) | (1 if taken else 0)) & hist_mask
+'''
+
+#: The granted thread's branch: the next wrong-path branch through
+#: ``TraceSMTThread._wrongpath_branch``, or the next good-path branch
+#: inline.  A mispredicted good-path branch becomes the thread's pending
+#: resolution, due a calibrated number of estimated cycles after its
+#: fetch however much wrong-path work the policy lets the thread fetch;
+#: it leaves ``record`` None.
+_SMT_FETCH = '''\
+seq = next_seq
+next_seq = seq + 1
+if wrong_path:
+    history.value = hist
+    record = thread._wrongpath_branch(seq)
+    hist = history.value
+else:
+    i = block_pos
+    if i >= block_cap:
+        next_block(seq, block_cap, block)
+        i = 0
+    block_pos = i + 1
+    kind = block_kinds[i]
+    if kind is kind_conditional:
+%(predict_cond)s\
+    else:
+%(predict_other)s\
+    good_fetched += 1
+    if mispredicted:
+        engine.on_wrong_path = True
+        engine._pending_mispredict_seq = seq
+        wp_record = thread.wp_record = record
+        wp_resolve_at = cycle + slots + mispredict_window
+        thread.wp_resolve_at = wp_resolve_at
+        if wp_resolve_at < next_due:
+            next_due = wp_resolve_at
+        record = None
+'''
+
+
+def _smt_drain(key: str) -> str:
+    """One thread's drain of ``count`` slots (zero indent).
+
+    Good-path records train and resolve (they are never mispredicted: a
+    mispredicted good-path branch becomes the pending resolution instead
+    of entering the window); wrong-path records, all conditional, repair
+    the history when mispredicted, as ``PredictorStateEngine.
+    resolve_record`` does, and squash.
+    """
+    member = _MEMBERS[key]
+    return '''\
+while count > 0 and window:
+    entry = window[0]
+    if type(entry) is int:
+        if entry > 0:
+            take = entry if entry <= count else count
+            retired_own += take
+            retired += take
+            if take < entry:
+                window[0] = entry - take
+            else:
+                window.popleft()
+        else:
+            take = -entry if -entry <= count else count
+            bad_executed += take
+            if take < -entry:
+                window[0] = entry + take
+            else:
+                window.popleft()
+        inflight -= take
+        count -= take
+        continue
+    window.popleft()
+    inflight -= 1
+    count -= 1
+    if not entry.on_goodpath:
+        entry.resolved = True
+        if entry.mispredicted:
+            hist = (((entry.history & hist_mask) << 1)
+                    | (1 if entry.out_taken else 0)) & hist_mask
+''' + _indent(member[5], 2) + '''\
+        bad_executed += 1
+        continue
+    if entry.is_conditional:
+        entry.resolved = True
+        actual = entry.out_taken
+''' + _indent(_TRAIN_COND + member[3], 2) + '''\
+    else:
+''' + _indent(_RESOLVE_OTHER, 2) + _indent(_BTB_TRAIN, 1) + '''\
+    retired_own += 1
+    retired += 1
+    branches_retired += 1
+'''
+
+
+def _replace_head(fragment: str, head: str, new: str) -> str:
+    """``fragment`` with its first line, which must be ``head``, replaced
+    by ``new`` (the single-thread fragments bind a session's names
+    there)."""
+    first, rest = fragment.split("\n", 1)
+    if first != head:
+        raise AssertionError(f"unexpected fragment head: {first!r}")
+    return new + rest
+
+
+def _smt_thread(key: str):
+    """Member ``key``'s thread fragments, unprefixed: ``(setup, sync,
+    relog, due, gap, drain-and-fetch)``.
+
+    The drain-and-fetch part drains ``count`` slots; the granted thread
+    (``grant == THREAD_N``) then fetches its branch and, when the branch
+    overflows the window, drains the one slot that completes.
+    """
+    setup = (_SMT_SETUP
+             + _replace_head(_MEMBERS[key][0], f"{key} = self._{key}",
+                             f"{key} = engine.path_confidence\n")
+             + (_PACO_SETUP_CYCLE if key == "paco" else ""))
+    fetch = _SMT_FETCH % {
+        "predict_cond": _indent(_SMT_PREDICT_COND % {
+            "record_init": _record_init("hist", "block_sid[i]",
+                                        key == "paco", False, False,
+                                        key == "tc", False),
+            "fetch_members": _MEMBERS[key][1],
+        }, 2),
+        # The column read of the single-thread predict: here the
+        # thread's history local already holds the value.
+        "predict_other": _indent(
+            _replace_head(_PREDICT_OTHER, "hist = col_f[i]", ""), 2),
+    }
+    part = ("count = inflight - resolve_window if grant == THREAD_N"
+            " else slots\n"
+            "while True:\n" + _indent(_smt_drain(key), 1) + '''\
+    if grant != THREAD_N or not fetch_branch:
+        break
+    fetch_branch = False
+''' + _indent(fetch, 1) + '''\
+    if record is None:
+        break
+    window.append(record)
+    inflight += 1
+    count = inflight - resolve_window
+''')
+    return (setup, _SMT_SYNC + _MEMBERS[key][6],
+            _SMT_RELOG if key == "paco" else "",
+            _SMT_DUE % {"flush": _indent(_SMT_FLUSH[key], 1)}, _SMT_GAP,
+            part)
+
+
+def _smt_names(setup: str) -> list:
+    """The names a thread's setup binds, in binding order."""
+    return list(dict.fromkeys(re.findall(r"^(\w+) = ", setup, re.M)))
+
+
+def _free_names(source: str, names) -> list:
+    """The members of ``names`` that ``source`` reads or writes."""
+    return [name for name in names
+            if re.search(r"(?<![\w.])" + name + r"\b", source)]
+
+
+def _per_thread(source: str, n: int, names) -> str:
+    """Thread ``n``'s copy of ``source``: every free occurrence of
+    ``names`` and of ``thread`` prefixed with ``t<n>_``, and the
+    ``THREAD_N`` placeholder replaced by ``n``.  Attribute names after a
+    dot stay as they are."""
+    pattern = r"(?<![\w.])(" + "|".join(
+        sorted([*names, "thread"], key=len, reverse=True)) + r")\b"
+    return re.sub(pattern, rf"t{n}_\1", source).replace("THREAD_N", str(n))
+
+
+def _name_tuple(names, level: int) -> str:
+    """``names`` as a parenthesized display, wrapped for indent
+    ``level`` (a call's argument list when it follows a name)."""
+    lines, line = [], ""
+    for name in names:
+        if line and len(line) + len(name) > 68 - 4 * level:
+            lines.append(line.rstrip())
+            line = ""
+        line += name + ", "
+    lines.append(line.rstrip())
+    return "(\n" + "".join("    " * (level + 1) + line + "\n"
+                           for line in lines) + "    " * level + ")"
+
+
+def _build_smt_companions(key: str) -> tuple:
+    """Member ``key``'s companion sources: ``_smt_hoist(thread)``, which
+    returns the values of the names a thread's setup binds, and
+    ``_smt_sync(thread, ...)``, which takes the final values of the ones
+    its sync reads."""
+    setup, sync = _smt_thread(key)[:2]
+    names = _smt_names(setup)
+    return ("def _smt_hoist(thread):\n" + _indent(setup, 1)
+            + "    return " + _name_tuple(names, 1) + "\n",
+            "def _smt_sync" + _name_tuple(
+                ["thread", *_free_names(sync, names)], 0)
+            + ":\n" + _indent(sync, 1))
+
+
+#: The inline fetch choice's first key per arbitration (None: ICOUNT
+#: only); ties go to ICOUNT, then to cycle parity.
+_SMT_KEYS = {"icount": None, "count": "tc._low_confidence_outstanding",
+             "paco": "paco.path_confidence_register"}
+
+
+def _build_smt_source(key: str, arbitration: str) -> str:
+    """Assemble ``_fused_smt_run``, the two-thread loop of one shape:
+    member ``key`` (``"paco"`` or ``"tc"``) on both threads, fetch choice
+    ``arbitration`` (a :data:`_SMT_KEYS` key).  It calls the companions
+    of :func:`_build_smt_companions` as ``smt_hoist`` and ``smt_sync``.
+    """
+    setup, sync, *loop = _smt_thread(key)
+    names = _smt_names(setup)
+    sync_names = _free_names(sync, names)
+    relog, due, gap, part = (
+        [_per_thread(piece, n, names) for n in (0, 1)] for piece in loop)
+    unpack, write_back = "", ""
+    for n in (0, 1):
+        unpack += (_name_tuple([f"t{n}_{name}" for name in names], 0)
+                   + f" = smt_hoist(t{n}_thread)\n")
+        write_back += "smt_sync" + _name_tuple(
+            [f"t{n}_thread", *(f"t{n}_{name}" for name in sync_names)],
+            0) + "\n"
+    icount = '''\
+key0 = t0_inflight + (t0_wp_record is not None)
+key1 = t1_inflight + (t1_wp_record is not None)
+if key0 == key1:
+    key0 = cycle & 1
+    key1 = 1 - key0
+'''
+    attr = _SMT_KEYS[arbitration]
+    if attr is None:
+        choice = icount
+    else:
+        choice = (f"key0 = t0_{attr}\nkey1 = t1_{attr}\nif key0 == key1:\n"
+                  + _indent(icount, 1))
+    choice += "grant = 0 if key0 < key1 else 1\n"
+    pending = '''\
+next_due = t0_wp_resolve_at if t0_wp_record is not None else never
+if t1_wp_record is not None and t1_wp_resolve_at < next_due:
+    next_due = t1_wp_resolve_at
+stall_min = min(t0_stall, t1_stall)
+stall_max = max(t0_stall, t1_stall)
+'''
+    return ('''\
+def _fused_smt_run(self, max_total_instructions, max_cycles):
+    """Fused-predictor twin of ``TraceSMTCore._run_scalar``: the same
+    grant loop, with both threads' predictor stacks on prefixed locals.
+    Returns the total retired instructions."""
+    threads = self.threads
+    t0_thread, t1_thread = threads
+    policy = self.fetch_policy
+    resolve_window = self.resolve_window
+    mispredict_window = self.mispredict_window
+    redirect_penalty = self.machine.redirect_penalty
+    kind_conditional = BranchKind.CONDITIONAL
+    kind_call = BranchKind.CALL
+    kind_return = BranchKind.RETURN
+    kind_indirect = BranchKind.INDIRECT
+    kind_indirect_call = BranchKind.INDIRECT_CALL
+    record_cls = BranchRecord
+    record_new = BranchRecord.__new__
+    never = 1 << 62
+''' + _indent(unpack + pending, 1) + '''\
+    cross_check = True
+    cycle = self._cycle
+    retired = t0_stats.retired_instructions + t1_stats.retired_instructions
+    while retired < max_total_instructions and cycle < max_cycles:
+''' + _indent(relog[0] + relog[1], 2) + '''\
+        if cycle >= next_due:
+''' + _indent(due[0] + due[1] + pending, 3) + '''\
+        if cycle >= stall_max:
+''' + _indent(choice, 3) + '''\
+            if cross_check:
+                # The first contested grant of every run() is also put
+                # to the policy, which must agree.
+                cross_check = False
+                t0_thread.inflight = t0_inflight
+                t1_thread.inflight = t1_inflight
+                chosen = policy.select(cycle, threads)
+                if threads[chosen] is not threads[grant]:
+                    raise RuntimeError(
+                        "inline fetch arbitration disagrees with "
+                        f"{policy.name}.select() at cycle {cycle}")
+        elif cycle < stall_min:
+            grant = 2
+        elif cycle >= t0_stall:
+            grant = 0
+        else:
+            grant = 1
+        fetch_branch = False
+        if grant == 0:
+''' + _indent(gap[0], 3) + '''\
+        elif grant == 1:
+''' + _indent(gap[1], 3) + '''\
+        else:
+            slots = min(stall_min, next_due) - cycle
+''' + _indent(part[0] + part[1], 2) + '''\
+        cycle += slots
+''' + _indent(write_back, 1) + '''\
+    self._cycle = cycle
+    self.stats.cycles = cycle
+    return retired
+''')
+
+
+def _smt_plan(threads) -> Optional[str]:
+    """The member key (``"paco"`` or ``"tc"``) of the generated SMT loop
+    that models these threads exactly, or None (run the scalar loop).
+
+    Both threads must carry exactly one :func:`_fused_plan` member of the
+    same kind as their whole path confidence predictor, share no
+    predictor state, and agree with their fetch engines on whether a
+    mispredict is pending.
+    """
+    if len(threads) != 2:
+        return None
+    keys = set()
+    for thread in threads:
+        engine = thread.fetch_engine
+        members = _fused_plan(engine)
+        if not members or len(members) != 1:
+            return None
+        ((key, member),) = members.items()
+        if (key not in ("paco", "tc")
+                or member is not engine.path_confidence):
+            return None
+        if engine.on_wrong_path != (thread.wp_record is not None):
+            return None
+        keys.add(key)
+    e0, e1 = (thread.fetch_engine for thread in threads)
+    if len(keys) != 1 or any(
+            a is b for a, b in zip(_smt_owned(e0), _smt_owned(e1))):
+        return None
+    return keys.pop()
+
+
+def _smt_owned(engine: FetchEngine) -> tuple:
+    """The objects one thread's generated loop writes through."""
+    return (engine, engine.generator, engine.wrongpath_generator,
+            engine.frontend, engine.confidence, engine.path_confidence,
+            engine.state_engine)
+
+
+def _smt_method(threads, arbitration: str):
+    """Compile (or fetch cached) the SMT loop modelling ``threads`` under
+    ``arbitration``, or None when :func:`_smt_plan` rejects them.
+
+    The loop runs in a copy of this module's globals that also holds its
+    member's companions, compiled apart first.
+    """
+    key = _smt_plan(threads)
+    if key is None:
+        return None
+    flags = ("smt", key, arbitration)
+    method = _FUSED_CACHE.get(flags)
+    if method is None:
+        scope = dict(globals())
+        hoist, sync = _build_smt_companions(key)
+        scope["smt_hoist"] = _compile_method("_smt_hoist", hoist, scope, key)
+        scope["smt_sync"] = _compile_method("_smt_sync", sync, scope, key)
+        method = _compile_method("_fused_smt_run",
+                                 _build_smt_source(key, arbitration),
+                                 scope, f"{key}-{arbitration}")
+        _FUSED_CACHE[flags] = method
+    return method

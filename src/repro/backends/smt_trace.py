@@ -25,9 +25,29 @@ resolution, which happens at its recorded estimated cycle: resolve,
 squash younger wrong-path work, recover, retire the branch, and stall
 the thread's fetch for the redirect penalty.
 
-**Staging.**  :meth:`TraceSMTCore.run` is one loop on locals.  Branch
-content is generated ahead into per-thread buffers and consumed in
-order, which reorders no stream's draws:
+**Two loops.**  :meth:`TraceSMTCore.run` runs one of two loops with the
+same grant skeleton.  For two threads under ICOUNT or the count or PaCo
+confidence policy (exact types, over exact predictor types), each thread
+carrying one PaCo or one threshold-and-count predictor, it runs the loop
+:mod:`repro.backends.fused` generates for that (predictor, policy) shape:
+both threads' predictor stacks on prefixed locals, every good-path
+predict and every resolve or squash in the drains inline, PaCo's re-log
+only when due.  Wrong-path gaps and branches and the due mispredict
+resolution go through the thread methods both loops share.  Every other
+core runs :meth:`TraceSMTCore._run_scalar`, which predicts and resolves
+every branch through the thread's
+:class:`~repro.pipeline.fetch.FetchEngine`; it is the bit-identical
+reference (``tests/test_smt_fused_parity.py``).
+
+Both loops arbitrate ICOUNT and the count and PaCo confidence policies
+inline on the live counters with the policies' tie-breaks, and put only
+the first contested grant of each ``run()`` to ``select()`` as a
+cross-check; every other policy is asked through ``select()`` every
+grant.  Threads must share no predictor state: a step drains the other
+threads before the granted thread predicts its branch.
+
+**Staging.**  Branch content is generated ahead into per-thread buffers
+and consumed in order, which reorders no stream's draws:
 
 * an unphased thread's good-path branches come ``BRANCH_STAGE`` at a
   time from ``WorkloadGenerator.next_branch_block``; a phased thread
@@ -38,13 +58,6 @@ order, which reorders no stream's draws:
   wrong-path site set is built once and never changes at phase rolls;
 * gaps stay on their own buffered streams (``GAP_BUFFER``), because
   gaps and branches are not in lockstep (see the deviation below).
-
-For ICOUNT and the count and PaCo confidence policies (exact types, over
-exact predictor types, two threads) the loop arbitrates inline on the
-live counters with the policies' tie-breaks, and puts only the first
-contested grant of each ``run()`` to ``select()`` as a cross-check;
-every other policy is asked through ``select()`` every grant.  Threads must share no predictor state: a step
-drains the other threads before the granted thread predicts its branch.
 
 **Known model deviation.**  A grant clamped at a pending resolution
 banks the rest of its gap as ``pending_gap``.  When the clamp consumes
@@ -64,8 +77,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence, Tuple
 
+from repro.backends.fused import _smt_method
 from repro.backends.trace import _has_cycle_work
 from repro.branch_predictor.engine import BranchRecord
 from repro.common.rng import RngPool
@@ -98,8 +112,9 @@ BRANCH_STAGE = 64
 #: ``next_due`` when no mispredict is pending: later than any run ends.
 _NEVER = 1 << 62
 
-#: Inline arbitration modes of :meth:`TraceSMTCore._arbitration`.
-_SELECT, _ICOUNT, _COUNT, _PACO = range(4)
+#: Arbitration modes of :meth:`TraceSMTCore._arbitration`; the inline
+#: ones double as the generated loop's arbitration key.
+_SELECT, _ICOUNT, _COUNT, _PACO = "select", "icount", "count", "paco"
 
 
 class TraceSMTThread(ThreadView):
@@ -152,6 +167,80 @@ class TraceSMTThread(ThreadView):
         self.on_cycle = (confidence.on_cycle
                          if _has_cycle_work(confidence) else None)
 
+    def _resolve_due(self, cycle: int, redirect_penalty: int) -> None:
+        """Resolve the pending mispredict at ``cycle``: resolve the
+        branch, squash younger wrong-path work, recover, retire the
+        branch and stall fetch for the redirect penalty.  The caller adds
+        the retired branch to its running total."""
+        record = self.wp_record
+        self.wp_record = None
+        engine = self.fetch_engine
+        engine.resolve_record(record)
+        window = self.window
+        while window:
+            entry = window[-1]
+            if type(entry) is int:
+                if entry > 0:
+                    break
+                window.pop()
+                self.inflight += entry  # entry is negative
+            elif entry.on_goodpath:
+                break
+            else:
+                window.pop()
+                self.inflight -= 1
+                engine.squash_record(entry)
+        engine.recover(record)
+        stats = self.stats
+        stats.retired_instructions += 1
+        stats.branches_retired += 1
+        if record.mispredicted:
+            stats.branch_mispredicts_retired += 1
+        self.fetch_stall_until = max(self.fetch_stall_until,
+                                     cycle + redirect_penalty)
+
+    def _wrongpath_gap(self, limit: int) -> Tuple[int, bool]:
+        """Fetch the next wrong-path gap, clamped at ``limit`` slots (the
+        remainder is dropped).  Returns ``(slots, fetch_branch)``: the
+        slots the grant takes, and whether a branch follows the gap."""
+        pos = self.wp_gap_pos
+        if pos >= GAP_BUFFER:
+            self.wp_gap_rng.geometric_block(self.log_one_minus_p,
+                                            self.wp_gap_buf, GAP_BUFFER)
+            pos = 0
+        self.wp_gap_pos = pos + 1
+        gap = self.wp_gap_buf[pos]
+        if gap >= limit:
+            gap = slots = limit
+        else:
+            slots = gap + 1
+        if gap:
+            self.fetch_engine.badpath_fetched += gap
+            self.stats.badpath_fetched += gap
+            window = self.window
+            last = window[-1] if window else None
+            if type(last) is int and last < 0:
+                window[-1] = last - gap
+            else:
+                window.append(-gap)
+            self.inflight += gap
+        return slots, slots > gap
+
+    def _wrongpath_branch(self, seq: int) -> BranchRecord:
+        """Fetch and predict the next staged wrong-path branch."""
+        block = self.wp_block
+        pos = self.wp_block_pos
+        engine = self.fetch_engine
+        if pos >= block.capacity:
+            engine.wrongpath_generator.next_branch_block(block,
+                                                         block.capacity)
+            pos = 0
+        self.wp_block_pos = pos + 1
+        record = engine.predict_from_block(block, pos, seq, False)
+        engine.badpath_fetched += 1
+        self.stats.badpath_fetched += 1
+        return record
+
     @property
     def in_flight_instructions(self) -> int:
         return self.inflight + (1 if self.wp_record is not None else 0)
@@ -191,7 +280,7 @@ class TraceSMTCore:
     def cycle(self) -> int:
         return self._cycle
 
-    def _arbitration(self) -> int:
+    def _arbitration(self) -> str:
         """Which fetch choice :meth:`run` computes inline (``_SELECT``:
         none, ask the policy)."""
         if len(self.threads) != 2:
@@ -218,15 +307,39 @@ class TraceSMTCore:
         :class:`~repro.pipeline.core.SimulationTruncated` with the
         partial statistics attached.
 
-        Each pass of the loop is one arbitration event: per-cycle
-        predictor work and due mispredict resolutions, the fetch choice,
-        the granted thread's gap (or the clamped prefix of it), the
-        drains of every window, then the granted thread's branch.
+        A core whose fetch choice is inline (:meth:`_arbitration`) and
+        whose threads each carry one PaCo or one threshold-and-count
+        predictor runs the loop :mod:`repro.backends.fused` generates for
+        that shape, bit-identical to :meth:`_run_scalar`, which runs
+        every other core and stays the reference.
         """
         if max_total_instructions <= 0:
             raise ValueError("instruction budget must be positive")
         if max_cycles is None:
             max_cycles = max_total_instructions * 40
+        arbitration = self._arbitration()
+        method = (None if arbitration == _SELECT
+                  else _smt_method(self.threads, arbitration))
+        if method is None:
+            retired = self._run_scalar(max_total_instructions, max_cycles)
+        else:
+            retired = method(self, max_total_instructions, max_cycles)
+        if retired < max_total_instructions:
+            raise SimulationTruncated(self.stats, max_total_instructions,
+                                      max_cycles)
+        return self.stats
+
+    def _run_scalar(self, max_total_instructions: int,
+                    max_cycles: int) -> int:
+        """The reference loop: every branch through the thread's
+        :class:`~repro.pipeline.fetch.FetchEngine`.  Returns the total
+        retired instructions.
+
+        Each pass of the loop is one arbitration event: per-cycle
+        predictor work and due mispredict resolutions, the fetch choice,
+        the granted thread's gap (or the clamped prefix of it), the
+        drains of every window, then the granted thread's branch.
+        """
         threads = self.threads
         policy = self.fetch_policy
         resolve_window = self.resolve_window
@@ -255,36 +368,12 @@ class TraceSMTCore:
                 for thread in threads:
                     if thread.on_cycle is not None:
                         thread.on_cycle(cycle)
-                    record = thread.wp_record
-                    if record is None or cycle < thread.wp_resolve_at:
+                    if (thread.wp_record is None
+                            or cycle < thread.wp_resolve_at):
                         continue
                     resolved = True
-                    thread.wp_record = None
-                    engine = thread.fetch_engine
-                    engine.resolve_record(record)
-                    window = thread.window
-                    while window:
-                        entry = window[-1]
-                        if type(entry) is int:
-                            if entry > 0:
-                                break
-                            window.pop()
-                            thread.inflight += entry  # entry is negative
-                        elif entry.on_goodpath:
-                            break
-                        else:
-                            window.pop()
-                            thread.inflight -= 1
-                            engine.squash_record(entry)
-                    engine.recover(record)
-                    stats = thread.stats
-                    stats.retired_instructions += 1
-                    stats.branches_retired += 1
-                    if record.mispredicted:
-                        stats.branch_mispredicts_retired += 1
+                    thread._resolve_due(cycle, redirect_penalty)
                     retired += 1
-                    thread.fetch_stall_until = max(
-                        thread.fetch_stall_until, cycle + redirect_penalty)
                 if resolved:
                     next_due = min([t.wp_resolve_at for t in threads
                                     if t.wp_record is not None],
@@ -345,24 +434,7 @@ class TraceSMTCore:
                 limit = next_due - cycle
                 wrong_path = engine.on_wrong_path
                 if wrong_path:
-                    pos = thread.wp_gap_pos
-                    if pos >= GAP_BUFFER:
-                        thread.wp_gap_rng.geometric_block(
-                            thread.log_one_minus_p, thread.wp_gap_buf,
-                            GAP_BUFFER)
-                        pos = 0
-                    thread.wp_gap_pos = pos + 1
-                    gap = thread.wp_gap_buf[pos]
-                    if gap >= limit:
-                        # The wrong-path gap's remainder is dropped.
-                        gap = slots = limit
-                    else:
-                        slots = gap + 1
-                        fetch_branch = True
-                    if gap:
-                        engine.badpath_fetched += gap
-                        stats.badpath_fetched += gap
-                        gap = -gap
+                    slots, fetch_branch = thread._wrongpath_gap(limit)
                 else:
                     gap = thread.pending_gap
                     if not gap:
@@ -391,14 +463,13 @@ class TraceSMTCore:
                                 remaining)
                         engine.goodpath_fetched += gap
                         stats.goodpath_fetched += gap
-                if gap:
-                    window = thread.window
-                    last = window[-1] if window else None
-                    if type(last) is int and (last > 0) == (gap > 0):
-                        window[-1] = last + gap
-                    else:
-                        window.append(gap)
-                    thread.inflight += gap if gap > 0 else -gap
+                        window = thread.window
+                        last = window[-1] if window else None
+                        if type(last) is int and last > 0:
+                            window[-1] = last + gap
+                        else:
+                            window.append(gap)
+                        thread.inflight += gap
 
             # Drains: the other threads complete one slot per elapsed
             # cycle; the granted thread completes its window overflow
@@ -452,17 +523,7 @@ class TraceSMTCore:
                     seq = thread.next_seq
                     thread.next_seq = seq + 1
                     if wrong_path:
-                        block = thread.wp_block
-                        pos = thread.wp_block_pos
-                        if pos >= block.capacity:
-                            engine.wrongpath_generator.next_branch_block(
-                                block, block.capacity)
-                            pos = 0
-                        thread.wp_block_pos = pos + 1
-                        record = engine.predict_from_block(block, pos, seq,
-                                                           False)
-                        engine.badpath_fetched += 1
-                        stats.badpath_fetched += 1
+                        record = thread._wrongpath_branch(seq)
                     else:
                         block = thread.block
                         pos = thread.block_pos
@@ -523,10 +584,7 @@ class TraceSMTCore:
 
         self._cycle = cycle
         self.stats.cycles = cycle
-        if retired < max_total_instructions:
-            raise SimulationTruncated(self.stats, max_total_instructions,
-                                      max_cycles)
-        return self.stats
+        return retired
 
 
 def build_trace_smt_core(fetch_engines: Sequence[FetchEngine],

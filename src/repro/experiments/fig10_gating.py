@@ -115,18 +115,6 @@ class Fig10Result:
             for name, point in self.best_points.items()
         ]
 
-    def paco_beats_best_counter(self) -> bool:
-        """The paper's comparative claim: at comparable (non-negative-impact)
-        operating points, PaCo removes more bad-path work than any
-        threshold-and-count configuration."""
-        paco = self.best_points.get("paco")
-        if paco is None:
-            return False
-        counters = [p for name, p in self.best_points.items() if name != "paco"]
-        if not counters:
-            return True
-        return paco.badpath_reduction >= max(c.badpath_reduction for c in counters)
-
 
 def run(config: Optional[GatingSweepConfig] = None,
         quick: bool = False,

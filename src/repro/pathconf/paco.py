@@ -137,11 +137,6 @@ class PaCoPredictor(PathConfidencePredictor):
     # outputs
     # ------------------------------------------------------------------ #
 
-    @property
-    def encoded_goodpath_probability(self) -> int:
-        """The raw content of the path confidence register (higher = less confident)."""
-        return self.path_confidence_register
-
     def goodpath_probability(self) -> float:
         """Decode the register into a real probability (evaluation use only)."""
         register = self.path_confidence_register

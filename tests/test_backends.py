@@ -38,13 +38,15 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
+from repro.backends import smt_trace
 from repro.backends import trace as trace_backend
-from repro.backends.cycle import CycleSession
+from repro.backends.cycle import CycleSession, build_confidence, build_frontend
 from repro.backends.fused import (
     FusedTraceSession,
     _build_step_source,
     _fused_methods,
 )
+from repro.backends.smt_trace import TraceSMTCore, build_trace_smt_core
 from repro.campaign import CampaignSpec, CampaignSpecError, build_plan, preset
 from repro.eval.harness import (
     accuracy_predictors_for,
@@ -53,6 +55,7 @@ from repro.eval.harness import (
     run_accuracy_experiment,
     run_gating_experiment,
     run_single_thread_ipc,
+    run_smt_experiment,
 )
 from repro.eval.observers import (
     CounterGoodpathObserver,
@@ -64,7 +67,10 @@ from repro.pathconf.composite import CompositePathConfidence
 from repro.pathconf.paco import PaCoPredictor
 from repro.pathconf.static_mrt import StaticMRTPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import InstanceObserver, SimulationTruncated
+from repro.pipeline.fetch import FetchEngine
+from repro.pipeline.fetch_policy import ICountPolicy
 from repro.pipeline.gating import (
     CountGating,
     NoGating,
@@ -1316,6 +1322,68 @@ class TestFusedSessionRouting:
                 fetch_engine, small_machine, 16, 8,
                 {"paco": path_confidence},
                 gating_policy=ProbabilityGating(path_confidence, 0.5))
+
+
+class TestFusedSMTRouting:
+    """``TraceSMTCore.run`` takes the generated two-thread loop for every
+    core the SMT harness builds under ICOUNT, count and PaCo policies,
+    and the scalar loop for every other core, so a core that loses the
+    generated loop fails here instead of silently running slower."""
+
+    @staticmethod
+    def _loops(monkeypatch) -> list:
+        """The loop each ``run()`` takes, in order."""
+        loops = []
+        run_scalar = TraceSMTCore._run_scalar
+        choose = smt_trace._smt_method
+
+        def scalar_spy(self, *args):
+            loops.append("scalar")
+            return run_scalar(self, *args)
+
+        def choose_spy(threads, arbitration):
+            method = choose(threads, arbitration)
+            if method is not None:
+                loops.append("generated")
+            return method
+
+        monkeypatch.setattr(TraceSMTCore, "_run_scalar", scalar_spy)
+        monkeypatch.setattr(smt_trace, "_smt_method", choose_spy)
+        return loops
+
+    @pytest.mark.parametrize("policy, loop", [
+        ("icount", "generated"), ("count", "generated"),
+        ("paco", "generated"), ("round-robin", "scalar")])
+    def test_harness_cores(self, monkeypatch, policy, loop):
+        loops = self._loops(monkeypatch)
+        run_smt_experiment("gzip", "vortex", policy=policy,
+                           instructions=2_000, warmup_instructions=500,
+                           backend="trace", measure_single_ipcs=False)
+        assert loops == [loop] * 2  # the warm-up leg and the measured one
+
+    @pytest.mark.parametrize("stack", ["custom", "mixed"])
+    def test_unmodelled_stacks_take_scalar_loop(self, monkeypatch, stack):
+        """ICOUNT is arbitrated inline over any predictors, but only
+        threads that each carry one PaCo or one threshold-and-count
+        predictor, of the same kind, get the generated loop."""
+        predictors = {
+            "custom": [_CustomPathConfidence(), _CustomPathConfidence()],
+            "mixed": [PaCoPredictor(), ThresholdAndCountPredictor()],
+        }[stack]
+        machine = MachineConfig.smt_8wide()
+        engines = [FetchEngine(
+            generator=WorkloadGenerator(get_benchmark(name), seed=1 + tid,
+                                        thread_id=tid),
+            frontend=build_frontend(machine),
+            confidence=build_confidence(machine),
+            path_confidence=predictor, wrongpath_seed=11 + tid)
+            for tid, (name, predictor) in enumerate(
+                zip(("gzip", "vortex"), predictors))]
+        core = build_trace_smt_core(engines, fetch_policy=ICountPolicy())
+        assert core._arbitration() == smt_trace._ICOUNT
+        loops = self._loops(monkeypatch)
+        core.run(2_000)
+        assert loops == ["scalar"]
 
 
 class _SubclassedMultiObserver(MultiPredictorObserver):

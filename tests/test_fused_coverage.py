@@ -1,4 +1,4 @@
-"""The fused trace session keeps every unphased branch in its generated step.
+"""The generated loops keep every hot branch path out of the scalar chain.
 
 On an unphased benchmark the only way out of the fused loop would be the
 scalar machinery: the per-record ``FetchEngine`` entry points, the scalar
@@ -7,8 +7,15 @@ draws.  These tests run the fig10 gating stacks (ungated, count and PaCo
 gating) and the ``full`` accuracy stack on gzip and twolf with a spy on
 each of those entry points and assert that none is reached: good-path
 conditionals and non-conditionals, wrong-path episodes and their tails
-all run inside ``_fused_step_block``.  Deterministic: the counts are of
-calls, not of time.
+all run inside ``_fused_step_block``.
+
+The SMT core's generated loop keeps every good-path branch: fig12's
+ICOUNT, count and PaCo policies on an unphased pair and on a phased one,
+with spies asserting that no good-path branch is predicted, and no
+correctly predicted good-path branch resolved, through the
+``FetchEngine`` entry points, and that PaCo's ``on_cycle`` runs only
+when a re-log pass is due.  Deterministic: the counts are of calls, not
+of time.
 """
 
 from __future__ import annotations
@@ -16,8 +23,14 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.fused import FusedTraceSession
+from repro.backends.smt_trace import TraceSMTCore
 from repro.backends.trace import TraceBackend, TraceSession
-from repro.eval.harness import run_accuracy_experiment, run_gating_experiment
+from repro.eval.harness import (
+    run_accuracy_experiment,
+    run_gating_experiment,
+    run_smt_experiment,
+)
+from repro.pathconf.paco import PaCoPredictor
 from repro.pipeline.fetch import FetchEngine
 from repro.workloads.generator import WrongPathGenerator
 
@@ -83,3 +96,56 @@ def test_unphased_sessions_never_leave_the_fused_step(monkeypatch, bench,
     assert result.stats.flushes > 100
     assert wrongpath_sizes and 1 not in wrongpath_sizes
     assert calls == {}
+
+
+@pytest.mark.parametrize("policy", ["icount", "count", "paco"])
+@pytest.mark.parametrize("pair", [("gzip", "vortex"), ("crafty", "gcc")],
+                         ids=["gzip+vortex", "crafty+gcc"])
+def test_smt_good_path_never_leaves_the_generated_loop(monkeypatch, pair,
+                                                       policy):
+    calls = {"wrong-path predicts": 0, "mispredict resolves": 0,
+             "relogs": 0}
+    violations = []
+    predict = FetchEngine.predict_from_block
+    resolve = FetchEngine.resolve_record
+    on_cycle = PaCoPredictor.on_cycle
+    run_scalar = TraceSMTCore._run_scalar
+
+    def predict_spy(self, block, i, seq, on_goodpath=True):
+        if on_goodpath:
+            violations.append(("good-path predict", seq))
+        else:
+            calls["wrong-path predicts"] += 1
+        return predict(self, block, i, seq, on_goodpath)
+
+    def resolve_spy(self, record):
+        if record.on_goodpath and not record.mispredicted:
+            violations.append(("correct good-path resolve", record.seq))
+        elif record.on_goodpath:
+            calls["mispredict resolves"] += 1
+        return resolve(self, record)
+
+    def on_cycle_spy(self, cycle):
+        mrt = self.mrt
+        if cycle - mrt._last_relog_cycle < mrt.relog_period_cycles:
+            violations.append(("idle on_cycle", cycle))
+        calls["relogs"] += 1
+        return on_cycle(self, cycle)
+
+    def scalar_spy(self, *args):
+        violations.append(("scalar loop", None))
+        return run_scalar(self, *args)
+
+    monkeypatch.setattr(FetchEngine, "predict_from_block", predict_spy)
+    monkeypatch.setattr(FetchEngine, "resolve_record", resolve_spy)
+    monkeypatch.setattr(PaCoPredictor, "on_cycle", on_cycle_spy)
+    monkeypatch.setattr(TraceSMTCore, "_run_scalar", scalar_spy)
+    run_smt_experiment(*pair, policy=policy, instructions=20_000,
+                       warmup_instructions=2_000, relog_period_cycles=5_000,
+                       backend="trace", measure_single_ipcs=False)
+    assert violations == []
+    # The run mispredicted, fetched down wrong paths and (under PaCo)
+    # re-logged, so the spies covered those paths.
+    assert calls["wrong-path predicts"] > 100
+    assert calls["mispredict resolves"] > 100
+    assert (calls["relogs"] > 0) == (policy == "paco")
