@@ -33,8 +33,11 @@ predictor-stack shape:
 * observer delivery is inlined too when the attached observers are the
   accuracy harness's kinds over the stack's own members: per block,
   :meth:`FusedTraceSession._delivery_plan` resolves the diagram and
-  counter targets the generated delivery writes directly, and any other
-  observer set delivers through ``record_runs``.
+  counter targets every delivery site of the step (the episode tail's
+  included) writes directly — a diagram into step-local columns that
+  :meth:`FusedTraceSession._write_back` folds into its bins once the
+  step returns — and any other observer set delivers through
+  ``record_runs``.
 
 Only phase-boundary branches run the scalar machinery on the shared
 state: they step through :meth:`TraceSession._step_boundary_branch`
@@ -268,8 +271,10 @@ _PBM_SETUP = '''\
 pbm = self._pbm
 pbm_correct = pbm._correct
 pbm_total = pbm._total
-pbm_memo = self._pbm_memo
-pbm_encode = pbm._encoded_for
+pbm_neg_scale = -pbm.scale
+pbm_clamp = pbm.clamp
+log2 = math.log2
+ceil = math.ceil
 pbm_hmask = pbm._history_mask
 pbm_mask_v = pbm._mask
 pbm_outstanding = 0
@@ -305,15 +310,20 @@ smrt.path_confidence_register += enc
 smrt_outstanding += 1
 '''
 
-# The per-branch MRT's encoded probability is a float log of the entry's
-# (correct, total) counters; memoizing on that pair keeps the fused loop
-# off the float/log path for the (dominant) repeated-counter lookups.
+#: ``PerBranchMRTPredictor._encoded_for`` inlined: the entry's long-run
+#: rate through the arms of ``encode_probability_exact``.
 _PBM_FETCH_TAIL = '''\
-pkey = (pbm_correct[pidx], pbm_total[pidx])
-enc = pbm_memo.get(pkey)
-if enc is None:
-    enc = pbm_encode(pidx)
-    pbm_memo[pkey] = enc
+pbm_p = pbm_correct[pidx] / pbm_total[pidx]
+if pbm_p <= 0.0:
+    enc = pbm_clamp
+elif pbm_p >= 1.0:
+    enc = 0
+else:
+    enc = ceil(pbm_neg_scale * log2(pbm_p))
+    if enc < 0:
+        enc = 0
+    if enc > pbm_clamp:
+        enc = pbm_clamp
 record.table_index = pidx
 record.pbm_encoded = enc
 pbm.path_confidence_register += enc
@@ -884,12 +894,12 @@ else:
 #: loop for more — so the float stays bit-identical to the observers'.
 _EVENTS_ACCUMULATE = '''\
 if dv_weights is None:
-    dv_bucket.predicted_sum += dv_p * dv_inst
+    dv_sums[dv_bi] += dv_p * dv_inst
 else:
-    dv_ps = dv_bucket.predicted_sum
+    dv_ps = dv_sums[dv_bi]
     for dv_w in dv_weights:
         dv_ps += dv_p * dv_w
-    dv_bucket.predicted_sum = dv_ps
+    dv_sums[dv_bi] = dv_ps
 '''
 
 #: The fold of the 1-2 open runs when nothing is buffered: the same
@@ -903,27 +913,26 @@ dv_good = dv_inst if run_goodpath else 0
 #: the order the tuples would have been buffered in.
 _LOCAL_ACCUMULATE = '''\
 if run_fetch:
-    dv_bucket.predicted_sum += dv_p * run_fetch
+    dv_sums[dv_bi] += dv_p * run_fetch
 if run_execute:
-    dv_bucket.predicted_sum += dv_p * run_execute
+    dv_sums[dv_bi] += dv_p * run_execute
 '''
 
-#: One diagram target: the probability memo keyed on the raw register
-#: (each admitted predictor's probability is a pure function of it), the
-#: bin resolution of ``ReliabilityDiagram.record``, the batch's terms,
-#: then the integer totals.
+#: One diagram target: the ``(probability, bin)`` memo keyed on the raw
+#: register (each admitted predictor's probability is a pure function of
+#: it), the batch's terms into the local ``predicted_sum`` column, then
+#: the local integer columns.  :meth:`FusedTraceSession._write_back`
+#: folds the columns into the diagram (the target's last element) once
+#: the step returns.
 _DIAG_DELIVER = '''\
-for dv_pred, dv_probs, dv_bins, dv_nb, dv_diag in dv_diags:
-    dv_p = dv_probs.get(dv_pred.path_confidence_register)
-    if dv_p is None:
-        dv_p = _memo_probability(dv_pred, dv_probs)
-    dv_bi = int(dv_p * dv_nb)
-    dv_bucket = dv_bins[dv_bi if dv_bi < dv_nb else dv_nb - 1]
+for dv_pred, dv_memo, dv_sums, dv_ins, dv_gps, dv_diag in dv_diags:
+    dv_pb = dv_memo.get(dv_pred.path_confidence_register)
+    if dv_pb is None:
+        dv_pb = _memo_probability(dv_pred, dv_memo, len(dv_sums))
+    dv_p, dv_bi = dv_pb
 %(accumulate)s\
-    dv_bucket.instances += dv_inst
-    dv_bucket.goodpath_instances += dv_good
-    dv_diag.total_instances += dv_inst
-    dv_diag.total_goodpath += dv_good
+    dv_ins[dv_bi] += dv_inst
+    dv_gps[dv_bi] += dv_good
 '''
 
 #: Every counter target reads the session's own count member once.
@@ -936,19 +945,21 @@ for dv_ci, dv_cg, dv_max in dv_counters:
 '''
 
 
-def _memo_probability(predictor, memo: dict) -> float:
+def _memo_probability(predictor, memo: dict, num_bins: int) -> tuple:
     """Decode ``predictor``'s probability into ``memo`` (a delivery's miss).
 
-    Stores the value ``ReliabilityDiagram.record`` would bin — clamped
-    into [0, 1] — under the register it was decoded from.
+    Stores what ``ReliabilityDiagram.record`` computes for a diagram of
+    ``num_bins`` bins — the probability clamped into [0, 1] and its bin
+    index — under the register it was decoded from.
     """
     if len(memo) > (1 << 20):  # unbounded-growth guard
         memo.clear()
     probability = predictor.goodpath_probability()
     if not 0.0 <= probability <= 1.0:
         probability = min(max(probability, 0.0), 1.0)
-    memo[predictor.path_confidence_register] = probability
-    return probability
+    entry = (probability, min(int(probability * num_bins), num_bins - 1))
+    memo[predictor.path_confidence_register] = entry
+    return entry
 
 
 def _plan_targets(has_paco: bool, has_static: bool, has_pbm: bool,
@@ -957,9 +968,12 @@ def _plan_targets(has_paco: bool, has_static: bool, has_pbm: bool,
 
     ``(diagrams, counters)``: a diagram loop when the stack has a
     probability member a plan can target, a counter loop when it has the
-    count member.  Gated shapes (no campaign attaches observers to them)
-    and member-less shapes deliver generically only, which keeps their
-    generated source to the size it needs.
+    count member.  A diagram loop accumulates into the plan's local
+    columns, so no delivery inside such a step may call ``record_runs``
+    (it would write the diagram behind them): the episode tail delivers
+    inline as well.  Gated shapes (no campaign attaches observers to
+    them) and member-less shapes deliver generically only, which keeps
+    their generated source to the size it needs.
     """
     diagrams = has_paco or has_static or has_pbm
     if gate is not None or not (diagrams or has_tc):
@@ -1417,20 +1431,16 @@ issued = bad_fetched - wp_start
 
 #: The episode tail (``TraceSession._finish_wrongpath``, inlined):
 #: account the wrong-path slots estimated to have issued, close and
-#: deliver the open runs through the generic ``_flush_runs``, resolve the
-#: trigger (history repair, training, MDC reset, the members' resolve),
-#: squash every younger wrong-path entry, retire the trigger, and charge
-#: the redirect penalty before the tick.
+#: deliver the open runs (``%(deliver)s``), resolve the trigger (history
+#: repair, training, MDC reset, the members' resolve), squash every
+#: younger wrong-path entry, retire the trigger, and charge the redirect
+#: penalty before the tick.
 _TAIL = '''\
 issued -= frontend_depth
 if issued > 0:
     bad_executed += issued
 if has_observers:
-    self._cycle = cycle
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    self._flush_runs()
+%(deliver)s\
 run_fetch = 0
 run_execute = 0
 flushes += 1
@@ -1470,6 +1480,16 @@ run_execute += 1
 stall_cycles += redirect_penalty
 cycle += redirect_penalty
 %(tick)s'''
+
+#: The episode tail's delivery where no step-local diagram column can go
+#: stale: the generic ``_flush_runs`` on the synced open runs.
+_TAIL_FLUSH = '''\
+self._cycle = cycle
+self._run_fetch = run_fetch
+self._run_execute = run_execute
+self._run_goodpath = run_goodpath
+self._flush_runs()
+'''
 
 
 def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
@@ -1544,7 +1564,10 @@ wp_state = wp_rng._state
             relog_limit=_indent(_RELOG_LIMIT, 2) if cycle_work else "",
             batch_tick=_indent(_TICK_DELIVER, 3) if cycle_work else "")
         wp_sync = "wp_rng._state = wp_state\n"
+    tail_deliver = (_runs_delivery("", targets)
+                    if targets is not None and targets[0] else _TAIL_FLUSH)
     tail = _TAIL % {
+        "deliver": _indent(tail_deliver, 1),
         "train": _indent(_TRAIN_COND_MISP, 1),
         "resolve_misp": _indent(resolve_misp, 1),
         "resolve_other": _indent(_RESOLVE_OTHER, 1),
@@ -1817,15 +1840,12 @@ class FusedTraceSession(TraceSession):
         #: The delivery plan of the block being stepped (see
         #: :meth:`_delivery_plan`); None delivers generically.
         self._dv_plan = None
-        #: register -> clamped probability memo per probability member,
-        #: keyed by the member's id; kept across blocks.
+        #: register -> (clamped probability, bin) memos per probability
+        #: member (keyed by its id), one per diagram width; kept across
+        #: blocks.
         self._prob_memos = {id(member): {} for member in
                             (self._paco, self._static, self._pbm)
                             if member is not None}
-        #: Encoded-probability memo for the per-branch MRT, keyed by the
-        #: entry's (correct, total) counters — the exact inputs of
-        #: ``_encoded_for`` — so repeated lookups skip the float/log math.
-        self._pbm_memo: dict = {}
         flags = (self._paco is not None, self._static is not None,
                  self._pbm is not None, self._tc is not None,
                  self._profiler is not None, self._cycle_work_possible, gate)
@@ -1917,8 +1937,11 @@ class FusedTraceSession(TraceSession):
         (each delivery calls every observer's ``record_runs``).  Exact
         types only: at most one :class:`MultiPredictorObserver`, whose
         predictors are all this session's own PaCo / Static-MRT /
-        per-branch-MRT members, each pair a ``(predictor, memo, bins,
-        num_bins, diagram)`` target; and any number of
+        per-branch-MRT members, each pair a ``(predictor, memo, sums,
+        instances, goodpath, diagram)`` target — the member's
+        ``(probability, bin)`` memo for the diagram's width, a copy of the
+        bins' ``predicted_sum`` column and two zeroed integer columns, all
+        step-local until :meth:`_write_back`; and any number of
         :class:`CounterGoodpathObserver` over the count member, or
         :class:`PhaseAwareCounterObserver` over it and this session's
         generator, each an ``(instances, goodpath, max_count)`` target.
@@ -1942,11 +1965,17 @@ class FusedTraceSession(TraceSession):
                     return None
                 diagrams = []
                 for predictor, diagram in observer._pairs:
-                    memo = memos.get(id(predictor))
-                    if memo is None:
+                    by_width = memos.get(id(predictor))
+                    if by_width is None:
                         return None
-                    diagrams.append((predictor, memo, diagram.bins,
-                                     diagram.num_bins, diagram))
+                    num_bins = diagram.num_bins
+                    memo = by_width.get(num_bins)
+                    if memo is None:
+                        memo = by_width[num_bins] = {}
+                    diagrams.append((
+                        predictor, memo,
+                        [bucket.predicted_sum for bucket in diagram.bins],
+                        [0] * num_bins, [0] * num_bins, diagram))
             elif kind is CounterGoodpathObserver:
                 if tc is None or observer.predictor is not tc:
                     return None
@@ -1973,8 +2002,30 @@ class FusedTraceSession(TraceSession):
                 self._step_boundary_branch()
                 return
             self._stage(0)
-        self._dv_plan = self._delivery_plan()
+        plan = self._dv_plan = self._delivery_plan()
         self._fused_step(self, max_instructions, max_cycles)
+        if plan is not None:
+            self._write_back(plan[0])
+
+    @staticmethod
+    def _write_back(diagram_targets) -> None:
+        """Fold a stepped plan's local diagram columns into the diagrams.
+
+        Only bins a delivery reached change: each takes its accumulated
+        ``predicted_sum`` (the same ordered additions ``record`` and
+        ``record_folded`` make, started from the bin's own value) and adds
+        its integer counts; the totals add the columns' sums.
+        """
+        for _, _, sums, instances, goodpath, diagram in diagram_targets:
+            bins = diagram.bins
+            for index, count in enumerate(instances):
+                if count:
+                    bucket = bins[index]
+                    bucket.predicted_sum = sums[index]
+                    bucket.instances += count
+                    bucket.goodpath_instances += goodpath[index]
+            diagram.total_instances += sum(instances)
+            diagram.total_goodpath += sum(goodpath)
 
 
 

@@ -64,7 +64,9 @@ from repro.eval.observers import (
 from repro.eval.profiling import MDCProfiler
 from repro.pathconf.base import PathConfidencePredictor
 from repro.pathconf.composite import CompositePathConfidence
+from repro.pathconf import per_branch_mrt
 from repro.pathconf.paco import PaCoPredictor
+from repro.pathconf.per_branch_mrt import PerBranchMRTPredictor
 from repro.pathconf.static_mrt import StaticMRTPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 from repro.pipeline.config import MachineConfig
@@ -1469,6 +1471,98 @@ class TestDeliveryPlanRouting:
             session.add_observer(_CountingObserver())
         assert session._delivery_plan() is None
         assert session.run(max_instructions=500).retired_instructions >= 500
+
+
+def _diagram_state(diagram):
+    """A diagram's raw accumulators, the float ``predicted_sum`` included."""
+    return (diagram.num_bins, diagram.total_instances, diagram.total_goodpath,
+            [(bucket.instances, bucket.goodpath_instances,
+              bucket.predicted_sum) for bucket in diagram.bins])
+
+
+class TestDiagramAccumulators:
+    """The fused step accumulates a plan's diagrams into step-local
+    columns, written back once per step, and encodes the per-branch MRT
+    inline.  Each case runs a fused and a scalar session leg by leg with
+    a fresh multi-predictor observer per leg and compares every diagram
+    accumulator, every member's state and the statistics bit for bit.
+    twolf is wrong-path heavy, so episode tails deliver open runs."""
+
+    @staticmethod
+    def _legs(backend, bench, make_predictors, num_bins_per_leg,
+              leg_instructions=6_000):
+        predictors = make_predictors()
+        composite = CompositePathConfidence(
+            predictors=predictors + [MDCProfiler()], primary=predictors[0])
+        session = backend.build(
+            Workload(spec=get_benchmark(bench), seed=1),
+            MachineConfig.paper_4wide(),
+            Instrumentation(path_confidence=composite))
+        legs = []
+        for leg, num_bins in enumerate(num_bins_per_leg, start=1):
+            observer = MultiPredictorObserver(predictors, num_bins=num_bins)
+            session.observers[:] = [observer]
+            stats = session.run(max_instructions=leg * leg_instructions)
+            legs.append(({name: _diagram_state(diagram)
+                          for name, diagram in observer.diagrams.items()},
+                         dataclasses.replace(stats)))
+        members = [(predictor.path_confidence_register,
+                    list(getattr(predictor, "_correct", ())),
+                    list(getattr(predictor, "_total", ())))
+                   for predictor in predictors]
+        return session, legs, members
+
+    def _check(self, bench, make_predictors, num_bins_per_leg,
+               block_size=None):
+        fused = self._legs(TraceBackend(block_size=block_size), bench,
+                           make_predictors, num_bins_per_leg)
+        scalar = self._legs(_ScalarTraceBackend(block_size=block_size),
+                            bench, make_predictors, num_bins_per_leg)
+        assert type(fused[0]) is FusedTraceSession
+        assert type(scalar[0]) is TraceSession
+        # The fused legs stepped on a plan with diagram targets.
+        assert len(fused[0]._delivery_plan()[0]) == len(make_predictors())
+        if bench == "twolf":
+            assert scalar[1][-1][1].flushes > 100
+        assert fused[1] == scalar[1]
+        assert fused[2] == scalar[2]
+        return scalar
+
+    @pytest.mark.parametrize("block_size", [17, 256])
+    @pytest.mark.parametrize("bench", ["gzip", "twolf"])
+    def test_fresh_observer_per_leg_changes_width(self, bench, block_size):
+        """A 7-bin observer, then a fresh 100-bin one on the same
+        session: the ``(probability, bin)`` memo is per diagram width."""
+        self._check(bench, lambda: accuracy_predictors_for("mrt"),
+                    (7, 100), block_size=block_size)
+
+    #: Per-branch MRT configurations that reach every arm of the inline
+    #: encode: p <= 0 (clamp), p >= 1 (0), and a rescaled clamp.
+    PBM_CASES = {
+        "never-correct": (dict(prior_correct=0, prior_total=4, clamp=3000),
+                          3000),
+        "always-correct": (dict(prior_correct=4, prior_total=4), 0),
+        "rescaled-clamp": (dict(prior_correct=1, prior_total=8, scale=256,
+                                clamp=512), 512),
+    }
+
+    @pytest.mark.parametrize("case", list(PBM_CASES))
+    @pytest.mark.parametrize("bench", ["gzip", "twolf"])
+    def test_per_branch_mrt_encode_arms(self, monkeypatch, bench, case):
+        kwargs, arm = self.PBM_CASES[case]
+        encode = per_branch_mrt.encode_probability_exact
+        encoded = []
+
+        def spy(probability, scale, clamp):
+            encoded.append(encode(probability, scale=scale, clamp=clamp))
+            return encoded[-1]
+
+        # Only the scalar session calls the predictor's own encode.
+        monkeypatch.setattr(per_branch_mrt, "encode_probability_exact", spy)
+        self._check(bench, lambda: [PaCoPredictor(),
+                                    PerBranchMRTPredictor(**kwargs)],
+                    (100, 100))
+        assert arm in encoded
 
 
 class TestGateCodegen:

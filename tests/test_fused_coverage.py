@@ -9,27 +9,44 @@ each of those entry points and assert that none is reached: good-path
 conditionals and non-conditionals, wrong-path episodes and their tails
 all run inside ``_fused_step_block``.
 
+Accuracy jobs with reliability diagrams (``full`` and ``paco``) reach
+the generic multi-predictor delivery only at the end of each ``run()``
+leg, and a long ``full`` session's generated step holds no memory that
+grows with the run length.
+
 The SMT core's generated loop keeps every good-path branch: fig12's
 ICOUNT, count and PaCo policies on an unphased pair and on a phased one,
 with spies asserting that no good-path branch is predicted, and no
 correctly predicted good-path branch resolved, through the
 ``FetchEngine`` entry points, and that PaCo's ``on_cycle`` runs only
-when a re-log pass is due.  Deterministic: the counts are of calls, not
-of time.
+when a re-log pass is due.  Deterministic: the counts are of calls and
+allocated blocks, not of time.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
 
 import pytest
 
 from repro.backends.fused import FusedTraceSession
 from repro.backends.smt_trace import TraceSMTCore
 from repro.backends.trace import TraceBackend, TraceSession
+from repro.common.stats import ReliabilityDiagram
 from repro.eval.harness import (
+    accuracy_predictors_for,
+    build_session,
     run_accuracy_experiment,
     run_gating_experiment,
     run_smt_experiment,
 )
+from repro.eval.observers import (
+    CounterGoodpathObserver,
+    MultiPredictorObserver,
+)
+from repro.eval.profiling import MDCProfiler
+from repro.pathconf.composite import CompositePathConfidence
 from repro.pathconf.paco import PaCoPredictor
 from repro.pipeline.fetch import FetchEngine
 from repro.workloads.generator import WrongPathGenerator
@@ -96,6 +113,58 @@ def test_unphased_sessions_never_leave_the_fused_step(monkeypatch, bench,
     assert result.stats.flushes > 100
     assert wrongpath_sizes and 1 not in wrongpath_sizes
     assert calls == {}
+
+
+@pytest.mark.parametrize("instrument", ["full", "paco"])
+@pytest.mark.parametrize("bench", ["gzip", "twolf"])
+def test_diagram_plans_deliver_once_per_leg(monkeypatch, bench, instrument):
+    """With a diagram plan resolved, every delivery inside the step — the
+    episode tail's included — writes the step-local columns, so the
+    generic multi-predictor delivery runs only at the end of a ``run()``
+    leg: at most one ``record_runs`` per leg, and one diagram record per
+    diagram."""
+    calls = {"run": 0, "record_runs": 0, "diagram records": 0}
+    for owner, name, key in (
+            (TraceSession, "run", "run"),
+            (MultiPredictorObserver, "record_runs", "record_runs"),
+            (ReliabilityDiagram, "record", "diagram records"),
+            (ReliabilityDiagram, "record_folded", "diagram records")):
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    result = run_accuracy_experiment(
+        bench, instructions=20_000, warmup_instructions=2_000,
+        backend="trace", instrument=instrument)
+    assert result.stats.flushes > 100
+    assert calls["run"] == 2
+    assert 1 <= calls["record_runs"] <= calls["run"]
+    assert calls["diagram records"] <= (calls["record_runs"]
+                                        * len(result.diagrams))
+
+
+def test_full_session_memory_stays_flat():
+    """A second 400k-instruction leg of a twolf ``full`` session leaves
+    (net) almost no new allocated blocks: no memo grows with the run
+    length (one keyed by the per-branch MRT entries' (correct, total)
+    pairs adds ~86k blocks over this leg).  ``sys.getallocatedblocks``
+    stands in for ``tracemalloc``, which slows this loop down ~100x."""
+    predictors = accuracy_predictors_for("full")
+    composite = CompositePathConfidence(
+        predictors=predictors + [MDCProfiler()], primary=predictors[0])
+    session = build_session("twolf", composite, backend="trace")
+    assert type(session) is FusedTraceSession
+    session.add_observer(MultiPredictorObserver(predictors[:3]))
+    session.add_observer(CounterGoodpathObserver(predictors[3]))
+    session.run(max_instructions=400_000)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    session.run(max_instructions=800_000)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 8_192
 
 
 @pytest.mark.parametrize("policy", ["icount", "count", "paco"])

@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.counters import HalvingRateCounter
 from repro.common.logcircuit import (
     ENCODED_PROBABILITY_MAX,
+    ENCODED_PROBABILITY_SCALE,
     MitchellLogCircuit,
     decode_probability,
     encode_probability_exact,
@@ -56,18 +57,26 @@ class TestCounterProperties:
 
 class TestEncodingProperties:
     @given(probability=st.floats(min_value=0.001, max_value=1.0))
+    # Just above 2**-4 the ceil lands exactly on the clamp value without
+    # clamping; 2**-4 itself encodes to it exactly.
+    @example(probability=0.06250540632659769)
+    @example(probability=2 ** -4)
     def test_encode_decode_roundtrip_bounds(self, probability):
         encoded = encode_probability_exact(probability)
         assert 0 <= encoded <= ENCODED_PROBABILITY_MAX
         decoded = decode_probability(encoded)
-        if encoded < ENCODED_PROBABILITY_MAX:
+        unclamped = math.ceil(-ENCODED_PROBABILITY_SCALE
+                              * math.log2(probability))
+        if unclamped <= ENCODED_PROBABILITY_MAX:
             # ceil() in the encoder rounds the probability down (or keeps it),
             # by at most one encoding step.
+            assert encoded == unclamped
             assert decoded <= probability + 1e-9
             assert decoded >= probability * (2 ** (-1.5 / 1024))
         else:
             # Probabilities below the clamp (mispredict rate > ~93.75%) all
             # decode to the clamped value, which is an overestimate.
+            assert encoded == ENCODED_PROBABILITY_MAX
             assert decoded >= probability - 1e-9
 
     @given(a=st.floats(min_value=0.05, max_value=1.0),
