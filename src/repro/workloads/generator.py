@@ -15,6 +15,7 @@ predict), per-static-branch behaviour state and the data reference stream.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -397,13 +398,19 @@ class WorkloadGenerator:
         materialized; the trace-replay backend consumes the columns
         directly.
 
-        Site selection is batched per behaviour class: the per-phase
-        site entry is hoisted out of the loop (refreshed only at phase
-        rolls), the dominant biased-random outcome draw is inlined, and
-        other behaviours draw through their scalar ``next_outcome``.
-        Weighted choices and biased outcomes compare the raw draw against
-        precomputed integer thresholds, which select exactly what the
-        float comparisons select.
+        The ``site-selection`` draws come from one
+        :meth:`~repro.common.rng.DeterministicRng.lookahead` of ``3 * n``
+        outputs, the most a block can read (kind, class and site per
+        conditional; kind and site otherwise); the stream then advances
+        past the draws actually read.  Weighted choices are one
+        ``bisect_right`` of the raw draw over precomputed integer
+        thresholds, which select exactly what the float comparisons
+        select.  The per-phase site entry is hoisted out of the loop
+        (refreshed only at phase rolls).  ``branch-outcomes`` stays
+        scalar, because behaviour models draw from it mid-block: the
+        dominant biased-random outcome draw is inlined as one integer
+        compare, and other behaviours draw through their scalar
+        ``next_outcome``.
         """
         if n < 1:
             raise ValueError("block size must be at least 1")
@@ -421,12 +428,15 @@ class WorkloadGenerator:
 
         spec = self.spec
         rng_branch = self._rng_branch
-        sel_state = self._rng_select._state
+        rng_select = self._rng_select
+        # At most three site-selection draws per branch (kind, class,
+        # site); the unread tail of the lookahead is left in the stream.
+        sel = rng_select.lookahead(3 * n)
+        p = 0
         br_state = rng_branch._state
 
         kind_thresholds = self._kind_thresholds
         kind_codes = self._kind_codes
-        num_kinds = len(kind_codes)
         uncond_pcs = self._uncond_pcs
         call_pcs = self._call_pcs
         return_pcs = self._return_pcs
@@ -435,7 +445,6 @@ class WorkloadGenerator:
         n_ret = len(return_pcs)
         indirect_sites = self._indirect_sites
         indirect_thresholds = self._indirect_thresholds
-        num_indirect = len(indirect_thresholds)
         call_stack = self._call_stack
 
         has_phases = self._has_phases
@@ -482,35 +491,16 @@ class WorkloadGenerator:
                     entry = self._site_entry(hard_fraction)
                     entry_sites = entry[3]
                     entry_thresholds = entry[4]
-            # Branch-kind selection (cumulative_choice inlined, on the
-            # integer thresholds).
-            sel_state ^= (sel_state >> 12)
-            sel_state ^= (sel_state << 25) & _MASK64
-            sel_state ^= (sel_state >> 27)
-            draw = (sel_state * 0x2545F4914F6CDD1D) & _MASK64
-            code = kind_codes[num_kinds - 1]
-            for j in range(num_kinds):
-                if draw < kind_thresholds[j]:
-                    code = kind_codes[j]
-                    break
+            # Branch-kind selection (cumulative_choice on the integer
+            # thresholds, whose last entry is 2**64).
+            code = kind_codes[bisect_right(kind_thresholds, sel[p])]
             if code == 0:  # conditional
                 # Behaviour-class selection over the hoisted per-phase
-                # entry (cumulative_choice inlined).
-                sel_state ^= (sel_state >> 12)
-                sel_state ^= (sel_state << 25) & _MASK64
-                sel_state ^= (sel_state >> 27)
-                draw = (sel_state * 0x2545F4914F6CDD1D) & _MASK64
-                sites = entry_sites[-1]
-                for j in range(len(entry_thresholds)):
-                    if draw < entry_thresholds[j]:
-                        sites = entry_sites[j]
-                        break
-                # Site selection (choice inlined).
-                sel_state ^= (sel_state >> 12)
-                sel_state ^= (sel_state << 25) & _MASK64
-                sel_state ^= (sel_state >> 27)
-                site = sites[((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
-                             % len(sites)]
+                # entry, then site selection (choice inlined).
+                sites = entry_sites[bisect_right(entry_thresholds,
+                                                 sel[p + 1])]
+                site = sites[sel[p + 2] % len(sites)]
+                p += 3
                 static = site.static
                 if shift and site.klass == _CLASS_HARD:
                     bias = site.bias + shift
@@ -543,22 +533,16 @@ class WorkloadGenerator:
                                  else static.fallthrough)
                 out_sid[i] = static.branch_id
             elif code == 1:  # unconditional
-                sel_state ^= (sel_state >> 12)
-                sel_state ^= (sel_state << 25) & _MASK64
-                sel_state ^= (sel_state >> 27)
-                pc = uncond_pcs[((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
-                                % n_uncond]
+                pc = uncond_pcs[sel[p + 1] % n_uncond]
+                p += 2
                 out_pc[i] = pc
                 out_kind[i] = kind_uncond
                 out_taken[i] = True
                 out_target[i] = pc + 0x200
                 out_sid[i] = None
             elif code == 2:  # call
-                sel_state ^= (sel_state >> 12)
-                sel_state ^= (sel_state << 25) & _MASK64
-                sel_state ^= (sel_state >> 27)
-                pc = call_pcs[((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
-                              % n_call]
+                pc = call_pcs[sel[p + 1] % n_call]
+                p += 2
                 call_stack.append(pc + 4)
                 out_pc[i] = pc
                 out_kind[i] = kind_call
@@ -566,11 +550,8 @@ class WorkloadGenerator:
                 out_target[i] = pc + 0x1000
                 out_sid[i] = None
             elif code == 3:  # ret
-                sel_state ^= (sel_state >> 12)
-                sel_state ^= (sel_state << 25) & _MASK64
-                sel_state ^= (sel_state >> 27)
-                pc = return_pcs[((sel_state * 0x2545F4914F6CDD1D) & _MASK64)
-                                % n_ret]
+                pc = return_pcs[sel[p + 1] % n_ret]
+                p += 2
                 out_pc[i] = pc
                 out_kind[i] = kind_ret
                 out_taken[i] = True
@@ -578,16 +559,9 @@ class WorkloadGenerator:
                                  else _CODE_BASE)
                 out_sid[i] = None
             else:  # indirect / indirect call
-                sel_state ^= (sel_state >> 12)
-                sel_state ^= (sel_state << 25) & _MASK64
-                sel_state ^= (sel_state >> 27)
-                draw = (sel_state * 0x2545F4914F6CDD1D) & _MASK64
-                pair = indirect_sites[-1]
-                for j in range(num_indirect):
-                    if draw < indirect_thresholds[j]:
-                        pair = indirect_sites[j]
-                        break
-                pc, model = pair
+                pc, model = indirect_sites[bisect_right(indirect_thresholds,
+                                                        sel[p + 1])]
+                p += 2
                 rng_branch._state = br_state
                 indirect_target = model.next_target(rng_branch)
                 br_state = rng_branch._state
@@ -601,7 +575,7 @@ class WorkloadGenerator:
                 out_target[i] = indirect_target
                 out_sid[i] = None
 
-        self._rng_select._state = sel_state
+        rng_select.advance(sel, p)
         rng_branch._state = br_state
         self.instructions_generated += n
         if has_phases:
@@ -843,9 +817,11 @@ class WrongPathGenerator:
         Bit-identical to ``n`` successive :meth:`next_branch` calls in
         every column and in the ``main``-stream state afterwards: three
         draws per branch, in order site choice, direction and dependence
-        distance.  The third draw only advances the stream — a block
-        carries no dependence distance — and the direction compares the
-        raw draw against the integer threshold of 0.55.  No
+        distance, all from one ``3 * n``-draw
+        :meth:`~repro.common.rng.DeterministicRng.lookahead`.  The third
+        draw is skipped unread — a block carries no dependence distance —
+        and the direction compares the raw draw against the integer
+        threshold of 0.55.  No
         :class:`~repro.isa.instruction.Instruction` objects are
         materialized.  The trace sessions stage wrong-path branches
         through this into one buffer each, carried across episodes: the
@@ -862,27 +838,17 @@ class WrongPathGenerator:
         branch_ids = block.static_branch_id
         kind_conditional = BranchKind.CONDITIONAL
         taken_threshold = _WRONGPATH_TAKEN_THRESHOLD
-        state = rng._state
-        for i in range(n):
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            site = sites[((state * 0x2545F4914F6CDD1D) & _MASK64) % n_sites]
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            taken = ((state * 0x2545F4914F6CDD1D) & _MASK64) < taken_threshold
-            # The dependence-distance draw: advanced, never read.
-            state ^= (state >> 12)
-            state ^= (state << 25) & _MASK64
-            state ^= (state >> 27)
-            static = site.static
+        raw = rng.lookahead(3 * n)
+        rng.advance(raw, 3 * n)
+        # raw[3i + 2], the dependence-distance draw, is skipped unread.
+        for i, site_draw, taken_draw in zip(range(n), raw[0::3], raw[1::3]):
+            static = sites[site_draw % n_sites].static
+            taken = taken_draw < taken_threshold
             pcs[i] = static.pc + 0x8  # a nearby, but distinct, wrong-path PC
             kinds[i] = kind_conditional
             takens[i] = taken
             targets[i] = static.taken_target if taken else static.fallthrough
             branch_ids[i] = static.branch_id
-        rng._state = state
         block.count = n
 
     def next_branch(self, seq: int) -> Instruction:

@@ -1,8 +1,12 @@
 """Unit tests for repro.common.rng."""
 
-import pytest
+import math
 
-from repro.common.rng import DeterministicRng, RngPool
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.common.rng import BULK_MIN, BULK_STEPS, DeterministicRng, RngPool
 
 
 class TestDeterministicRng:
@@ -151,6 +155,91 @@ class TestDeterministicRng:
     def test_zero_seed_still_produces_values(self):
         rng = DeterministicRng(0)
         assert rng.next_u64() != 0
+
+
+#: Sizes that straddle the kernel/scalar crossover and the lane geometry.
+_BULK_SIZES = sorted({0, 1, BULK_MIN - 1, BULK_MIN, BULK_MIN + 1,
+                      BULK_STEPS - 1, BULK_STEPS, BULK_STEPS + 1,
+                      256, 768, 4096})
+
+_SEEDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+class TestBulkDraws:
+    """lookahead/advance against the scalar next_u64 reference: every
+    size on either side of BULK_MIN, random 64-bit seeds and the
+    zero-seed fallback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_SEEDS)
+    @example(seed=0)
+    def test_lookahead_equals_scalar_draws(self, seed):
+        for n in _BULK_SIZES:
+            rng = DeterministicRng(seed)
+            reference = DeterministicRng(seed)
+            before = rng._state
+            raw = rng.lookahead(n)
+            assert rng._state == before
+            assert raw == [reference.next_u64() for _ in range(n)], n
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS, n=st.sampled_from([BULK_MIN - 1, BULK_MIN + 1,
+                                           300, 768]))
+    @example(seed=0, n=BULK_MIN + 1)
+    def test_advance_gives_the_state_of_k_scalar_draws(self, seed, n):
+        raw = DeterministicRng(seed).lookahead(n)
+        reference = DeterministicRng(seed)
+        for k in range(n + 1):
+            rng = DeterministicRng(seed)
+            rng.advance(raw, k)
+            assert rng._state == reference._state, k
+            if k < n:
+                reference.next_u64()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_SEEDS, start=st.integers(min_value=0, max_value=5))
+    @example(seed=0, start=3)
+    def test_geometric_block_sizes_and_offsets(self, seed, start):
+        log1p = math.log(1.0 - 0.17)
+        for n in _BULK_SIZES:
+            rng = DeterministicRng(seed)
+            reference = DeterministicRng(seed)
+            out = [-1] * (start + n + 2)
+            assert rng.geometric_block(log1p, out, n, start) is out
+            expected = []
+            for _ in range(n):
+                u = reference.random()
+                expected.append(int(math.log(u) / log1p) if u > 0.0 else 0)
+            assert out[:start] == [-1] * start
+            assert out[start:start + n] == expected, n
+            assert out[start + n:] == [-1, -1]
+            assert rng._state == reference._state
+
+    def test_geometric_block_of_zero_gaps_is_a_no_op(self):
+        rng = DeterministicRng(17)
+        before = rng._state
+        out = [5, 5]
+        rng.geometric_block(math.log(0.5), out, 0)
+        assert out == [5, 5]
+        assert rng._state == before
+
+    def test_import_builds_no_jump_table(self):
+        """The jump tables are built on the first bulk draw, so importing
+        the package (and registering its backends) stays as cheap as it
+        was."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = ("import repro.backends, repro.workloads\n"
+                 "import repro.common.rng as rng\n"
+                 "assert rng._jump_tables is None\n")
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestRngPool:

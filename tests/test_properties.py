@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +124,10 @@ def _uniform(x):
 #: Raw 64-bit draw outputs.
 _DRAWS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
+#: Non-negative selection weights, not all zero.
+_SELECTION_WEIGHTS = st.lists(st.floats(min_value=0.0, max_value=1e6),
+                              min_size=1, max_size=8).filter(any)
+
 
 class TestIntegerThresholdProperties:
     """``x < T`` on the raw draw selects exactly what the generators' float
@@ -157,10 +162,39 @@ class TestIntegerThresholdProperties:
             for x in self._edges(threshold) + draws:
                 assert (x < threshold) == (_uniform(x) * total < acc)
 
+    @settings(max_examples=300)
+    @given(weights=_SELECTION_WEIGHTS)
+    @example(weights=[2.225073858507203e-309])
+    def test_last_threshold_is_two_to_the_64(self, weights):
+        """Every draw is below the last threshold, so
+        ``items[bisect_right(thresholds, x)]`` is always in range, a
+        subnormal total (whose float bound rounds lower) included."""
+        cumulative, total = DeterministicRng.cumulative_weights(weights)
+        thresholds = DeterministicRng.cumulative_thresholds(cumulative,
+                                                            total)
+        assert thresholds[-1] == 1 << 64
+
+    @settings(max_examples=300)
+    @given(weights=_SELECTION_WEIGHTS, draws=st.lists(_DRAWS, max_size=20))
+    def test_bisect_picks_what_the_scan_picked(self, weights, draws):
+        """The generators' ``bisect_right`` selection equals the linear
+        first-threshold-above-the-draw scan it replaced, zero weights
+        (repeated thresholds) and threshold edges included."""
+        cumulative, total = DeterministicRng.cumulative_weights(weights)
+        thresholds = DeterministicRng.cumulative_thresholds(cumulative,
+                                                            total)
+        edges = [x for threshold in thresholds
+                 for x in self._edges(threshold)]
+        for x in edges + draws:
+            scanned = len(thresholds) - 1
+            for j, threshold in enumerate(thresholds):
+                if x < threshold:
+                    scanned = j
+                    break
+            assert bisect_right(thresholds, x) == scanned
+
     @settings(max_examples=100)
-    @given(weights=st.lists(st.floats(min_value=1e-9, max_value=1e6,
-                                      allow_nan=False),
-                            min_size=1, max_size=8),
+    @given(weights=_SELECTION_WEIGHTS,
            seed=st.integers(min_value=1, max_value=2 ** 63))
     def test_threshold_choice_matches_cumulative_choice(self, weights, seed):
         """The block generator's integer selection loop picks the item
@@ -174,12 +208,7 @@ class TestIntegerThresholdProperties:
         for _ in range(30):
             expected = reference.cumulative_choice(items, cumulative, total)
             x = raw.next_u64()
-            chosen = items[-1]
-            for item, threshold in zip(items, thresholds):
-                if x < threshold:
-                    chosen = item
-                    break
-            assert chosen == expected
+            assert items[bisect_right(thresholds, x)] == expected
 
 
 class TestReliabilityDiagramProperties:

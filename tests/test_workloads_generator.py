@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.rng import BULK_MIN, BULK_STEPS
 from repro.isa.types import BranchKind, InstructionClass
 from repro.workloads.generator import WorkloadGenerator, WrongPathGenerator
 from repro.workloads.spec import BenchmarkSpec, PhaseSpec
@@ -271,6 +272,13 @@ def _assert_block_equals_instructions(block, instructions):
         assert block.static_branch_id[i] == instr.static_branch_id, i
 
 
+#: Block sizes on either side of the bulk-draw crossover (both generators
+#: look ahead three draws per branch) and of the kernel's lane geometry.
+_BLOCK_SIZES = sorted({1, 17, 63, 64, 65, 255, 256, 257, 1024,
+                       BULK_MIN // 3 - 1, BULK_MIN // 3, BULK_MIN // 3 + 1,
+                       BULK_STEPS - 1, BULK_STEPS + 1})
+
+
 class TestNextBranchBlock:
     """next_branch_block(seq, n) must equal n scalar next_branch calls
     column-for-column, including phase schedule and RNG stream states,
@@ -319,6 +327,25 @@ class TestNextBranchBlock:
         assert _stream_states(block_gen) == _stream_states(scalar_gen)
         _assert_dependences_at_seed(block_gen, spec, 11)
         assert list(block_gen._call_stack) == list(scalar_gen._call_stack)
+
+    @pytest.mark.parametrize("bench_name", ["gzip", "gcc"])
+    def test_block_sizes_straddling_the_bulk_crossover(self, bench_name):
+        from repro.workloads.generator import BranchBlock
+        spec = get_benchmark(bench_name)
+        scalar_gen = WorkloadGenerator(spec, seed=13)
+        block_gen = WorkloadGenerator(spec, seed=13)
+        block = BranchBlock(max(_BLOCK_SIZES))
+        seq = 0
+        for n in _BLOCK_SIZES:
+            block_gen.next_branch_block(seq, n, block)
+            scalar = [scalar_gen.next_branch(seq + i) for i in range(n)]
+            seq += n
+            _assert_block_equals_instructions(block, scalar)
+            assert _stream_states(block_gen) == _stream_states(scalar_gen), n
+            assert block_gen._phase_index == scalar_gen._phase_index
+            assert block_gen._phase_remaining == scalar_gen._phase_remaining
+            assert list(block_gen._call_stack) == list(scalar_gen._call_stack)
+        _assert_dependences_at_seed(block_gen, spec, 13)
 
     def test_blocks_interleave_with_scalar_calls(self, tiny_spec):
         scalar_gen = WorkloadGenerator(tiny_spec, seed=5)
@@ -419,6 +446,22 @@ class TestWrongPathBlockWriter:
             seq += n
             _assert_block_equals_instructions(block, scalar)
             assert scalar_wp._rng._state == block_wp._rng._state
+
+
+    @pytest.mark.parametrize("bench_name", ["gzip", "gcc"])
+    def test_block_sizes_straddling_the_bulk_crossover(self, bench_name):
+        from repro.workloads.generator import BranchBlock
+        spec = get_benchmark(bench_name)
+        scalar_wp = WrongPathGenerator(WorkloadGenerator(spec, seed=4), seed=9)
+        block_wp = WrongPathGenerator(WorkloadGenerator(spec, seed=4), seed=9)
+        block = BranchBlock(max(_BLOCK_SIZES))
+        seq = 0
+        for n in _BLOCK_SIZES:
+            block_wp.next_branch_block(block, n)
+            scalar = [scalar_wp.next_branch(seq + i) for i in range(n)]
+            seq += n
+            _assert_block_equals_instructions(block, scalar)
+            assert scalar_wp._rng._state == block_wp._rng._state, n
 
 
 class TestRecentLineReuseDraw:
