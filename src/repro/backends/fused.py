@@ -37,15 +37,15 @@ predictor-stack shape:
   included) writes directly — a diagram into step-local columns that
   :meth:`FusedTraceSession._write_back` folds into its bins once the
   step returns — and any other observer set delivers through
-  ``record_runs``.
+  ``record_runs``.  Every delivery site emits both arms in place.
 
 Only phase-boundary branches run the scalar machinery on the shared
 state: they step through :meth:`TraceSession._step_boundary_branch`
 (gate wait and wrong-path episode included).  Stacks the generated step
 does not model — custom path confidence predictors, oracle tokens,
 JRS-less configurations — and gating policies it does not model
-(``ProbabilityGating``, policies over a predictor that is not the
-stack's own member) get the plain :class:`TraceSession` instead.
+(subclassed policies, policies over a predictor that is not the stack's
+own member) get the plain :class:`TraceSession` instead.
 
 The gate is the seventh stack-shape flag: none, count or paco.  A gated
 step inlines ``TraceSession._gated_wait`` before every gap+branch step,
@@ -112,6 +112,13 @@ from repro.pipeline.gating import CountGating, GatingPolicy, PaCoGating
 # predictors are attached, whether any cycle-periodic work exists, and
 # which fetch gate, if any, is in the loop).  Every fragment is written
 # at zero indentation and placed with ``_indent``.
+#
+# Each piece of generated text has one source.  One builder,
+# ``_predict_cond``, emits every conditional predict, parameterised by
+# its index source: staged columns on the good path, a hash of a history
+# local on the wrong path and in the SMT loop.  Each delivery site emits
+# its own generic and plan arms (``_deliver``), so no pass rewrites an
+# assembled source.
 #
 # Fragment vocabulary: ``record``/``entry`` (the BranchRecord being
 # fetched / resolved), ``trigger`` (an episode's mispredicted good-path
@@ -245,7 +252,7 @@ wp_pos = self._wp_pos
 # ----- per-member setup / fetch / resolve / squash / sync fragments --- #
 
 _PACO_SETUP = '''\
-paco = self._paco
+paco = %(owner)s
 mrt = paco.mrt
 mrt_counters = mrt.counters
 mrt_encoded = mrt.encoded_probabilities
@@ -262,13 +269,13 @@ mrt_last = mrt._last_relog_cycle
 '''
 
 _STATIC_SETUP = '''\
-smrt = self._static
+smrt = %(owner)s
 smrt_encoded = smrt.encoded_probabilities
 smrt_outstanding = 0
 '''
 
 _PBM_SETUP = '''\
-pbm = self._pbm
+pbm = %(owner)s
 pbm_correct = pbm._correct
 pbm_total = pbm._total
 pbm_neg_scale = -pbm.scale
@@ -281,7 +288,7 @@ pbm_outstanding = 0
 '''
 
 _TC_SETUP = '''\
-tc = self._tc
+tc = %(owner)s
 tc_threshold = tc.threshold
 tc_fetched = 0
 tc_low = 0
@@ -289,7 +296,7 @@ tc_outstanding = 0
 '''
 
 _PROF_SETUP = '''\
-prof = self._profiler
+prof = %(owner)s
 prof_correct = prof.correct
 prof_mispredicted = prof.mispredicted
 prof_num_max = prof.num_mdc_values - 1
@@ -444,8 +451,10 @@ entry.profile_bucket = None
 '''
 
 #: Each member's fragments: (setup, good-path fetch, wrong-path fetch,
-#: resolve, mispredicted-trigger resolve, squash, sync).  The PaCo
-#: re-log hoist is added separately when the shape has cycle work.
+#: resolve, mispredicted-trigger resolve, squash, sync).  The setup binds
+#: the member from ``%(owner)s``: the session's ``self._<key>`` or an SMT
+#: thread's ``engine.path_confidence``.  The PaCo re-log hoist is added
+#: separately when the shape has cycle work.
 _MEMBERS = {
     "paco": (_PACO_SETUP, _PACO_FETCH, _PACO_FETCH, _PACO_RESOLVE,
              _PACO_RESOLVE_MISP, _PACO_SQUASH, '''\
@@ -635,12 +644,8 @@ else:
     window.popleft()
     inflight -= 1
     excess -= 1
-    if has_observers:
 ''' + _indent(_runs_delivery("entry.path_token is not None",
-                          targets), 2) \
-        + '''\
-    run_fetch = 0
-    run_execute = 0
+                          targets), 1) + '''\
     if entry.is_conditional:
         entry.resolved = True
         actual = entry.out_taken
@@ -688,12 +693,8 @@ else:
     window.popleft()
     inflight -= 1
     excess -= 1
-    if has_observers:
 ''' + _indent(_runs_delivery("entry.path_token is not None",
-                          targets), 2) \
-        + '''\
-    run_fetch = 0
-    run_execute = 0
+                          targets), 1) + '''\
     if entry.is_conditional:
         entry.resolved = True
         actual = entry.out_taken
@@ -719,35 +720,28 @@ else:
 '''
 
 
-#: The delivery half of the cycle tick: buffered events flush before the
-#: tick could change state.
-_TICK_DELIVER = '''\
-if has_observers and events:
-    for observer in observers:
-        observer.record_runs(events)
-    del events[:]
-'''
+def _tick_deliver(targets) -> str:
+    """The delivery half of the cycle tick: buffered events flush before
+    the tick could change state (zero indent)."""
+    return "if has_observers and events:\n" + _indent(_deliver(targets), 1)
 
-#: The per-branch cycle tick, specialized to the one cycle-periodic
-#: machine the fused plan admits (PaCo's re-log pass): buffered events
-#: always flush pre-tick exactly as the scalar tick does, but the
-#: ``on_cycle`` *call* — a composite fan-out plus ``maybe_relog``'s own
-#: period check, every branch — is guarded by the same period
-#: comparison on hoisted locals, which is what makes the fused loop's
-#: tick nearly free.  When the pass runs, it returns True by
-#: construction, so the open run closes unconditionally.
-_TICK = _TICK_DELIVER + '''\
+
+def _tick(targets) -> str:
+    """The per-branch cycle tick (zero indent), specialized to the one
+    cycle-periodic machine the fused plan admits (PaCo's re-log pass).
+
+    Buffered events always flush pre-tick exactly as the scalar tick
+    does, but the ``on_cycle`` *call* — a composite fan-out plus
+    ``maybe_relog``'s own period check, every branch — is guarded by the
+    same period comparison on hoisted locals, which is what makes the
+    fused loop's tick nearly free.  When the pass runs, it returns True
+    by construction, so the open run closes unconditionally.
+    """
+    return _tick_deliver(targets) + '''\
 if cycle - mrt_last >= mrt_period:
     path_confidence.on_cycle(cycle)
     if has_observers:
-        if run_fetch:
-            events.extend(("fetch", run_goodpath, cycle, run_fetch))
-        if run_execute:
-            events.extend(("execute", run_goodpath, cycle, run_execute))
-        if events:
-            for observer in observers:
-                observer.record_runs(events)
-            del events[:]
+''' + _indent(_close_runs("", targets), 2) + '''\
     run_fetch = 0
     run_execute = 0
     mrt_last = mrt._last_relog_cycle
@@ -778,21 +772,37 @@ if batch > limit:
 '''
 
 
+def _gap_append(goodpath: bool) -> str:
+    """A gap of ``gap`` slots joins the window's last run of its path, or
+    opens one (zero indent): good-path runs count up, wrong-path runs
+    down."""
+    if goodpath:
+        test, add, run = "> 0", "+=", "gap"
+    else:
+        test, add, run = "< 0", "-=", "-gap"
+    return f'''\
+if window and type(window[-1]) is int and window[-1] {test}:
+    window[-1] {add} gap
+else:
+    window.append({run})
+inflight += gap
+'''
+
+
+def _gap_fetch(goodpath: bool) -> str:
+    """A nonzero single-thread gap: fetched in ``gap`` cycles into the
+    open fetch run, then appended (zero indent)."""
+    return (("good" if goodpath else "bad") + "_fetched += gap\n"
+            "cycle += gap\nrun_fetch += gap\n" + _gap_append(goodpath))
+
+
 #: One good-path gap: fetched and appended to the window's last good
 #: run (zero indent).
 _GOOD_GAP = '''\
 gap = gaps[gap_pos]
 gap_pos += 1
 if gap:
-    good_fetched += gap
-    cycle += gap
-    run_fetch += gap
-    if window and type(window[-1]) is int and window[-1] > 0:
-        window[-1] += gap
-    else:
-        window.append(gap)
-    inflight += gap
-'''
+''' + _indent(_gap_fetch(True), 1)
 
 
 def _step_head(gate_expr: Optional[str], drain: str,
@@ -807,6 +817,7 @@ def _step_head(gate_expr: Optional[str], drain: str,
     the head of the window drains in one batch of gated cycles: nothing
     the gate reads changes until a record resolves, so the gate stays
     closed for the whole run.  A batch stops short of a due re-log pass.
+    Gated shapes deliver generically (:func:`_plan_targets`).
     """
     if gate_expr is None:
         return (_indent(_GOOD_GAP, 2) + '''\
@@ -836,7 +847,7 @@ def _step_head(gate_expr: Optional[str], drain: str,
                                 window[0] -= batch
                             else:
                                 window.popleft()
-''' + (_indent(_TICK_DELIVER, 7) if cycle_work else "") + '''\
+''' + (_indent(_tick_deliver(None), 7) if cycle_work else "") + '''\
                             continue
                     gated_cycles += 1
                     cycle += 1
@@ -853,7 +864,7 @@ def _step_head(gate_expr: Optional[str], drain: str,
             while excess > 0:
 ''' + _indent(drain, 4) + '''\
             if waiting:
-''' + _indent(_TICK if cycle_work else "continue\n", 4)
+''' + _indent(_tick(None) if cycle_work else "continue\n", 4)
             + ("                continue\n" if cycle_work else ""))
 
 
@@ -992,109 +1003,126 @@ def _plan_delivery(targets, fold: str, accumulate: str) -> str:
     return source
 
 
-def _runs_delivery(cond: str, targets) -> str:
-    """One site's close-the-open-runs + deliver block (zero indent).
+def _deliver(targets) -> str:
+    """One delivery of the buffered events, which it then clears (zero
+    indent).
 
-    ``cond`` is the site's delivery condition ("" = deliver whenever
-    events are pending).  The generic shape buffers the open runs as
-    event tuples and delivers the batch; with plan ``targets``, when a
-    plan is resolved, delivery is due and nothing is already buffered,
-    the open runs fold straight into the targets without touching the
-    events list at all (the post-pass :func:`_inline_deliveries` still
-    rewrites the generic arm's delivery for the buffered case).
+    Without plan ``targets`` every observer's ``record_runs`` takes the
+    batch.  With them the site carries both arms: ``record_runs`` while
+    no plan is resolved (``dv_plan is None``), else the batch folds into
+    the plan's targets.
     """
-    extend = '''\
+    source = '''\
+for observer in observers:
+    observer.record_runs(events)
+'''
+    if targets is not None:
+        source = ("if dv_plan is None:\n" + _indent(source, 1) + "else:\n"
+                  + _indent(_plan_delivery(targets, _EVENTS_FOLD,
+                                           _EVENTS_ACCUMULATE), 1))
+    return source + "del events[:]\n"
+
+
+def _close_runs(cond: str, targets) -> str:
+    """Buffer the open runs as event tuples, then deliver the batch when
+    it is nonempty and ``cond`` holds ("" = always) (zero indent)."""
+    return ('''\
 if run_fetch:
     events.extend(("fetch", run_goodpath, cycle, run_fetch))
 if run_execute:
     events.extend(("execute", run_goodpath, cycle, run_execute))
-'''
-    deliver_head = f"if events and {cond}:" if cond else "if events:"
-    generic = (extend + deliver_head + '''
-    for observer in observers:
-        observer.record_runs(events)
-    del events[:]
-''')
-    if targets is None:
-        return generic
-    local_head = ("if dv_plan is not None and not events"
-                  + (f" and {cond}" if cond else "") + ":\n")
-    return (local_head
-            + _indent("if run_fetch or run_execute:\n", 1)
-            + _indent(_plan_delivery(targets, _LOCAL_FOLD,
-                                     _LOCAL_ACCUMULATE), 2)
-            + "else:\n"
-            + _indent(generic, 1))
+''' + (f"if events and {cond}:\n" if cond else "if events:\n")
+            + _indent(_deliver(targets), 1))
 
 
-def _inline_deliveries(source: str, targets) -> str:
-    """Give every generic delivery site an inlined arm over the plan.
+def _runs_delivery(cond: str, targets) -> str:
+    """One delivery site (zero indent): with observers attached, the
+    open runs close and deliver, then restart empty.
 
-    Every observer delivery in the generated sources is the literal
-    three-line ``for observer in observers: observer.record_runs(events)``
-    / ``del events[:]`` sequence; this rewrites each occurrence (at its
-    own indentation) into ``if dv_plan is None:`` the generic loop,
-    ``else:`` the inlined delivery, keeping the trailing ``del`` shared
-    by both arms.
+    ``cond`` is the site's delivery condition ("" = deliver whenever
+    events are pending).  The generic shape buffers the open runs and
+    delivers the batch (:func:`_close_runs`); with plan ``targets``,
+    when a plan is resolved, delivery is due and nothing is already
+    buffered, the open runs fold straight into the targets without
+    touching the events list at all.
     """
-    arm = ("if dv_plan is None:\n"
-           "    for observer in observers:\n"
-           "        observer.record_runs(events)\n"
-           "else:\n"
-           + _indent(_plan_delivery(targets, _EVENTS_FOLD,
-                                    _EVENTS_ACCUMULATE), 1)).rstrip("\n")
-    lines = source.split("\n")
-    out: list = []
-    i = 0
-    replaced = 0
-    while i < len(lines):
-        line = lines[i]
-        stripped = line.lstrip()
-        if (stripped == "for observer in observers:"
-                and i + 2 < len(lines)
-                and lines[i + 1].lstrip() == "observer.record_runs(events)"
-                and lines[i + 2].lstrip() == "del events[:]"):
-            indent = line[:len(line) - len(stripped)]
-            for arm_line in arm.split("\n"):
-                out.append(indent + arm_line if arm_line else arm_line)
-            out.append(lines[i + 2])
-            replaced += 1
-            i += 3
-            continue
-        out.append(line)
-        i += 1
-    if not replaced:  # a fragment edit broke the pattern — fail loudly
-        raise AssertionError("no observer delivery sites found to inline")
-    return "\n".join(out)
+    source = _close_runs(cond, targets)
+    if targets is not None:
+        source = ("if dv_plan is not None and not events"
+                  + (f" and {cond}" if cond else "") + ":\n"
+                  + _indent("if run_fetch or run_execute:\n", 1)
+                  + _indent(_plan_delivery(targets, _LOCAL_FOLD,
+                                           _LOCAL_ACCUMULATE), 2)
+                  + "else:\n" + _indent(source, 1))
+    return ("if has_observers:\n" + _indent(source, 1)
+            + "run_fetch = 0\nrun_execute = 0\n")
 
 
 # ----- inline predict fragments ---------------------------------------- #
 
-#: Good-path conditional predict, reading every table index from the
-#: precomputed columns (the inlined body of ``predict_columns`` +
-#: ``predict_from_block`` for the conditional/good-path case).  The
-#: speculative history push is deferred — ``col_f`` already encodes it
-#: for every later position — and materialized into the episode's
-#: history local only when the branch mispredicts.  ``%(fetch_members)s``
-#: receives the path confidence fan-out.
-_PREDICT_GOOD = '''\
-hist = col_f[i]
-pc = block_pc[i]
-gshare_taken = gshare_table[col_g[i]] >= gshare_threshold
-bimodal_taken = bimodal_table[col_b[i]] >= bimodal_threshold
-chose_gshare = chooser[col_c[i]] >= 2
+def _predict_cond(hist: Optional[str], fetch_members: str, record_flags,
+                  wrong_path: bool = False) -> str:
+    """One conditional predict: the inlined body of ``predict_columns`` +
+    ``predict_from_block`` for a conditional branch (zero indent).
+
+    ``hist`` is the index source.  None reads every table index from the
+    staged ``col_*`` columns at good-path position ``i`` and defers the
+    speculative history push: ``col_f`` already encodes it for every
+    later position, and the episode head materializes it only when the
+    branch mispredicts.  Otherwise the indices hash from the history
+    local ``hist`` names, which then takes the push: ``h``, the
+    episode's history local, for a wrong-path branch (bit-identical to
+    the live-register reads the scalar episode performs), and ``hist``
+    for an SMT thread's good-path branch.  ``wrong_path`` predicts the
+    next branch of the session's carried wrong-path buffer (refilled a
+    whole buffer at a time) in place of the staged block's, and fetches
+    it into the window as one episode slot.  ``fetch_members`` is the
+    path confidence fan-out; ``record_flags`` are the member flags of
+    :func:`_record_init`.
+    """
+    src, pos = ("wp_", "wp_i") if wrong_path else ("block_", "i")
+    if hist is None:
+        head = "hist = col_f[i]\n"
+        g, b, c, j = "col_g[i]", "col_b[i]", "col_c[i]", "col_j[i]"
+        g_set = b_set = c_set = ""
+        tag = "pc >> 2"
+    else:
+        def hashed(table):
+            return f"(pc_bits ^ ({hist} & {table}_hmask)) & {table}_mask_v"
+        head = ""
+        g, b, c, j = "gidx", "bidx", "cidx", hashed("jrs")
+        g_set = f"pc_bits = pc >> 2\ngidx = {hashed('gshare')}\n"
+        b_set = "bidx = pc_bits & bimodal_mask_v\n"
+        c_set = f"cidx = {hashed('chooser')}\n"
+        tag = "pc_bits"
+    if wrong_path:
+        head = '''\
+if wp_pos >= wp_cap:
+    next_wp_block(wp_block, wp_cap)
+    wp_pos = 0
+wp_i = wp_pos
+wp_pos += 1
+'''
+    source = (head + f"pc = {src}pc[{pos}]\n" + g_set
+              + f"gshare_taken = gshare_table[{g}] >= gshare_threshold\n"
+              + b_set
+              + f"bimodal_taken = bimodal_table[{b}] >= bimodal_threshold\n"
+              + c_set + f'''\
+chose_gshare = chooser[{c}] >= 2
 taken = gshare_taken if chose_gshare else bimodal_taken
-tag = pc >> 2
-''' + _BTB_LOOKUP + '''\
-%(record_init)srecord.target = btb_target if taken else None
+tag = {tag}
+''' + _BTB_LOOKUP
+              + _record_init(hist or "hist", f"{src}sid[{pos}]", *record_flags)
+              + f'''\
+record.target = btb_target if taken else None
 record.btb_hit = btb_target is not None
 record.gshare_taken = gshare_taken
-record.gshare_index = col_g[i]
+record.gshare_index = {g}
 record.bimodal_taken = bimodal_taken
-record.bimodal_index = col_b[i]
-record.chooser_index = col_c[i]
+record.bimodal_index = {b}
+record.chooser_index = {c}
 record.chose_gshare = chose_gshare
-ji = col_j[i]
+ji = {j}
 if taken and jrs_enh_bit:
     ji = (ji ^ jrs_enh_bit) & jrs_mask_v
 jrs_lookups += 1
@@ -1105,28 +1133,42 @@ eng_branches += 1
 eng_cond += 1
 fe_total += 1
 fe_cond += 1
-actual = block_taken[i]
+actual = {src}taken[{pos}]
 mispredicted = taken != actual
 record.mispredicted = mispredicted
 if mispredicted:
     fe_misp += 1
     fe_cond_misp += 1
 record.path_token = record
-%(fetch_members)srecord.kind = kind_conditional
+''' + fetch_members + f'''\
+record.kind = kind_conditional
 record.out_taken = actual
-record.out_target = block_target[i]
-record.on_goodpath = True
+record.out_target = {src}target[{pos}]
+record.on_goodpath = {not wrong_path}
 record.seq = seq
+''')
+    if hist is not None:
+        source += (f"{hist} = (({hist} << 1) | (1 if taken else 0))"
+                   " & hist_mask\n")
+    if wrong_path:
+        source += '''\
+bad_fetched += 1
+cycle += 1
+run_fetch += 1
+window.append(record)
+inflight += 1
 '''
+    return source
+
 
 #: Good-path non-conditional predict (the non-conditional arm of
 #: ``predict_columns`` + ``predict_from_block``): a return pops the RAS,
 #: an indirect branch reads the indirect-target table and falls back to
 #: the BTB, jumps and calls read the BTB, and calls push their return
 #: address.  The record carries the slots the drains and the episode
-#: tail read; it never gets a path token.
+#: tail read; it never gets a path token.  It reads the history local
+#: ``hist``: the single-thread step loads it from ``col_f`` first.
 _PREDICT_OTHER = '''\
-hist = col_f[i]
 pc = block_pc[i]
 if kind is kind_return:
     ras_pops += 1
@@ -1177,67 +1219,6 @@ eng_branches += 1
 fe_total += 1
 if mispredicted:
     fe_misp += 1
-'''
-
-#: Wrong-path conditional predict inside the episode: the next branch of
-#: the session's carried wrong-path buffer (refilled a whole buffer at a
-#: time), with scalar index arithmetic from the episode's history local
-#: ``h`` (bit-identical to the live-register reads the scalar episode
-#: performs).
-_PREDICT_WP = '''\
-if wp_pos >= wp_cap:
-    next_wp_block(wp_block, wp_cap)
-    wp_pos = 0
-wp_i = wp_pos
-wp_pos += 1
-pc = wp_pc[wp_i]
-pc_bits = pc >> 2
-gidx = (pc_bits ^ (h & gshare_hmask)) & gshare_mask_v
-gshare_taken = gshare_table[gidx] >= gshare_threshold
-bidx = pc_bits & bimodal_mask_v
-bimodal_taken = bimodal_table[bidx] >= bimodal_threshold
-cidx = (pc_bits ^ (h & chooser_hmask)) & chooser_mask_v
-chose_gshare = chooser[cidx] >= 2
-taken = gshare_taken if chose_gshare else bimodal_taken
-tag = pc_bits
-''' + _BTB_LOOKUP + '''\
-%(record_init)srecord.target = btb_target if taken else None
-record.btb_hit = btb_target is not None
-record.gshare_taken = gshare_taken
-record.gshare_index = gidx
-record.bimodal_taken = bimodal_taken
-record.bimodal_index = bidx
-record.chooser_index = cidx
-record.chose_gshare = chose_gshare
-ji = (pc_bits ^ (h & jrs_hmask)) & jrs_mask_v
-if taken and jrs_enh_bit:
-    ji = (ji ^ jrs_enh_bit) & jrs_mask_v
-jrs_lookups += 1
-record.mdc_index = ji
-mdc = jrs_table[ji]
-record.mdc_value = mdc
-eng_branches += 1
-eng_cond += 1
-fe_total += 1
-fe_cond += 1
-actual = wp_taken[wp_i]
-mispredicted = taken != actual
-record.mispredicted = mispredicted
-if mispredicted:
-    fe_misp += 1
-    fe_cond_misp += 1
-record.path_token = record
-%(fetch_members)srecord.kind = kind_conditional
-record.out_taken = actual
-record.out_target = wp_target[wp_i]
-record.on_goodpath = False
-record.seq = seq
-h = ((h << 1) | (1 if taken else 0)) & hist_mask
-bad_fetched += 1
-cycle += 1
-run_fetch += 1
-window.append(record)
-inflight += 1
 '''
 
 
@@ -1305,14 +1286,7 @@ n_gaps, n_branches = wp_episode(log_one_minus_p, wp_gaps, mispredict_window)
 for g in range(n_gaps):
     gap = wp_gaps[g]
     if gap:
-        bad_fetched += gap
-        cycle += gap
-        run_fetch += gap
-        if window and type(window[-1]) is int and window[-1] < 0:
-            window[-1] -= gap
-        else:
-            window.append(-gap)
-        inflight += gap
+''' + _indent(_gap_fetch(False), 2) + '''\
     fetched_branch = False
     while True:
         if inflight > resolve_window:
@@ -1322,10 +1296,7 @@ for g in range(n_gaps):
         if fetched_branch or g >= n_branches:
             break
         fetched_branch = True
-        if has_observers:
 %(deliver)s\
-        run_fetch = 0
-        run_execute = 0
         seq = next_seq
         next_seq += 1
 %(predict)s\
@@ -1397,14 +1368,7 @@ while remaining:
             if gap > remaining:
                 gap = remaining
         if gap:
-            bad_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] < 0:
-                window[-1] -= gap
-            else:
-                window.append(-gap)
-            inflight += gap
+''' + _indent(_gap_fetch(False), 3) + '''\
             remaining -= gap
         fetched_branch = False
         excess = inflight - resolve_window
@@ -1414,10 +1378,7 @@ while remaining:
         if fetched_branch or not remaining:
             break
         fetched_branch = True
-        if has_observers:
 %(deliver)s\
-        run_fetch = 0
-        run_execute = 0
         seq = next_seq
         next_seq += 1
 %(predict)s\
@@ -1439,10 +1400,7 @@ _TAIL = '''\
 issued -= frontend_depth
 if issued > 0:
     bad_executed += issued
-if has_observers:
 %(deliver)s\
-run_fetch = 0
-run_execute = 0
 flushes += 1
 entry = trigger
 entry.resolved = True
@@ -1484,11 +1442,14 @@ cycle += redirect_penalty
 #: The episode tail's delivery where no step-local diagram column can go
 #: stale: the generic ``_flush_runs`` on the synced open runs.
 _TAIL_FLUSH = '''\
-self._cycle = cycle
-self._run_fetch = run_fetch
-self._run_execute = run_execute
-self._run_goodpath = run_goodpath
-self._flush_runs()
+if has_observers:
+    self._cycle = cycle
+    self._run_fetch = run_fetch
+    self._run_execute = run_execute
+    self._run_goodpath = run_goodpath
+    self._flush_runs()
+run_fetch = 0
+run_execute = 0
 '''
 
 
@@ -1504,8 +1465,10 @@ def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
     targets = _plan_targets(has_paco, has_static, has_pbm, has_tc, gate)
     present = {"paco": has_paco, "static": has_static, "pbm": has_pbm,
                "tc": has_tc, "profiler": has_prof}
-    parts = [_MEMBERS[key] for key, flag in present.items() if flag]
-    setup = "".join(part[0] for part in parts)
+    keys = [key for key, flag in present.items() if flag]
+    parts = [_MEMBERS[key] for key in keys]
+    setup = "".join(_MEMBERS[key][0] % {"owner": f"self._{key}"}
+                    for key in keys)
     if has_paco and cycle_work:
         setup += _PACO_SETUP_CYCLE
     fetch_good = "".join(part[1] for part in parts)
@@ -1515,7 +1478,7 @@ def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
     squash_members = "".join(part[5] for part in parts)
     sync = _SYNC_BASE + "".join(part[6] for part in parts)
     record_flags = (has_paco, has_static, has_pbm, has_tc, has_prof)
-    tick = _TICK if cycle_work else ""
+    tick = _tick(targets) if cycle_work else ""
 
     stat_sync = '''\
 stats.goodpath_fetched += good_fetched
@@ -1535,11 +1498,9 @@ stats.fetch_stall_cycles += stall_cycles
     drain = _episode_drain(resolve_members, squash_members, targets)
     episode_parts = {
         "drain": _indent(drain, 4),
-        "deliver": _indent(_runs_delivery("", targets), 3),
-        "predict": _indent(_PREDICT_WP % {
-            "fetch_members": fetch_wp,
-            "record_init": _record_init("h", "wp_sid[wp_i]", *record_flags),
-        }, 2),
+        "deliver": _indent(_runs_delivery("", targets), 2),
+        "predict": _indent(_predict_cond("h", fetch_wp, record_flags,
+                                         wrong_path=True), 2),
         "tick": _indent(tick, 1),
     }
     gate_expr = None
@@ -1562,12 +1523,13 @@ wp_state = wp_rng._state
         episode = _GATED_EPISODE % dict(
             episode_parts, gate=gate_expr, drain=_indent(drain, 3),
             relog_limit=_indent(_RELOG_LIMIT, 2) if cycle_work else "",
-            batch_tick=_indent(_TICK_DELIVER, 3) if cycle_work else "")
+            batch_tick=(_indent(_tick_deliver(targets), 3) if cycle_work
+                        else ""))
         wp_sync = "wp_rng._state = wp_state\n"
     tail_deliver = (_runs_delivery("", targets)
                     if targets is not None and targets[0] else _TAIL_FLUSH)
     tail = _TAIL % {
-        "deliver": _indent(tail_deliver, 1),
+        "deliver": tail_deliver,
         "train": _indent(_TRAIN_COND_MISP, 1),
         "resolve_misp": _indent(resolve_misp, 1),
         "resolve_other": _indent(_RESOLVE_OTHER, 1),
@@ -1575,10 +1537,7 @@ wp_state = wp_rng._state
         "squash": _indent(squash_members, 2),
         "tick": tick,
     }
-    predict_good = _PREDICT_GOOD % {
-        "fetch_members": fetch_good,
-        "record_init": _record_init("hist", "block_sid[i]", *record_flags),
-    }
+    predict_good = _predict_cond(None, fetch_good, record_flags)
     hoists = '''\
 block = self._block
 block_pc = block.pc
@@ -1621,7 +1580,7 @@ flushes = 0
 stall_cycles = 0
 '''
 
-    source = ('''\
+    return ('''\
 def _fused_step_block(self, max_instructions, max_cycles):
     """Fused-predictor twin of ``TraceSession._step_block``.
 
@@ -1644,11 +1603,8 @@ def _fused_step_block(self, max_instructions, max_cycles):
                 break
             predicted = True
             kind = block_kinds[i]
-            if has_observers:
 ''' + _indent(_runs_delivery("kind is kind_conditional", targets),
-              4) + '''\
-            run_fetch = 0
-            run_execute = 0
+              3) + '''\
             seq = next_seq
             next_seq += 1
             if kind is kind_conditional:
@@ -1656,7 +1612,7 @@ def _fused_step_block(self, max_instructions, max_cycles):
               + _indent(predict_good, 4) + '''\
             else:
 '''
-              + _indent(_PREDICT_OTHER, 4) + '''\
+              + _indent("hist = col_f[i]\n" + _PREDICT_OTHER, 4) + '''\
             i += 1
             good_fetched += 1
             cycle += 1
@@ -1692,9 +1648,6 @@ def _fused_step_block(self, max_instructions, max_cycles):
     history.value = col_f[i]
 '''
               + _indent(wp_sync + stat_sync + sync, 1))
-    if targets is not None:
-        source = _inline_deliveries(source, targets)
-    return source
 
 
 _FUSED_CACHE: dict = {}
@@ -1787,9 +1740,9 @@ def _fused_gate(policy: GatingPolicy, members: dict) -> Optional[str]:
     """The :data:`_GATES` kind that models ``policy`` over ``members``.
 
     Returns None — build the plain :class:`TraceSession` — for
-    anything else: ``ProbabilityGating``, subclassed policies, and
-    count/PaCo policies over a predictor that is not the session's own
-    member (the generated gate reads the member's live state).
+    anything else: other and subclassed policies, and count/PaCo
+    policies over a predictor that is not the session's own member (the
+    generated gate reads the member's live state).
     """
     if type(policy) is CountGating:
         key = "count"
@@ -2171,61 +2124,8 @@ else:
         else:
             generator.instructions_generated += gap
         good_fetched += gap
-        if window and type(window[-1]) is int and window[-1] > 0:
-            window[-1] += gap
-        else:
-            window.append(gap)
-        inflight += gap
+''' + _indent(_gap_append(True), 2) + '''\
 granted += slots
-'''
-
-#: Good-path conditional predict (``predict_from_block`` inlined): the
-#: scalar-index predict of :data:`_PREDICT_WP` on the staged good-path
-#: block, with the thread's history local taking the speculative push.
-_SMT_PREDICT_COND = '''\
-pc = block_pc[i]
-pc_bits = pc >> 2
-gidx = (pc_bits ^ (hist & gshare_hmask)) & gshare_mask_v
-gshare_taken = gshare_table[gidx] >= gshare_threshold
-bidx = pc_bits & bimodal_mask_v
-bimodal_taken = bimodal_table[bidx] >= bimodal_threshold
-cidx = (pc_bits ^ (hist & chooser_hmask)) & chooser_mask_v
-chose_gshare = chooser[cidx] >= 2
-taken = gshare_taken if chose_gshare else bimodal_taken
-tag = pc_bits
-''' + _BTB_LOOKUP + '''\
-%(record_init)srecord.target = btb_target if taken else None
-record.btb_hit = btb_target is not None
-record.gshare_taken = gshare_taken
-record.gshare_index = gidx
-record.bimodal_taken = bimodal_taken
-record.bimodal_index = bidx
-record.chooser_index = cidx
-record.chose_gshare = chose_gshare
-ji = (pc_bits ^ (hist & jrs_hmask)) & jrs_mask_v
-if taken and jrs_enh_bit:
-    ji = (ji ^ jrs_enh_bit) & jrs_mask_v
-jrs_lookups += 1
-record.mdc_index = ji
-mdc = jrs_table[ji]
-record.mdc_value = mdc
-eng_branches += 1
-eng_cond += 1
-fe_total += 1
-fe_cond += 1
-actual = block_taken[i]
-mispredicted = taken != actual
-record.mispredicted = mispredicted
-if mispredicted:
-    fe_misp += 1
-    fe_cond_misp += 1
-record.path_token = record
-%(fetch_members)srecord.kind = kind_conditional
-record.out_taken = actual
-record.out_target = block_target[i]
-record.on_goodpath = True
-record.seq = seq
-hist = ((hist << 1) | (1 if taken else 0)) & hist_mask
 '''
 
 #: The granted thread's branch: the next wrong-path branch through
@@ -2320,16 +2220,6 @@ while count > 0 and window:
 '''
 
 
-def _replace_head(fragment: str, head: str, new: str) -> str:
-    """``fragment`` with its first line, which must be ``head``, replaced
-    by ``new`` (the single-thread fragments bind a session's names
-    there)."""
-    first, rest = fragment.split("\n", 1)
-    if first != head:
-        raise AssertionError(f"unexpected fragment head: {first!r}")
-    return new + rest
-
-
 def _smt_thread(key: str):
     """Member ``key``'s thread fragments, unprefixed: ``(setup, sync,
     relog, due, gap, drain-and-fetch)``.
@@ -2339,20 +2229,13 @@ def _smt_thread(key: str):
     overflows the window, drains the one slot that completes.
     """
     setup = (_SMT_SETUP
-             + _replace_head(_MEMBERS[key][0], f"{key} = self._{key}",
-                             f"{key} = engine.path_confidence\n")
+             + _MEMBERS[key][0] % {"owner": "engine.path_confidence"}
              + (_PACO_SETUP_CYCLE if key == "paco" else ""))
     fetch = _SMT_FETCH % {
-        "predict_cond": _indent(_SMT_PREDICT_COND % {
-            "record_init": _record_init("hist", "block_sid[i]",
-                                        key == "paco", False, False,
-                                        key == "tc", False),
-            "fetch_members": _MEMBERS[key][1],
-        }, 2),
-        # The column read of the single-thread predict: here the
-        # thread's history local already holds the value.
-        "predict_other": _indent(
-            _replace_head(_PREDICT_OTHER, "hist = col_f[i]", ""), 2),
+        "predict_cond": _indent(_predict_cond(
+            "hist", _MEMBERS[key][1],
+            (key == "paco", False, False, key == "tc", False)), 2),
+        "predict_other": _indent(_PREDICT_OTHER, 2),
     }
     part = ("count = inflight - resolve_window if grant == THREAD_N"
             " else slots\n"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import abc
 
-from repro.pathconf.base import PathConfidencePredictor
 from repro.pathconf.paco import PaCoPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
 
@@ -74,24 +73,3 @@ class PaCoGating(GatingPolicy):
 
     def should_gate(self) -> bool:
         return self.predictor.path_confidence_register > self.encoded_threshold
-
-
-class ProbabilityGating(GatingPolicy):
-    """Gate on any predictor's decoded good-path probability.
-
-    Used by ablations that gate on the Static-MRT / Per-branch-MRT
-    predictors, which expose probabilities but not PaCo's encoded register
-    helper.
-    """
-
-    def __init__(self, predictor: PathConfidencePredictor,
-                 target_goodpath_probability: float) -> None:
-        if not 0.0 < target_goodpath_probability < 1.0:
-            raise ValueError("gating probability must be in (0, 1)")
-        self.predictor = predictor
-        self.target_goodpath_probability = target_goodpath_probability
-        self.name = f"prob-gating({predictor.name}, p={target_goodpath_probability:.2f})"
-
-    def should_gate(self) -> bool:
-        return (self.predictor.goodpath_probability()
-                < self.target_goodpath_probability)

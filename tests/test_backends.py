@@ -38,6 +38,7 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
+from repro.backends import cycle as cycle_backend
 from repro.backends import smt_trace
 from repro.backends import trace as trace_backend
 from repro.backends.cycle import CycleSession, build_confidence, build_frontend
@@ -45,6 +46,7 @@ from repro.backends.fused import (
     FusedTraceSession,
     _build_step_source,
     _fused_methods,
+    _smt_plan,
 )
 from repro.backends.smt_trace import TraceSMTCore, build_trace_smt_core
 from repro.campaign import CampaignSpec, CampaignSpecError, build_plan, preset
@@ -75,9 +77,9 @@ from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.fetch_policy import ICountPolicy
 from repro.pipeline.gating import (
     CountGating,
+    GatingPolicy,
     NoGating,
     PaCoGating,
-    ProbabilityGating,
 )
 from repro.runner import (
     Job,
@@ -1176,6 +1178,23 @@ class _CustomPathConfidence(PathConfidencePredictor):
         return 1.0
 
 
+class _CustomGating(GatingPolicy):
+    """A gating policy the fused loops were not written for: it gates on
+    its predictor's decoded good-path probability."""
+
+    name = "custom-gating"
+
+    def __init__(self, predictor):
+        self.predictor = predictor
+
+    def should_gate(self):
+        return self.predictor.goodpath_probability() < 0.5
+
+
+class _SubclassedPaCo(PaCoPredictor):
+    """A built-in member the fused loops model only by exact type."""
+
+
 class TestFusedSessionRouting:
     """:meth:`TraceBackend.build` must pick the fused session for every
     stack the campaigns run, so a stack that loses the fused path fails
@@ -1268,14 +1287,14 @@ class TestFusedSessionRouting:
         ("modelled", "own-paco", FusedTraceSession),
         ("modelled", "foreign-count", TraceSession),
         ("modelled", "foreign-paco", TraceSession),
-        ("modelled", "probability", TraceSession),
+        ("modelled", "custom", TraceSession),
         ("unmodelled", "none", TraceSession),
         ("unmodelled", "no-gating", TraceSession),
         ("unmodelled", "own-count", TraceSession),
         ("unmodelled", "own-paco", TraceSession),
         ("unmodelled", "foreign-count", TraceSession),
         ("unmodelled", "foreign-paco", TraceSession),
-        ("unmodelled", "probability", TraceSession),
+        ("unmodelled", "custom", TraceSession),
     ]
 
     @pytest.mark.parametrize("stack, policy, session_type", ROUTES,
@@ -1300,7 +1319,7 @@ class TestFusedSessionRouting:
             "foreign-count": lambda: CountGating(
                 ThresholdAndCountPredictor(threshold=3), 1),
             "foreign-paco": lambda: PaCoGating(PaCoPredictor(), 0.5),
-            "probability": lambda: ProbabilityGating(paco, 0.5),
+            "custom": lambda: _CustomGating(paco),
         }[policy]()
         session = TraceBackend().build(
             Workload(spec=tiny_spec, seed=2), small_machine,
@@ -1323,7 +1342,79 @@ class TestFusedSessionRouting:
             FusedTraceSession(
                 fetch_engine, small_machine, 16, 8,
                 {"paco": path_confidence},
-                gating_policy=ProbabilityGating(path_confidence, 0.5))
+                gating_policy=_CustomGating(path_confidence))
+
+
+class TestFusedPlanRouting:
+    """Each rejection branch of ``_fused_plan``, through
+    :meth:`TraceBackend.build`: the stack it rejects takes the scalar
+    :class:`TraceSession`, and the nearest stack it accepts takes the
+    fused session."""
+
+    #: Per branch: a factory of ``(rejected, accepted)`` path confidence
+    #: predictors.
+    CASES = {
+        # The same stack either way: the JRS table is what goes missing.
+        "no-jrs": lambda: (PaCoPredictor(), PaCoPredictor()),
+        # A modelled type whose instance keeps no per-branch state in the
+        # shared record, so the composite hands out per-member tokens.
+        "own-token-member": lambda: (
+            CompositePathConfidence([PaCoPredictor(), _own_tokens(
+                ThresholdAndCountPredictor())]),
+            CompositePathConfidence([PaCoPredictor(),
+                                     ThresholdAndCountPredictor()])),
+        "two-of-one-kind": lambda: (
+            _with_member(CompositePathConfidence(
+                [PaCoPredictor(), ThresholdAndCountPredictor()]),
+                ThresholdAndCountPredictor()),
+            CompositePathConfidence([PaCoPredictor(),
+                                     ThresholdAndCountPredictor()])),
+        "subclassed-member": lambda: (
+            CompositePathConfidence([_SubclassedPaCo(),
+                                     ThresholdAndCountPredictor()]),
+            CompositePathConfidence([PaCoPredictor(),
+                                     ThresholdAndCountPredictor()])),
+        "paco-buckets": lambda: (PaCoPredictor(num_mdc_values=8),
+                                 PaCoPredictor(num_mdc_values=16)),
+        "static-mdc-values": lambda: (
+            CompositePathConfidence([
+                PaCoPredictor(), StaticMRTPredictor(num_mdc_values=8)]),
+            CompositePathConfidence([
+                PaCoPredictor(), StaticMRTPredictor(num_mdc_values=16)])),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected_stack_takes_scalar_session(self, monkeypatch,
+                                                 tiny_spec, small_machine,
+                                                 case):
+        rejected, accepted = self.CASES[case]()
+        workload = Workload(spec=tiny_spec, seed=2)
+        backend = TraceBackend()
+        assert type(backend.build(workload, small_machine, Instrumentation(
+            path_confidence=accepted))) is FusedTraceSession
+        if case == "no-jrs":
+            monkeypatch.setattr(cycle_backend, "build_confidence",
+                                lambda config: None)
+        session = backend.build(workload, small_machine, Instrumentation(
+            path_confidence=rejected))
+        assert type(session) is TraceSession
+        if case == "no-jrs":
+            assert session.fetch_engine.confidence is None
+
+
+def _own_tokens(predictor):
+    """``predictor`` with no record slots claimed: its fetch token is its
+    own, not the composite's shared record."""
+    predictor.record_slots = ()
+    return predictor
+
+
+def _with_member(composite, predictor):
+    """``composite`` with ``predictor`` appended past the constructor's
+    one-predictor-per-record-slot check, which ``_fused_plan`` must not
+    rely on."""
+    composite.predictors.append(predictor)
+    return composite
 
 
 class TestFusedSMTRouting:
@@ -1383,6 +1474,31 @@ class TestFusedSMTRouting:
                 zip(("gzip", "vortex"), predictors))]
         core = build_trace_smt_core(engines, fetch_policy=ICountPolicy())
         assert core._arbitration() == smt_trace._ICOUNT
+        loops = self._loops(monkeypatch)
+        core.run(2_000)
+        assert loops == ["scalar"]
+
+    @pytest.mark.parametrize("shared", ["path_confidence", "confidence"])
+    def test_shared_predictor_state_takes_scalar_loop(self, monkeypatch,
+                                                      shared):
+        """Threads that share one object the generated loop writes
+        through (``_smt_owned``) would each run it on their own locals,
+        so they take the scalar loop, even with one modelled PaCo each."""
+        machine = MachineConfig.smt_8wide()
+        objects = {"path_confidence": PaCoPredictor(),
+                   "confidence": build_confidence(machine)}
+        engines = []
+        for tid, name in enumerate(("gzip", "vortex")):
+            parts = {"path_confidence": PaCoPredictor(),
+                     "confidence": build_confidence(machine)}
+            parts[shared] = objects[shared]
+            engines.append(FetchEngine(
+                generator=WorkloadGenerator(get_benchmark(name),
+                                            seed=1 + tid, thread_id=tid),
+                frontend=build_frontend(machine), wrongpath_seed=11 + tid,
+                **parts))
+        core = build_trace_smt_core(engines, fetch_policy=ICountPolicy())
+        assert _smt_plan(core.threads) is None
         loops = self._loops(monkeypatch)
         core.run(2_000)
         assert loops == ["scalar"]

@@ -25,6 +25,7 @@ from repro.backends.fused import (
     _build_smt_companions,
     _build_smt_source,
     _build_step_source,
+    _plan_targets,
 )
 
 EXPECTED_PATH = Path(__file__).parent / "data" / "fused_sources.json"
@@ -73,6 +74,27 @@ def test_single_thread_step_sources_are_pinned(expected):
 
 def test_smt_loop_sources_are_pinned(expected):
     assert smt_hashes() == expected["smt"]
+
+
+def test_every_plan_delivery_site_has_both_arms():
+    """A step that carries a delivery plan delivers through
+    ``record_runs`` only in a site's ``dv_plan is None`` arm: a call
+    outside one would write a diagram behind its step-local columns, and
+    an arm without one would drop that site's generic delivery.  The
+    hashes alone would let a deliberate regeneration lose a site."""
+    planned = 0
+    for tag, (flags, gate) in STEP_SHAPES.items():
+        has_paco, has_static, has_pbm, has_tc = flags[:4]
+        if _plan_targets(has_paco, has_static, has_pbm, has_tc,
+                         gate) is None:
+            continue
+        planned += 1
+        lines = [line.strip()
+                 for line in _build_step_source(*flags, gate).splitlines()]
+        calls = lines.count("observer.record_runs(events)")
+        assert calls, tag
+        assert calls == lines.count("if dv_plan is None:"), tag
+    assert planned == 60
 
 
 def write_expected() -> None:

@@ -4,9 +4,8 @@ import pytest
 
 from repro.pathconf.base import BranchFetchInfo
 from repro.pathconf.paco import PaCoPredictor
-from repro.pathconf.static_mrt import StaticMRTPredictor
 from repro.pathconf.threshold_count import ThresholdAndCountPredictor
-from repro.pipeline.gating import CountGating, NoGating, PaCoGating, ProbabilityGating
+from repro.pipeline.gating import CountGating, NoGating, PaCoGating
 
 
 def _info(mdc_value):
@@ -74,16 +73,3 @@ class TestPaCoGating:
         with pytest.raises(ValueError):
             PaCoGating(PaCoPredictor(), target_goodpath_probability=1.0)
 
-
-class TestProbabilityGating:
-    def test_works_with_any_probability_predictor(self):
-        static = StaticMRTPredictor(mispredict_rates=[0.4] * 16)
-        policy = ProbabilityGating(static, target_goodpath_probability=0.3)
-        assert not policy.should_gate()
-        for _ in range(5):
-            static.on_branch_fetch(_info(0))
-        assert policy.should_gate()
-
-    def test_rejects_degenerate_targets(self):
-        with pytest.raises(ValueError):
-            ProbabilityGating(StaticMRTPredictor(), target_goodpath_probability=1.0)
